@@ -17,8 +17,9 @@ import math
 import sys
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from cmvpencil.cmv import TruncationSpec, build_K, tridiagonal_eigenvalues
+from cmvpencil.cmv import TruncationSpec, build_K, eigenvalue_counts
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
 
@@ -41,22 +42,28 @@ def sweep(a, lams, dim, inflate):
     trunc = TruncationSpec(n_blocks=dim // 2)
     rows = []
     for lam in lams:
-        eigs = tridiagonal_eigenvalues(build_K(a, lam, trunc))
+        K = build_K(a, lam, trunc)
+        diag, off = K.bands
+        eig_min, eig_max = (
+            float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))[0])
+            for k in (0, dim - 1)
+        )
         bands = essential_spectrum_periodic(abs(lam))
-        outliers = [
-            e for e in eigs
-            if not any(p - inflate <= e <= q + inflate for p, q in bands)
-        ]
-        near_zero = int(np.sum(np.abs(eigs) <= inflate))
+        # eigenvalues outside the inflated bands: those below the first band,
+        # between consecutive bands and above the last one
+        starts = [eig_min - 1.0, *(q + inflate for _, q in bands)]
+        ends = [*(p - inflate for p, _ in bands), eig_max + 1.0]
+        windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
+        counts = eigenvalue_counts(K, [*(t for w in windows for t in w), -inflate, inflate])
         rows.append(
             {
                 "lam": lam,
                 "band_inner": abs(lam - 1.0),
                 "band_outer": lam + 1.0,
-                "eig_min": float(eigs[0]),
-                "eig_max": float(eigs[-1]),
-                "outliers": len(outliers),
-                "near_zero": near_zero,
+                "eig_min": eig_min,
+                "eig_max": eig_max,
+                "outliers": int(np.sum(counts[1:-2:2] - counts[0:-2:2])),
+                "near_zero": int(counts[-1] - counts[-2]),
             }
         )
     return rows

@@ -7,6 +7,13 @@ H = L M + M L is five-diagonal symmetric, and the pencil K(lam) = L + lam*M
 is tridiagonal for every lam.  Finite truncations keep 2*n_blocks rows; the
 block chopped in half at the boundary pollutes only the last two rows, so the
 algebraic identities are verified on rows 0 .. dim-3.
+
+Everything here is O(dim): the builders read the coefficients as arrays
+(``ReflectionSequence.take``), the identity residuals are computed in
+banded storage, and ``eigenvalue_counts`` answers "how many eigenvalues lie
+below t" by Sturm (LDL^T inertia) counts.  Only ``tridiagonal_eigenvalues``
+(all eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test
+oracles cost more.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "banded_product",
     "verify_identities",
     "tridiagonal_eigenvalues",
+    "eigenvalue_counts",
 ]
 
 
@@ -97,16 +105,6 @@ class BandedSymmetricMatrix:
             out[idx, idx + k] = self.bands[k]
             out[idx + k, idx] = self.bands[k]
         return out
-
-    def norm_inf(self) -> float:
-        """Max row sum of absolute values, a cheap operator-norm bound."""
-        dense_rows = np.zeros(self.dim)
-        for k in range(self.bandwidth + 1):
-            b = np.abs(np.asarray(self.bands[k], dtype=float))
-            dense_rows[: self.dim - k] += b
-            if k > 0:
-                dense_rows[k:] += b
-        return float(dense_rows.max())
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending, via the banded symmetric solver."""
@@ -193,45 +191,43 @@ def banded_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             i1 = min(dim, dim - ka, dim - k)
             if i0 >= i1:
                 continue
-            i = np.arange(i0, i1)
-            j_mid = i + ka
-            av = va[np.minimum(i, j_mid)]
-            bv = vb[np.minimum(j_mid, i + k)]
-            acc[i if k >= 0 else i + k] += av * bv
+            # offset storage keeps entry (i, j) at index min(i, j), so each
+            # operand is a contiguous run starting at the row i0
+            n = i1 - i0
+            av = va[i0 + min(ka, 0) :][:n]
+            bv = vb[i0 + ka + min(kb, 0) :][:n]
+            acc[i0 + min(k, 0) :][:n] += av * bv
     return BandedMatrix(dim, {k: v for k, v in out.items() if np.any(v != 0.0)})
 
 
-def _block_diag_bands(entries_a, entries_r, dim: int, start: int):
-    """Diagonal/superdiagonal arrays of a direct sum of 2x2 reflection blocks.
+def _complement(values) -> np.ndarray:
+    """r_n = sqrt(1 - a_n^2) elementwise, rounded exactly as ReflectionSequence.r.
 
-    Each block is [[a, r], [r, -a]].  ``start`` is the row of the first block;
-    rows before it are identity (used by M, whose leading block is the 1x1
-    identity).  A block cut off by the truncation contributes only its
-    top-left entry a.
+    The squares go through Python's float power, as in ``r``: libm ``pow``
+    and numpy's ``x * x`` can differ in the last bit, and the bands must
+    stay bit-identical to the per-index construction.
     """
-    diag = np.zeros(dim)
-    off = np.zeros(dim - 1)
-    diag[:start] = 1.0
-    row = start
-    idx = 0
-    while row < dim:
-        a_val = entries_a(idx)
-        if row + 1 < dim:
-            r_val = entries_r(idx)
-            diag[row] = a_val
-            diag[row + 1] = -a_val
-            off[row] = r_val
-        else:
-            diag[row] = a_val
-        row += 2
-        idx += 1
-    return diag, off
+    squares = [v**2 for v in np.asarray(values, dtype=float).tolist()]
+    return np.sqrt(1.0 - np.array(squares, dtype=float))
+
+
+def _shifted(values) -> np.ndarray:
+    """a_{n-1} aligned with a_n: the values with a_{-1} = -1 in front, last dropped."""
+    return np.concatenate(([-1], values[:-1]))
 
 
 def build_L(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
-    """Truncation of the even involution: blocks with a_0, a_2, a_4, ..."""
+    """Truncation of the even involution: blocks with a_0, a_2, a_4, ...
+
+    Each block is [[a, r], [r, -a]]; the blocks start at row 0.
+    """
     dim = trunc.dim
-    diag, off = _block_diag_bands(lambda k: a(2 * k), lambda k: a.r(2 * k), dim, 0)
+    even = a.take(dim - 1)[0::2]
+    diag = np.empty(dim)
+    diag[0::2] = even
+    diag[1::2] = -even
+    off = np.zeros(dim - 1)
+    off[0::2] = _complement(even)
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
@@ -242,9 +238,13 @@ def build_M(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     a_{dim-1}; this is what confines identity violations to the last two rows.
     """
     dim = trunc.dim
-    diag, off = _block_diag_bands(
-        lambda k: a(2 * k + 1), lambda k: a.r(2 * k + 1), dim, 1
-    )
+    odd = a.take(dim)[1::2]
+    diag = np.empty(dim)
+    diag[0] = 1.0
+    diag[1::2] = odd
+    diag[2::2] = -odd[:-1]
+    off = np.zeros(dim - 1)
+    off[1::2] = _complement(odd[:-1])
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
@@ -253,10 +253,10 @@ def build_J(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
 
     Diagonal a_n - a_{n-1} (so the top entry is a_0 + 1), off-diagonal r_n.
     """
-    dim = trunc.dim
-    diag = np.array([a(n) - a(n - 1) for n in range(dim)], dtype=float)
-    off = np.array([a.r(n) for n in range(dim - 1)], dtype=float)
-    return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
+    values = a.take(trunc.dim)
+    diag = np.asarray(values - _shifted(values), dtype=float)
+    off = _complement(values[:-1])
+    return BandedSymmetricMatrix(dim=trunc.dim, bandwidth=1, bands=(diag, off))
 
 
 def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -266,15 +266,13 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     -a_{n-1} + lam*a_n (odd n); off-diagonal alternates r_{2k} and lam*r_{2k+1}.
     """
     dim = trunc.dim
+    values = a.take(dim)
+    prev = _shifted(values)
     diag = np.empty(dim)
-    for n in range(dim):
-        if n % 2 == 0:
-            diag[n] = a(n) - lam * a(n - 1)
-        else:
-            diag[n] = lam * a(n) - a(n - 1)
-    off = np.empty(dim - 1)
-    for n in range(dim - 1):
-        off[n] = a.r(n) if n % 2 == 0 else lam * a.r(n)
+    diag[0::2] = values[0::2] - lam * prev[0::2]
+    diag[1::2] = lam * values[1::2] - prev[1::2]
+    off = _complement(values[:-1])
+    off[1::2] = lam * off[1::2]
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
@@ -289,10 +287,26 @@ def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     return BandedSymmetricMatrix(dim=dim, bandwidth=2, bands=bands)
 
 
-def _interior_residual(dense_lhs: np.ndarray, dense_rhs: np.ndarray) -> float:
-    """Max abs difference over rows 0 .. dim-3 (truncation owns the last two)."""
-    dim = dense_lhs.shape[0]
-    return float(np.max(np.abs(dense_lhs[: dim - 2] - dense_rhs[: dim - 2])))
+def _times(m: BandedMatrix, c) -> BandedMatrix:
+    return BandedMatrix(m.dim, {k: c * v for k, v in m.data.items()})
+
+
+def _identity_times(dim: int, c) -> BandedMatrix:
+    return BandedMatrix(dim, {0: np.full(dim, c, dtype=float)})
+
+
+def _interior_max_diff(lhs: BandedMatrix, rhs: BandedMatrix) -> float:
+    """Max abs entry of lhs - rhs over rows 0 .. dim-3 (truncation owns the last two).
+
+    Offset k stores row i at index i for k >= 0 and at index i + k for
+    k < 0, so rows 0 .. dim-3 are its first dim - 2 - max(-k, 0) entries.
+    """
+    dim = lhs.dim
+    worst = [
+        np.max(np.abs(lhs.offset(k) - rhs.offset(k))[: max(dim - 2 - max(-k, 0), 0)], initial=0.0)
+        for k in set(lhs.data) | set(rhs.data)
+    ]
+    return float(np.max(worst, initial=0.0))
 
 
 def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> dict:
@@ -302,37 +316,36 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
     L^2 = I, M^2 = I, J = L + M, K = L + lam*M, H = J^2 - 2I, and
     K^2 = (1 + lam^2) I + lam * H.
 
+    Complexity: O(dim) time and memory.  Every matrix, product and
+    residual stays in offset storage (``banded_product`` and ``add``);
+    nothing dense is formed.  The residuals equal those of a dense
+    evaluation of the same banded products bit for bit, except that a dense
+    J @ J may round its sums differently (by a few 1e-16).
+
     Returns
     -------
     dict
         Identity name -> max abs residual.
     """
     dim = trunc.dim
-    L = build_L(a, trunc)
-    M = build_M(a, trunc)
-    J = build_J(a, trunc)
-    K = build_K(a, lam, trunc)
-    H = build_H(a, trunc)
-
-    Lb = BandedMatrix.from_symmetric(L)
-    Mb = BandedMatrix.from_symmetric(M)
-    eye = np.eye(dim)
-
-    L2 = banded_product(Lb, Lb).to_dense()
-    M2 = banded_product(Mb, Mb).to_dense()
-    Jd = J.to_dense()
-    Kd = K.to_dense()
-    Hd = H.to_dense()
-    Kb = BandedMatrix.from_symmetric(K)
-    K2 = banded_product(Kb, Kb).to_dense()
+    L = BandedMatrix.from_symmetric(build_L(a, trunc))
+    M = BandedMatrix.from_symmetric(build_M(a, trunc))
+    J = BandedMatrix.from_symmetric(build_J(a, trunc))
+    K = BandedMatrix.from_symmetric(build_K(a, lam, trunc))
+    H = BandedMatrix.from_symmetric(build_H(a, trunc))
+    eye = _identity_times(dim, 1.0)
 
     return {
-        "L_squared_is_identity": _interior_residual(L2, eye),
-        "M_squared_is_identity": _interior_residual(M2, eye),
-        "J_equals_L_plus_M": _interior_residual(Jd, L.to_dense() + M.to_dense()),
-        "K_equals_L_plus_lam_M": _interior_residual(Kd, L.to_dense() + lam * M.to_dense()),
-        "H_equals_J_squared_minus_2": _interior_residual(Hd, Jd @ Jd - 2.0 * eye),
-        "K_squared_identity": _interior_residual(K2, (1.0 + lam * lam) * eye + lam * Hd),
+        "L_squared_is_identity": _interior_max_diff(banded_product(L, L), eye),
+        "M_squared_is_identity": _interior_max_diff(banded_product(M, M), eye),
+        "J_equals_L_plus_M": _interior_max_diff(J, L.add(M)),
+        "K_equals_L_plus_lam_M": _interior_max_diff(K, L.add(_times(M, lam))),
+        "H_equals_J_squared_minus_2": _interior_max_diff(
+            H, banded_product(J, J).add(_identity_times(dim, -2.0))
+        ),
+        "K_squared_identity": _interior_max_diff(
+            banded_product(K, K), _identity_times(dim, 1.0 + lam * lam).add(_times(H, lam))
+        ),
     }
 
 
@@ -351,3 +364,40 @@ def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
         np.asarray(m.bands[1], dtype=float),
         eigvals_only=True,
     )
+
+
+def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
+    """Number of eigenvalues of a tridiagonal matrix below each shift.
+
+    Sylvester's law of inertia: the count below t is the number of negative
+    pivots d_i of the LDL^T factorization of m - t*I, with
+    d_0 = m_00 - t and d_i = (m_ii - t) - m_{i-1,i}^2 / d_{i-1}
+    (Barth, Martin and Wilkinson 1967; the count LAPACK's bisection uses).
+    A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
+    an eigenvalue within rounding of t may count on either side.
+
+    Complexity: O(dim) time per shift and O(dim) memory.
+
+    Returns
+    -------
+    numpy.ndarray
+        Integer counts, one per shift, in the order given.
+    """
+    if m.bandwidth != 1:
+        raise InvalidParameterError(f"expected bandwidth 1, got {m.bandwidth}")
+    diag = np.asarray(m.bands[0], dtype=float)
+    off2 = np.asarray(m.bands[1], dtype=float) ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
+    # a zero in front of the squared off-diagonal makes the first step d_0
+    steps = list(zip(diag.tolist(), [0.0, *off2.tolist()]))
+    counts = []
+    for t in np.asarray(shifts, dtype=float).ravel().tolist():
+        count, d = 0, 1.0
+        for a_ii, b2 in steps:
+            d = (a_ii - t) - b2 / d
+            if -pivmin < d < pivmin:
+                d = -pivmin
+            if d < 0:
+                count += 1
+        counts.append(count)
+    return np.array(counts, dtype=int)

@@ -9,7 +9,10 @@ joint circle recursion.
 
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
-the operator-eigenfunction checks rely on.
+the operator-eigenfunction checks rely on.  ``ReflectionSequence.take`` reads
+a whole prefix as an array for the banded matrix builders; float lists,
+float constants and the float-parameter Jacobi family fill it vectorized,
+every other sequence reads index by index.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidParameterError, ReflectionBoundError
 
@@ -68,9 +73,17 @@ class ReflectionSequence:
     ----------
     values : callable
         Maps an index n >= 0 to the real coefficient a_n.
+    batch : callable, optional
+        Maps a count n to a float64 array holding the same values as
+        ``values`` for indices 0 .. n-1 (shorter if the sequence ends
+        sooner), or to None when it has no array route.  Only
+        :meth:`take` uses it.
     """
 
     values: Callable[[int], float]
+    batch: Callable[[int], np.ndarray | None] | None = field(
+        default=None, repr=False, compare=False
+    )
     _a: Callable[[int], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,15 +106,35 @@ class ReflectionSequence:
         """Complementary parameter r_n = sqrt(1 - a_n^2), in (0, 1]."""
         return math.sqrt(1.0 - float(self(n)) ** 2)
 
+    def take(self, n: int) -> np.ndarray:
+        """The coefficients a_0 .. a_{n-1} as an array.
+
+        Equal, element for element and bit for bit, to ``[a(k) for k in
+        range(n)]``, and raises what those reads raise.  Sequences with a
+        ``batch`` route fill a float64 array in O(n) array operations;
+        the others read index by index, so ``Fraction`` coefficients stay
+        exact in an object array.
+        """
+        if n < 0:
+            raise InvalidParameterError(f"cannot take {n} reflection coefficients")
+        arr = self.batch(n) if self.batch is not None else None
+        if arr is not None and arr.size == n and np.all((arr > -1) & (arr < 1)):
+            return arr
+        # no array route, or a bad value or a short list: the reads below
+        # raise the per-index error at the first offending index
+        return np.array([self(k) for k in range(n)])
+
     @staticmethod
     def constant(value: float) -> "ReflectionSequence":
         """Sequence with a_n = value for every n >= 0."""
-        return ReflectionSequence(lambda n: value)
+        batch = (lambda n: np.full(n, value)) if isinstance(value, float) else None
+        return ReflectionSequence(lambda n: value, batch)
 
     @staticmethod
     def from_list(values) -> "ReflectionSequence":
         """Sequence backed by a finite list (indexing past the end is an error)."""
         vals = list(values)
+        converted = []  # the read-only float64 copy of vals, or None; made on first take
 
         def at(n: int):
             if n >= len(vals):
@@ -110,7 +143,15 @@ class ReflectionSequence:
                 )
             return vals[n]
 
-        return ReflectionSequence(at)
+        def batch(n: int):
+            if not converted:
+                arr = np.array(vals)
+                arr.flags.writeable = False
+                converted.append(arr if arr.dtype == np.float64 else None)
+            arr = converted[0]
+            return None if arr is None else arr[:n]
+
+        return ReflectionSequence(at, batch)
 
 
 @dataclass(frozen=True)
@@ -229,7 +270,14 @@ def jacobi_opuc_reflections(xi, eta) -> ReflectionSequence:
             return (eta - xi) / (n + xi + eta + 2)
         return -(1 + xi + eta) / (n + xi + eta + 2)
 
-    return ReflectionSequence(a)
+    def batch(n: int):
+        # the scalar formula's operations in the same order, so bit-identical
+        k = np.arange(n, dtype=float)
+        den = k + xi + eta + 2
+        return np.where(k % 2 == 0, (eta - xi) / den, -(1 + xi + eta) / den)
+
+    floats = isinstance(xi, float) and isinstance(eta, float)
+    return ReflectionSequence(a, batch if floats else None)
 
 
 def pencil_recurrence(a: ReflectionSequence, lam) -> MonicThreeTerm:

@@ -71,6 +71,15 @@ def test_spectrum_dim_validation(capsys):
     assert "dim" in err
 
 
+@pytest.mark.parametrize("suite", ["spectrum", "matrix-identities"])
+def test_verify_suite_dim_validation(suite, capsys):
+    # an odd dim used to run on dim - 1 under a dim label
+    code, out, err = run(["verify", "--suite", suite, "--dim", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "need even dim >= 4, got 7" in err
+
+
 def test_parameter_error_exit_code(capsys):
     code, _, err = run(["recurrence", "--xi", "5", "--eta", "-2"], capsys)
     assert code == 2

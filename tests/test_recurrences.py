@@ -228,3 +228,72 @@ def test_require_positive():
     with pytest.raises(InvalidParameterError):
         rec.require_positive(2)
     sdg_recurrence(jacobi_opuc_reflections(0.3, 0.7)).require_positive(20)
+
+
+def _same_bits(taken, reads):
+    return len(taken) == len(reads) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(taken.tolist(), reads)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: jacobi_opuc_reflections(0.3, 0.7),
+        lambda: jacobi_opuc_reflections(-0.5, 0.25),
+        lambda: ReflectionSequence.constant(-0.0),
+        lambda: ReflectionSequence.constant(0.375),
+        lambda: ReflectionSequence.from_list(
+            [math.sin(1.7 * k) * 0.99 for k in range(1200)]
+        ),
+    ],
+)
+def test_take_equals_per_index_reads_bitwise(make):
+    taken = make().take(1000)
+    reads = [make()(k) for k in range(1000)]
+    assert taken.dtype == float
+    assert _same_bits(taken, reads)
+
+
+def test_take_keeps_fractions_exact():
+    a = jacobi_opuc_reflections(Fraction(1, 2), Fraction(1))
+    taken = a.take(6)
+    assert taken.dtype == object
+    assert list(taken) == [a(k) for k in range(6)]
+    assert all(isinstance(v, Fraction) for v in taken)
+    listed = ReflectionSequence.from_list([Fraction(1, 3), 0.25, Fraction(-2, 7)])
+    assert listed.take(3).dtype == object
+    assert list(listed.take(3)) == [Fraction(1, 3), 0.25, Fraction(-2, 7)]
+    assert list(ReflectionSequence.constant(Fraction(1, 5)).take(2)) == [Fraction(1, 5)] * 2
+
+
+def test_take_raises_the_per_index_errors():
+    a = ReflectionSequence.from_list([0.5, 2.0, 0.1])
+    assert list(a.take(1)) == [0.5]
+    with pytest.raises(ReflectionBoundError) as excinfo:
+        a.take(3)
+    assert excinfo.value.index == 1 and excinfo.value.value == 2.0
+    with pytest.raises(ReflectionBoundError) as excinfo:
+        ReflectionSequence.from_list([0.1, -1.0]).take(5)  # bound error comes first
+    assert excinfo.value.index == 1
+    with pytest.raises(ReflectionBoundError) as excinfo:
+        ReflectionSequence.constant(1.5).take(3)
+    assert excinfo.value.index == 0
+    with pytest.raises(ReflectionBoundError):
+        ReflectionSequence.from_list([0.1, float("nan")]).take(2)
+    short = ReflectionSequence.from_list([0.1, 0.2])
+    assert list(short.take(2)) == [0.1, 0.2]
+    with pytest.raises(InvalidParameterError) as excinfo:
+        short.take(3)
+    assert not isinstance(excinfo.value, ReflectionBoundError)
+    assert "beyond provided list of length 2" in str(excinfo.value)
+    with pytest.raises(InvalidParameterError):
+        short.take(-1)
+    assert short.take(0).size == 0
+
+
+@given(reflection_lists)
+def test_take_of_a_list_is_the_list(values):
+    a = ReflectionSequence.from_list(values)
+    assert _same_bits(a.take(len(values)), values)

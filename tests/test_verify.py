@@ -29,3 +29,17 @@ def test_run_all_covers_every_suite():
     outcome = run_all()
     assert set(outcome) == set(SUITES)
     assert all(r.passed for results in outcome.values() for r in results)
+
+
+@pytest.mark.parametrize("suite", ["matrix-identities", "spectrum"])
+@pytest.mark.parametrize("dim", [7, 2, 0])
+def test_suites_reject_odd_or_small_dim(suite, dim):
+    with pytest.raises(InvalidParameterError, match="need even dim >= 4"):
+        run_suite(suite, dim=dim)
+
+
+def test_spectrum_suite_at_scale():
+    # the full eigensolve this replaced costs O(dim^2) at this size
+    results = run_suite("spectrum", dim=100_000)
+    assert len(results) == 3 and all(r.passed for r in results)
+    assert results[2].details["near_zero_count"] == 1
