@@ -43,8 +43,6 @@ class RunConfig:
         "csv" or "json".
     output : str or None
         Output path; None writes to stdout.
-    tol : real
-        Working tolerance, clamped to the supported range [1e-13, 1e-3].
     reproducible : bool
         Assert byte-identical reruns (the output is deterministic either
         way; the flag records the intent in the output metadata).
@@ -52,16 +50,11 @@ class RunConfig:
 
     fmt: str = "csv"
     output: str | None = None
-    tol: float = 1e-10
     reproducible: bool = False
 
     def __post_init__(self):
         if self.fmt not in ("csv", "json"):
             raise InvalidParameterError(f"format must be csv or json, got {self.fmt!r}")
-        if not (1e-13 <= self.tol <= 1e-3):
-            raise InvalidParameterError(
-                f"tol must lie in [1e-13, 1e-3], got {self.tol!r}"
-            )
 
 
 def _format_cell(value) -> str:
@@ -120,7 +113,6 @@ def _config_from(args) -> RunConfig:
     return RunConfig(
         fmt=args.format,
         output=args.output,
-        tol=args.tol,
         reproducible=args.reproducible,
     )
 
@@ -249,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument(
             "--reproducible",
             action="store_true",
@@ -284,9 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # verify has optional tol/format defaults too
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-10
     try:
         return args.func(args)
     except NonConvergenceError as exc:

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import measures as _measures
 from .cmv import TruncationSpec, build_K, eigenvalue_counts, verify_identities
 from .dunkl import (
     fourth_kind_identity_residual,
@@ -35,6 +34,7 @@ from .maps import (
     sdg_eval_from_circle,
 )
 from .measures import (
+    discretize,
     essential_spectrum_periodic,
     m_per,
     named_weight,
@@ -181,13 +181,7 @@ def _gram_offdiag_worst(measure, rec, n_max: int) -> float:
     """Worst normalized off-diagonal Gram entry, fixed-rule quadrature."""
     prev = None
     for n_nodes in (128, 256, 512):
-        xs, ws = [], []
-        for panel in _measures._panels(measure):
-            x, w, _, _ = _measures._panel_rule(panel, n_nodes)
-            xs.append(x)
-            ws.append(w * _measures._regularized(measure, panel, x))
-        x = np.concatenate(xs)
-        w = np.concatenate(ws)
+        x, w = discretize(measure, n_nodes)
         V = np.empty((n_max + 1, x.size))
         for n in range(n_max + 1):
             V[n] = (

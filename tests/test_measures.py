@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
+from cmvpencil import measures
 from cmvpencil.errors import (
     BandEdgeError,
     InvalidParameterError,
@@ -13,6 +15,7 @@ from cmvpencil.errors import (
 )
 from cmvpencil.measures import (
     Measure,
+    discretize,
     essential_spectrum_periodic,
     gram,
     integrate,
@@ -23,7 +26,6 @@ from cmvpencil.measures import (
     stieltjes_perron_density,
     stieltjes_recurrence,
     validate_periodic_density,
-    weyl_point,
 )
 from cmvpencil.recurrences import (
     ReflectionSequence,
@@ -146,6 +148,74 @@ def test_stieltjes_big_m1_oracle():
     assert rec.u(1) == pytest.approx(0.48, abs=1e-11)
 
 
+def test_jacobi_rule_is_roots_jacobi_bit_for_bit():
+    for n, gr, gl in ((16, 0.0, 0.0), (64, 1.3, 0.0), (128, -0.5, 0.5), (512, 0.25, 2.0)):
+        t, w = measures._jacobi_rule(n, gr, gl)
+        t_ref, w_ref = roots_jacobi(n, gr, gl)
+        assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+
+
+def test_jacobi_rule_arrays_are_read_only():
+    t, w = measures._jacobi_rule(32, 0.5, -0.5)
+    for arr in (t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    assert np.array_equal(measures._jacobi_rule(32, 0.5, -0.5)[0], roots_jacobi(32, 0.5, -0.5)[0])
+
+
+def test_jacobi_rule_cache_is_bounded():
+    maxsize = measures._jacobi_rule.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+
+
+def test_jacobi_rule_generates_each_key_once(monkeypatch):
+    keys = []
+
+    def counting(n, gr, gl):
+        keys.append((n, gr, gl))
+        return roots_jacobi(n, gr, gl)
+
+    measures._jacobi_rule.cache_clear()
+    monkeypatch.setattr(measures, "roots_jacobi", counting)
+    try:
+        m = named_weight("big_m1", alpha=2.0, beta=3.0, c=0.4)
+        first = discretize(m, 64)
+        again = discretize(m, 64)
+    finally:
+        measures._jacobi_rule.cache_clear()
+    # two panels with distinct exponent pairs, each rule generated once
+    assert len(keys) == len(set(keys)) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_discretize_weights_sum_to_mass():
+    m = named_weight("big_m1", alpha=2.0, beta=3.0, c=0.4)
+    x, w = discretize(m, 64)
+    assert x.shape == w.shape == (2 * 64,)
+    assert float(w.sum()) == pytest.approx(BIG_M1_MASS, rel=1e-10)
+    assert np.all((x > -1.0) & (x < 1.0) & (np.abs(x) > 0.4))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"family": "big_m1", "alpha": 2.0, "beta": 3.0, "c": 0.4},
+        {"family": "periodic", "lam": 0.5},
+        {"family": "sdg", "xi": 0.3, "eta": 0.5},
+    ],
+)
+def test_stieltjes_same_bits_cold_and_warm_cache(params):
+    m = named_weight(**params)
+    measures._jacobi_rule.cache_clear()
+    cold = stieltjes_recurrence(m, 20)
+    assert measures._jacobi_rule.cache_info().currsize > 0
+    warm = stieltjes_recurrence(m, 20)
+    assert [cold.b(n) for n in range(21)] == [warm.b(n) for n in range(21)]
+    assert [cold.u(n) for n in range(21)] == [warm.u(n) for n in range(21)]
+
+
 def test_stieltjes_envelope_guard():
     m = named_weight("sdg", xi=0.0, eta=0.0)
     with pytest.raises(InvalidParameterError):
@@ -209,8 +279,8 @@ def test_m_per_real_axis_handling():
 
 
 def test_m_full_pole_free_and_point():
-    wp = weyl_point(1.0 + 1.0j, 2.0)
-    assert wp.value == pytest.approx(m_full(1.0 + 1.0j, 2.0))
+    mp = m_per(1.0 + 1.0j, 2.0)
+    assert m_full(1.0 + 1.0j, 2.0) == pytest.approx(mp / (1.0 + 2.0 * mp))
     # the composed function keeps Herglotz positivity where m_per has its atom
     assert m_full(0.02j, 2.0).imag > 0
 

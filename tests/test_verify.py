@@ -2,8 +2,10 @@
 
 import pytest
 
+from cmvpencil import measures
 from cmvpencil.errors import InvalidParameterError
-from cmvpencil.verify import SUITES, CheckResult, run_all, run_suite
+from cmvpencil.recurrences import jacobi_opuc_reflections, sdg_recurrence
+from cmvpencil.verify import SUITES, CheckResult, _gram_offdiag_worst, run_all, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -43,3 +45,14 @@ def test_spectrum_suite_at_scale():
     results = run_suite("spectrum", dim=100_000)
     assert len(results) == 3 and all(r.passed for r in results)
     assert results[2].details["near_zero_count"] == 1
+
+
+def test_gram_helper_same_bits_cold_and_warm_cache():
+    xi, eta = 1.0, 0.5
+    measure = measures.named_weight("sdg", xi=xi, eta=eta)
+    rec = sdg_recurrence(jacobi_opuc_reflections(xi, eta))
+    measures._jacobi_rule.cache_clear()
+    cold = _gram_offdiag_worst(measure, rec, 12)
+    warm = _gram_offdiag_worst(measure, rec, 12)
+    assert cold == warm
+    assert cold <= 1e-7
