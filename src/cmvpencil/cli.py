@@ -7,7 +7,8 @@ Three subcommands:
 - ``verify``: run named verification suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 bad
-usage or parameters, 3 quadrature or iteration non-convergence.
+usage or parameters (a non-finite numeric option included), 3 quadrature or
+iteration non-convergence.
 
 Output is deterministic: fixed float formatting, no timestamps, sorted JSON
 keys, and LF newlines, so repeated ``--reproducible`` runs are byte-identical.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -272,10 +274,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# float options of every subcommand: (attribute, flag)
+_FLOAT_OPTIONS = (
+    ("xi", "--xi"),
+    ("eta", "--eta"),
+    ("lam", "--lambda"),
+    ("alpha", "--alpha"),
+    ("beta", "--beta"),
+    ("c", "--c"),
+)
+
+
+def _check_finite(args) -> None:
+    """Reject nan and inf before any subcommand reads them."""
+    for attr, flag in _FLOAT_OPTIONS:
+        value = getattr(args, attr, None)
+        if value is not None and not math.isfinite(value):
+            raise InvalidParameterError(f"{flag} must be finite, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,6 +82,36 @@ def test_parameter_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_recurrence_rejects_non_finite(value, capsys):
+    # nan used to print nan rows and exit 0
+    code, out, err = run(["recurrence", f"--lambda={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--lambda must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--xi", "--eta", "--lambda"])
+def test_spectrum_rejects_non_finite(flag, capsys):
+    # --lambda nan used to end in a numpy traceback
+    code, out, err = run(["spectrum", flag, "nan"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--c"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_non_finite(flag, value, capsys):
+    # these used to end in a ValueError traceback from Fraction(str(value))
+    args = ["verify", "--suite", "dunkl", "--alpha", "1", "--beta", "1", "--c", "0.5"]
+    args[args.index(flag) + 1] = value
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite" in err
+
+
 def test_unknown_suite_exit_code(capsys):
     code, _, err = run(["verify", "--suite", "nonsense"], capsys)
     assert code == 2

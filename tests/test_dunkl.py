@@ -1,10 +1,14 @@
 """The reflection-differential operator and its exact eigenfunctions."""
 
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cmvpencil import dunkl
 from cmvpencil.dunkl import (
     PolynomialCoeffs,
     apply_dunkl,
@@ -16,6 +20,7 @@ from cmvpencil.dunkl import (
     verify_eigenfunction,
 )
 from cmvpencil.maps import big_m1_recurrence
+from cmvpencil.recurrences import MonicThreeTerm
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 small_polys = st.lists(fractions, min_size=1, max_size=6).map(
@@ -141,3 +146,290 @@ def test_first_kind_values():
     assert third_kind_coeffs(1).coeffs == (Fraction(-1), Fraction(2))
     assert third_kind_coeffs(2).coeffs == (Fraction(-1), Fraction(-2), Fraction(4))
     assert fourth_kind_coeffs(1).coeffs == (Fraction(1), Fraction(2))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: coefficient-wise arithmetic on Fraction/int/float tuples, one
+# operation at a time.  The module computes the same results on integer
+# numerators over one denominator; these tests hold it to the oracle's values,
+# coefficient types and (for floats) bits.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_add(p, q):
+    n = max(len(p), len(q))
+    return tuple(
+        (p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)
+    )
+
+
+def _oracle_scale(p, s):
+    return tuple(s * ck for ck in p)
+
+
+def _oracle_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi == 0:
+            continue
+        for j, qj in enumerate(q):
+            out[i + j] = out[i + j] + pi * qj
+    return tuple(out)
+
+
+def _oracle_reflect(p):
+    return tuple(ck if k % 2 == 0 else -ck for k, ck in enumerate(p))
+
+
+def _oracle_derivative(p):
+    if len(p) == 1:
+        return (0 * p[0],)
+    return tuple(k * p[k] for k in range(1, len(p)))
+
+
+def oracle_from_three_term(rec, n):
+    p_prev = (Fraction(1),)
+    if n == 0:
+        return PolynomialCoeffs(p_prev)
+    p_cur = (-rec.b(0), 1)
+    for k in range(1, n):
+        shifted = (0, *p_cur)
+        p_next = _oracle_add(
+            _oracle_add(shifted, _oracle_scale(p_cur, -rec.b(k))),
+            _oracle_scale(p_prev, -rec.u(k)),
+        )
+        p_prev, p_cur = p_cur, p_next
+    return PolynomialCoeffs(p_cur)
+
+
+def oracle_apply_dunkl(alpha, beta, c, p):
+    coeffs = p.coeffs
+    g_num = (c, c * alpha - beta, alpha + beta + 1)
+    reflected = _oracle_reflect(coeffs)
+    diff = _oracle_add(reflected, _oracle_scale(coeffs, -1))
+    cubic = (0, -2 * c, 2 * (c - 1), 2)
+    numerator = _oracle_add(
+        _oracle_mul(g_num, diff), _oracle_mul(cubic, _oracle_derivative(reflected))
+    )
+    assert all(r == 0 for r in numerator[:2])
+    return PolynomialCoeffs(numerator[2:])
+
+
+def oracle_verify_eigenfunction(alpha, beta, c, n):
+    """P_n, its image, and the report fields of the eigenfunction check."""
+    p = oracle_from_three_term(big_m1_recurrence(alpha, beta, c), n)
+    image = oracle_apply_dunkl(alpha, beta, c, p)
+    eig = dunkl_eigenvalue(n, alpha, beta)
+    residual = PolynomialCoeffs(
+        _oracle_add(image.coeffs, _oracle_scale(p.coeffs, -eig))
+    )
+    exact = all(
+        not isinstance(v, float) for v in (alpha, beta, c, *p.coeffs, *image.coeffs)
+    )
+    max_abs = 0.0 if residual.is_zero() else residual.max_abs()
+    return p, image, eig, residual, max_abs, exact
+
+
+def oracle_chebyshev(n, const):
+    p_prev = (Fraction(1),)
+    if n == 0:
+        return PolynomialCoeffs(p_prev)
+    p_cur = (const, Fraction(2))
+    for _ in range(1, n):
+        doubled = (0, *_oracle_scale(p_cur, 2))
+        p_prev, p_cur = p_cur, _oracle_add(doubled, _oracle_scale(p_prev, -1))
+    return PolynomialCoeffs(p_cur)
+
+
+def oracle_identity_residual(p, edge, n):
+    reflected = _oracle_reflect(p.coeffs)
+    lhs = _oracle_add(
+        _oracle_mul((edge, Fraction(2)), _oracle_derivative(reflected)), reflected
+    )
+    factor = (2 * n + 1) * (1 if n % 2 == 0 else -1)
+    return PolynomialCoeffs(_oracle_add(lhs, _oracle_scale(p.coeffs, -factor)))
+
+
+def _typed(values):
+    """Values with their types; floats by their bits (so -0.0 != 0.0)."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def assert_same_coeffs(got, expected):
+    assert _typed(got.coeffs) == _typed(expected.coeffs)
+
+
+def assert_same_report(report, alpha, beta, c, n, oracle=None):
+    _, _, eig, residual, max_abs, exact = oracle or oracle_verify_eigenfunction(
+        alpha, beta, c, n
+    )
+    assert report.n == n
+    assert (report.alpha, report.beta, report.c) == (alpha, beta, c)
+    assert _typed([report.eigenvalue]) == _typed([eig])
+    assert_same_coeffs(report.residual, residual)
+    assert _typed([report.max_abs_residual]) == _typed([max_abs])
+    assert report.exact is exact
+
+
+def _maybe_int(x):
+    return int(x) if x.denominator == 1 else x
+
+
+# the exact-parameter ranges of the weights-exact benchmark workload: alpha in
+# [0, 2], beta in [0, 1], c in [0, 1/2], denominators up to 4 (8 for c);
+# integer values are drawn both as int and as Fraction
+denominators = st.integers(1, 4)
+alphas = denominators.flatmap(
+    lambda q: st.integers(0, 2 * q).map(lambda k: Fraction(k, q))
+)
+betas = denominators.flatmap(lambda q: st.integers(0, q).map(lambda k: Fraction(k, q)))
+cs = denominators.flatmap(
+    lambda q: st.integers(0, q).map(lambda k: Fraction(k, 2 * q))
+)
+maybe_ints = st.booleans()
+
+
+@settings(max_examples=50, deadline=None)
+@given(alphas, betas, cs, maybe_ints, st.integers(0, 40))
+def test_exact_arithmetic_matches_oracle(alpha, beta, c, as_int, n):
+    if as_int:
+        alpha, beta, c = _maybe_int(alpha), _maybe_int(beta), _maybe_int(c)
+    oracle = oracle_verify_eigenfunction(alpha, beta, c, n)
+    p = PolynomialCoeffs.from_three_term(big_m1_recurrence(alpha, beta, c), n)
+    assert_same_coeffs(p, oracle[0])
+    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle[1])
+    assert_same_report(verify_eigenfunction(alpha, beta, c, n), alpha, beta, c, n, oracle)
+    for coeffs, residual, const in (
+        (third_kind_coeffs, third_kind_identity_residual, Fraction(-1)),
+        (fourth_kind_coeffs, fourth_kind_identity_residual, Fraction(1)),
+    ):
+        chebyshev = oracle_chebyshev(n, const)
+        assert_same_coeffs(coeffs(n), chebyshev)
+        assert_same_coeffs(residual(n), oracle_identity_residual(chebyshev, 2 * const, n))
+
+
+rationals = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+# at most one float, placed at a drawn index: floats take the values path,
+# ints and Fractions the integer-numerator path
+float_at = st.one_of(
+    st.none(), st.tuples(st.integers(0, 19), st.sampled_from([0.0, -0.0, 0.5, -1.25]))
+)
+
+
+def _with_float(values, at):
+    values = list(values)
+    if at is not None and at[0] < len(values):
+        values[at[0]] = at[1]
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(rationals, min_size=1, max_size=7),
+    float_at,
+    st.sampled_from([0, 1, 2, -1, Fraction(1, 2), 0.5, 1.0]),
+    st.sampled_from([0, 1, Fraction(0), Fraction(1, 3), 0.25]),
+    st.sampled_from([0, Fraction(0), Fraction(1, 4), -Fraction(1, 2), 0.0, 0.5]),
+)
+@example(coeffs=[Fraction(3, 4)], at=None, alpha=-1, beta=0, c=0)
+def test_apply_dunkl_mixed_types_match_oracle(coeffs, at, alpha, beta, c):
+    p = PolynomialCoeffs(tuple(_with_float(coeffs, at)))
+    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle_apply_dunkl(alpha, beta, c, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(rationals, min_size=10, max_size=10),
+    st.lists(rationals, min_size=10, max_size=10),
+    float_at,
+    st.integers(0, 9),
+)
+@example(b_values=[0.0] * 10, u_values=[0] * 10, at=None, n=2)
+@example(b_values=[1] * 10, u_values=[Fraction(1, 2)] * 10, at=None, n=4)
+@example(b_values=[Fraction(1, 2)] * 10, u_values=[1] * 10, at=None, n=4)
+def test_from_three_term_mixed_types_match_oracle(b_values, u_values, at, n):
+    # a float in the recurrence switches the rest of the ladder to the values
+    # themselves; -0.0 + -0.0 at the x^(n-1) slot of P_2 must still give 0.0
+    coeffs = _with_float([*b_values, *u_values], at)
+    rec = MonicThreeTerm.from_arrays(coeffs[:10], [0, *coeffs[11:]])
+    assert_same_coeffs(
+        PolynomialCoeffs.from_three_term(rec, n), oracle_from_three_term(rec, n)
+    )
+
+
+@pytest.mark.parametrize("triple", [(1.0, 1.0, 0.5), (0.5, 0.25, 0.125), (2.0, 0.0, 0.0)])
+def test_float_path_bit_identical(triple):
+    for n in range(13):
+        report = verify_eigenfunction(*triple, n)
+        assert_same_report(report, *triple, n)
+        assert not report.exact
+
+
+# ---------------------------------------------------------------------------
+# The per-(alpha, beta, c) ladder cache
+# ---------------------------------------------------------------------------
+
+
+def test_ladder_cache_is_bounded():
+    assert dunkl._ladder.cache_info().maxsize is not None
+
+
+def test_ladder_cache_keys_are_typed():
+    dunkl._ladder.cache_clear()
+    assert verify_eigenfunction(1, 1, Fraction(1, 2), 4).exact
+    report = verify_eigenfunction(1.0, 1.0, 0.5, 4)
+    assert not report.exact
+    assert report.passed
+
+
+def test_ladder_entries_are_reduced():
+    ladder = dunkl._ladder(Fraction(7, 4), Fraction(2, 3), Fraction(1, 6))
+    verify_eigenfunction(Fraction(7, 4), Fraction(2, 3), Fraction(1, 6), 20)
+    for k in range(21):
+        nums, den, _ = ladder[k]
+        assert den > 0
+        assert math.gcd(den, *nums) == 1
+        assert nums[-1] == den  # monic
+
+
+def test_ladder_concurrent_sweeps():
+    # four threads on one key (more than the cores here), two sweeping up and
+    # two down, with frequent thread switches: a lost or repeated append would
+    # leave a wrong P_k in the ladder and a nonzero residual
+    dunkl._ladder.cache_clear()
+    key = (Fraction(3, 2), Fraction(1, 3), Fraction(3, 8))
+    orders = [range(41), range(40, -1, -1)] * 2
+    barrier = threading.Barrier(len(orders))
+    results = [None] * len(orders)
+
+    def sweep(i):
+        barrier.wait()
+        results[i] = [verify_eigenfunction(*key, n) for n in orders[i]]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for reports in results:
+        assert len(reports) == 41
+        assert all(r.exact and r.residual.is_zero() and r.passed for r in reports)
+    ladder = dunkl._ladder(*key)
+    fresh = dunkl._MonicLadder(big_m1_recurrence(*key))
+    assert [ladder[k] for k in range(41)] == [fresh[k] for k in range(41)]
+
+
+@pytest.mark.parametrize("n", [80, 200])
+def test_exact_eigenfunction_high_degree(n):
+    report = verify_eigenfunction(Fraction(5, 3), Fraction(3, 4), Fraction(3, 8), n)
+    assert report.exact
+    assert report.residual.is_zero()
+    assert report.passed
