@@ -50,7 +50,6 @@ from .maps import (
     BigM1Parameters,
     ChiharaSplit,
     ChristoffelData,
-    adjacent_companion,
     big_m1_parameters,
     big_m1_recurrence,
     chihara_split,
@@ -62,7 +61,6 @@ from .maps import (
     reflect_map,
     scale_map,
     sdg_eval_from_circle,
-    symmetric_christoffel,
 )
 from .measures import (
     Measure,
@@ -82,12 +80,10 @@ from .recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
-    SymmetricThreeTerm,
     chebyshev_closed_form,
     companion_symmetric_recurrence,
     dg_symmetric_recurrence,
     eval_monic,
-    eval_symmetric,
     jacobi_opuc_reflections,
     pencil_recurrence,
     reflections_from_u,
@@ -103,7 +99,6 @@ __all__ = [
     # recurrences
     "ReflectionSequence",
     "MonicThreeTerm",
-    "SymmetricThreeTerm",
     "CirclePoint",
     "jacobi_opuc_reflections",
     "pencil_recurrence",
@@ -111,7 +106,6 @@ __all__ = [
     "dg_symmetric_recurrence",
     "companion_symmetric_recurrence",
     "eval_monic",
-    "eval_symmetric",
     "szego_eval",
     "reflections_from_u",
     "chebyshev_closed_form",
@@ -133,12 +127,10 @@ __all__ = [
     "ChiharaSplit",
     "BigM1Parameters",
     "christoffel",
-    "symmetric_christoffel",
     "lambda_reduction",
     "chihara_split",
     "scale_map",
     "reflect_map",
-    "adjacent_companion",
     "big_m1_recurrence",
     "little_m1_recurrence",
     "big_m1_parameters",

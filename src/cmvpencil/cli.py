@@ -7,8 +7,9 @@ Three subcommands:
 - ``verify``: run named verification suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 bad
-usage or parameters (a non-finite numeric option included), 3 quadrature or
-iteration non-convergence.
+usage or parameters (a non-finite numeric option, or a ``verify`` option the
+chosen suite does not read, included), 3 quadrature or iteration
+non-convergence.
 
 Output is deterministic: fixed float formatting, no timestamps, sorted JSON
 keys, and LF newlines, so repeated ``--reproducible`` runs are byte-identical.
@@ -169,13 +170,14 @@ def _exact_rational(value: float) -> Fraction:
 
 
 def _suite_kwargs(args) -> dict:
-    kwargs = {}
-    if args.suite == "matrix-identities" and args.dim is not None:
+    """Keyword arguments of the selected suite; an option it would not read is an error."""
+    kwargs, read = {}, ()
+    if args.suite in ("matrix-identities", "spectrum") and args.dim is not None:
         kwargs["dim"] = args.dim
-    if args.suite == "spectrum" and args.dim is not None:
-        kwargs["dim"] = args.dim
+        read = ("dim",)
     if args.suite == "big-m1" and args.lam is not None:
         kwargs["cases"] = [(args.xi or 0.0, args.eta or 0.0, args.lam)]
+        read = ("lam", "xi", "eta")
     if args.suite == "dunkl" and args.alpha is not None:
         kwargs["cases"] = [
             (
@@ -184,6 +186,15 @@ def _suite_kwargs(args) -> dict:
                 _exact_rational(args.c if args.c is not None else 0.0),
             )
         ]
+        read = ("alpha", "beta", "c")
+    for attr, flag in (*_FLOAT_OPTIONS, ("dim", "--dim")):
+        if getattr(args, attr) is not None and attr not in read:
+            where = f"suite {args.suite!r}" if args.suite else "verify without --suite"
+            raise InvalidParameterError(
+                f"{flag} is not read by {where} (--dim goes with matrix-identities or "
+                "spectrum, --xi/--eta with big-m1 and --lambda, --beta/--c with dunkl "
+                "and --alpha)"
+            )
     return kwargs
 
 
@@ -197,11 +208,12 @@ def cmd_verify(args) -> int:
                 f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
             )
         names = [args.suite]
+    kwargs = _suite_kwargs(args)
     rows = []
     details = []
     all_passed = True
     for name in names:
-        for result in run_suite(name, **_suite_kwargs(args)):
+        for result in run_suite(name, **kwargs):
             all_passed = all_passed and result.passed
             rows.append(
                 (

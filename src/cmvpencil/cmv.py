@@ -374,7 +374,9 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     d_0 = m_00 - t and d_i = (m_ii - t) - m_{i-1,i}^2 / d_{i-1}
     (Barth, Martin and Wilkinson 1967; the count LAPACK's bisection uses).
     A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
-    an eigenvalue within rounding of t may count on either side.
+    an eigenvalue within rounding of t may count on either side.  A shift
+    of -inf counts 0 and +inf counts dim; a nan shift raises
+    InvalidParameterError.
 
     Complexity: O(dim) time per shift and O(dim) memory.
 
@@ -385,13 +387,16 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     """
     if m.bandwidth != 1:
         raise InvalidParameterError(f"expected bandwidth 1, got {m.bandwidth}")
+    shifts = np.asarray(shifts, dtype=float).ravel()
+    if np.isnan(shifts).any():
+        raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
     diag = np.asarray(m.bands[0], dtype=float)
     off2 = np.asarray(m.bands[1], dtype=float) ** 2
     pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
     # a zero in front of the squared off-diagonal makes the first step d_0
     steps = list(zip(diag.tolist(), [0.0, *off2.tolist()]))
     counts = []
-    for t in np.asarray(shifts, dtype=float).ravel().tolist():
+    for t in shifts.tolist():
         count, d = 0, 1.0
         for a_ii, b2 in steps:
             d = (a_ii - t) - b2 / d

@@ -9,6 +9,11 @@ the even/odd split of a recurrence with alternating diagonal
 pencil family with a classical family on two symmetric intervals
 (``big_m1_parameters`` / ``big_m1_recurrence``).
 
+Every transform takes and returns ``MonicThreeTerm``; symmetric families are
+the zero-diagonal case and go through the same calls.  The companion of the
+symmetric family is ``companion_symmetric_recurrence`` and the reflected
+lam = 1 family is ``reflect_map(sdg_recurrence(a))``.
+
 All coefficient formulas are dtype-generic: Fraction inputs stay exact.
 """
 
@@ -28,8 +33,6 @@ from .recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
-    SymmetricThreeTerm,
-    companion_symmetric_recurrence,
     jacobi_opuc_reflections,
     pencil_recurrence,
     szego_eval,
@@ -40,8 +43,6 @@ __all__ = [
     "ChiharaSplit",
     "BigM1Parameters",
     "christoffel",
-    "symmetric_christoffel",
-    "adjacent_companion",
     "scale_map",
     "reflect_map",
     "lambda_reduction",
@@ -196,61 +197,27 @@ def christoffel(src: MonicThreeTerm, theta, n_max: int) -> ChristoffelData:
     )
 
 
-def symmetric_christoffel(
-    src: SymmetricThreeTerm, a: ReflectionSequence
-) -> SymmetricThreeTerm:
-    """Divide the squared-edge factor out of the symmetric interval family.
-
-    The input must be the symmetric family of ``a`` (v_n = (1+a_{n-1})
-    (1-a_{n-2})); the output is the companion family with
-    w_n = (1+a_{n-1})(1-a_n), which is orthogonal with respect to the old
-    weight times (4 - x^2).
-    """
-    for n in range(1, 9):
-        expected = (1 + a(n - 1)) * (1 - a(n - 2))
-        if abs(float(src.v(n)) - float(expected)) > 1e-12:
-            raise InvalidParameterError(
-                f"source v_{n} = {src.v(n)!r} does not match the symmetric "
-                f"family of the given reflection sequence ({expected!r})"
-            )
-    return companion_symmetric_recurrence(a)
-
-
-def adjacent_companion(a: ReflectionSequence) -> MonicThreeTerm:
-    """Recurrence of the reflected family: b_n -> -b_n, u_n unchanged.
-
-    The resulting polynomials are (-1)^n Q_n(-x) where Q_n is the lam = 1
-    pencil family; they are orthogonal with respect to the reflected weight.
-    """
-    from .recurrences import sdg_recurrence
-
-    return reflect_map(sdg_recurrence(a))
-
-
 def reflect_map(src: MonicThreeTerm) -> MonicThreeTerm:
     """Recurrence of x -> -x: polynomials (-1)^n p_n(-x), coefficients (-b, u)."""
     return MonicThreeTerm(b=lambda n: -src.b(n), u=src.u)
 
 
-def scale_map(src, g):
+def scale_map(src: MonicThreeTerm, g) -> MonicThreeTerm:
     """Rescale the spectral variable by g: new p_n(x) = g^n * old(x/g).
 
     Parameters
     ----------
-    src : MonicThreeTerm or SymmetricThreeTerm
+    src : MonicThreeTerm
     g : real, nonzero
 
     Returns
     -------
-    Same type as src, with b_n -> g*b_n, u_n -> g^2*u_n (or v_n -> g^2*v_n).
+    MonicThreeTerm
+        b_n -> g*b_n, u_n -> g^2*u_n; a symmetric family stays symmetric.
     """
     if g == 0:
         raise InvalidParameterError("scale factor g must be nonzero")
-    if isinstance(src, MonicThreeTerm):
-        return MonicThreeTerm(b=lambda n: g * src.b(n), u=lambda n: g * g * src.u(n))
-    if isinstance(src, SymmetricThreeTerm):
-        return SymmetricThreeTerm(v=lambda n: g * g * src.v(n))
-    raise InvalidParameterError(f"cannot scale object of type {type(src)!r}")
+    return MonicThreeTerm(b=lambda n: g * src.b(n), u=lambda n: g * g * src.u(n))
 
 
 _BRANCH_LOW = "lambda-1"
@@ -369,17 +336,15 @@ def lambda_reduction(
     return data, data.transformed
 
 
-def chihara_split(sym: SymmetricThreeTerm, chi, alpha_shift=0) -> ChiharaSplit:
+def chihara_split(rec: MonicThreeTerm, alpha_shift=0) -> ChiharaSplit:
     """Split a recurrence with alternating diagonal into two even/odd families.
 
     Parameters
     ----------
-    sym : SymmetricThreeTerm
-        Off-diagonal coefficients v_n of the recurrence
-        S_{n+1} = (x - chi*(-1)^n) S_n - v_n S_{n-1}.  For a genuinely
-        symmetric input pass chi = 0.
-    chi : real
-        Magnitude of the alternating diagonal.
+    rec : MonicThreeTerm
+        The recurrence S_{n+1} = (x - chi*(-1)^n) S_n - u_n S_{n-1}.  Only
+        b_0 = chi and the u_n are read; a symmetric family (b_n = 0) splits
+        with chi = 0.
     alpha_shift : real
         Shift of the squared variable: the split families live at
         y = x^2 + alpha_shift, and theta = chi^2 + alpha_shift.
@@ -387,11 +352,12 @@ def chihara_split(sym: SymmetricThreeTerm, chi, alpha_shift=0) -> ChiharaSplit:
     Returns
     -------
     ChiharaSplit
-        With C(n) = -v_{2n} (C(0) = 0) and A(n) = -v_{2n+1}; emits a warning
+        With C(n) = -u_{2n} (C(0) = 0) and A(n) = -u_{2n+1}; emits a warning
         (not an error) when a computed A or C is <= 0, since the rank-one
         positivity convention expects them positive while the two-interval
-        usage makes them positive precisely because its v's are negative.
+        usage makes them positive precisely because its u's are negative.
     """
+    chi = rec.b(0)
     warned = []
 
     def _advise(name: str, n: int, value) -> None:
@@ -406,13 +372,13 @@ def chihara_split(sym: SymmetricThreeTerm, chi, alpha_shift=0) -> ChiharaSplit:
     def C(n: int):
         if n == 0:
             return chi * 0
-        value = -sym.v(2 * n)
+        value = -rec.u(2 * n)
         if not value > 0:
             _advise("C", n, value)
         return value
 
     def A(n: int):
-        value = -sym.v(2 * n + 1)
+        value = -rec.u(2 * n + 1)
         if not value > 0:
             _advise("A", n, value)
         return value

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
 )
-from .recurrences import MonicThreeTerm, SymmetricThreeTerm, eval_monic, eval_symmetric
+from .recurrences import MonicThreeTerm, eval_monic
 
 __all__ = [
     "Measure",
@@ -212,23 +212,15 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     )
 
 
-def _eval_any(rec, n: int, x):
-    if isinstance(rec, MonicThreeTerm):
-        return eval_monic(rec, n, x)
-    if isinstance(rec, SymmetricThreeTerm):
-        return eval_symmetric(rec, n, x)
-    raise InvalidParameterError(f"cannot evaluate object of type {type(rec)!r}")
-
-
 def gram(m: Measure, rec_p, rec_q, n: int, k: int, tol: float = 1e-10) -> float:
     """Normalized inner product of the degree-n and degree-k polynomials.
 
     Returns <p_n, q_k> / sqrt(<p_n, p_n> <q_k, q_k>) under the measure, so an
     orthogonal pair gives ~0 and n = k with the same family gives 1.
     """
-    cross = integrate(m, lambda x: _eval_any(rec_p, n, x) * _eval_any(rec_q, k, x), tol)
-    nn = integrate(m, lambda x: _eval_any(rec_p, n, x) ** 2, tol)
-    kk = integrate(m, lambda x: _eval_any(rec_q, k, x) ** 2, tol)
+    cross = integrate(m, lambda x: eval_monic(rec_p, n, x) * eval_monic(rec_q, k, x), tol)
+    nn = integrate(m, lambda x: eval_monic(rec_p, n, x) ** 2, tol)
+    kk = integrate(m, lambda x: eval_monic(rec_q, k, x) ** 2, tol)
     if nn <= 0 or kk <= 0:
         raise InstabilityError(min(n, k), "nonpositive squared norm")
     return cross / math.sqrt(nn * kk)
@@ -249,7 +241,7 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     Parameters
     ----------
     m : Measure
-    n_max : int, <= 30
+    n_max : int, 0 <= n_max <= 30
         Largest coefficient index.  30 is a fixed cap, not a measured
         limit: with the cap raised, the closed-form families still recover
         to about 5e-13 through degree 120 and beyond.
@@ -263,6 +255,8 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     NonConvergenceError
         If refinements do not settle.
     """
+    if n_max < 0:
+        raise InvalidParameterError("n_max must be >= 0")
     if n_max > _STIELTJES_N_MAX:
         raise InvalidParameterError(
             f"n_max = {n_max} exceeds the fixed degree cap {_STIELTJES_N_MAX}"

@@ -4,8 +4,10 @@ The central object is a sequence of real reflection coefficients a_n with
 |a_n| < 1 and the built-in convention a_{-1} = -1.  From it the module builds
 the coefficient families of the monic pencil polynomials, their lambda = 1
 specialization, the symmetric family of the circle-to-interval map, and its
-companion.  Evaluation helpers run the forward three-term recurrence and the
-joint circle recursion.
+companion.  Every family is a ``MonicThreeTerm``: a symmetric recurrence
+S_{n+1} = x S_n - v_n S_{n-1} is the monic one with b_n = 0 and u_n = v_n.
+Evaluation helpers run the forward three-term recurrence and the joint
+circle recursion.
 
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
@@ -29,7 +31,6 @@ from .errors import InvalidParameterError, ReflectionBoundError
 __all__ = [
     "ReflectionSequence",
     "MonicThreeTerm",
-    "SymmetricThreeTerm",
     "CirclePoint",
     "jacobi_opuc_reflections",
     "pencil_recurrence",
@@ -37,11 +38,15 @@ __all__ = [
     "dg_symmetric_recurrence",
     "companion_symmetric_recurrence",
     "eval_monic",
-    "eval_symmetric",
     "szego_eval",
     "reflections_from_u",
     "chebyshev_closed_form",
 ]
+
+
+def _zero(n: int) -> int:
+    # the int 0 leaves x - b_n bit-identical to x and keeps exact inputs exact
+    return 0
 
 
 def _memoized(fn: Callable[[int], object]) -> Callable[[int], object]:
@@ -160,6 +165,7 @@ class MonicThreeTerm:
 
     The polynomials are P_0 = 1, P_1 = x - b_0 and
     P_{n+1} = (x - b_n) P_n - u_n P_{n-1}, with u_0 = 0 by convention.
+    A symmetric family has b_n = 0 for every n.
     """
 
     b: Callable[[int], float]
@@ -196,24 +202,6 @@ class MonicThreeTerm:
             return u_arr[n]
 
         return MonicThreeTerm(b=b, u=u)
-
-
-@dataclass(frozen=True)
-class SymmetricThreeTerm:
-    """Coefficients v_n (n >= 1) of a symmetric recurrence.
-
-    The polynomials are S_0 = 1, S_1 = x and S_{n+1} = x S_n - v_n S_{n-1}.
-    """
-
-    v: Callable[[int], float]
-
-    def require_positive(self, n_max: int) -> None:
-        for n in range(1, n_max + 1):
-            if not self.v(n) > 0:
-                raise InvalidParameterError(
-                    f"v_{n} = {self.v(n)!r} is not positive; family is not "
-                    "positive definite"
-                )
 
 
 @dataclass(frozen=True)
@@ -326,29 +314,30 @@ def sdg_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
     return MonicThreeTerm(b=_memoized(b), u=_memoized(u))
 
 
-def dg_symmetric_recurrence(a: ReflectionSequence) -> SymmetricThreeTerm:
-    """Symmetric recurrence v_n = (1 + a_{n-1})(1 - a_{n-2}).
+def dg_symmetric_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
+    """Symmetric recurrence b_n = 0, u_n = (1 + a_{n-1})(1 - a_{n-2}).
 
-    With a_{-1} = -1 the first coefficient is v_1 = 2*(1 + a_0).
+    The polynomials are S_{n+1} = x S_n - u_n S_{n-1}.  With a_{-1} = -1
+    the first coefficient is u_1 = 2*(1 + a_0).
     """
 
-    def v(n: int):
-        if n < 1:
-            raise InvalidParameterError("symmetric coefficients start at n = 1")
+    def u(n: int):
+        if n == 0:
+            return 0
         return (1 + a(n - 1)) * (1 - a(n - 2))
 
-    return SymmetricThreeTerm(v=_memoized(v))
+    return MonicThreeTerm(b=_zero, u=_memoized(u))
 
 
-def companion_symmetric_recurrence(a: ReflectionSequence) -> SymmetricThreeTerm:
-    """Symmetric recurrence w_n = (1 + a_{n-1})(1 - a_n) of the companion family."""
+def companion_symmetric_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
+    """Symmetric recurrence b_n = 0, u_n = (1 + a_{n-1})(1 - a_n) of the companion family."""
 
-    def w(n: int):
-        if n < 1:
-            raise InvalidParameterError("symmetric coefficients start at n = 1")
+    def u(n: int):
+        if n == 0:
+            return 0
         return (1 + a(n - 1)) * (1 - a(n))
 
-    return SymmetricThreeTerm(v=_memoized(w))
+    return MonicThreeTerm(b=_zero, u=_memoized(u))
 
 
 def eval_monic(rec: MonicThreeTerm, n: int, x):
@@ -365,19 +354,6 @@ def eval_monic(rec: MonicThreeTerm, n: int, x):
     p_prev, p_cur = one, x - rec.b(0) * one
     for k in range(1, n):
         p_prev, p_cur = p_cur, (x - rec.b(k)) * p_cur - rec.u(k) * p_prev
-    return p_cur
-
-
-def eval_symmetric(rec: SymmetricThreeTerm, n: int, x):
-    """Value of the degree-n symmetric polynomial of ``rec`` at x."""
-    if n < 0:
-        raise InvalidParameterError("degree must be >= 0")
-    one = x * 0 + 1
-    if n == 0:
-        return one
-    p_prev, p_cur = one, x
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, x * p_cur - rec.v(k) * p_prev
     return p_cur
 
 

@@ -112,6 +112,24 @@ def test_verify_rejects_non_finite(flag, value, capsys):
     assert f"{flag} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--dim", "8"], "--dim"),
+        (["--suite", "maps", "--dim", "8"], "--dim"),
+        (["--suite", "dunkl", "--beta", "2"], "--beta"),
+        (["--suite", "big-m1", "--xi", "0.5"], "--xi"),
+    ],
+    ids=["no-suite", "maps", "dunkl-without-alpha", "big-m1-without-lambda"],
+)
+def test_verify_rejects_unread_option(args, flag, capsys):
+    # these options used to be dropped silently, with exit 0
+    code, out, err = run(["verify", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} is not read by" in err
+
+
 def test_unknown_suite_exit_code(capsys):
     code, _, err = run(["verify", "--suite", "nonsense"], capsys)
     assert code == 2

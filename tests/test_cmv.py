@@ -262,3 +262,11 @@ def test_eigenvalue_counts_guards_zero_pivots():
     assert eigenvalue_counts(m, [1.0, -1.0, 0.5, 3.0]).tolist() == [1, 0, 1, 2]
     with pytest.raises(InvalidParameterError):
         eigenvalue_counts(build_H(jacobi_opuc_reflections(0.3, 0.7), TRUNC8), [0.0])
+
+
+def test_eigenvalue_counts_rejects_nan_keeps_inf():
+    # a nan shift used to count 0 eigenvalues below it
+    K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TRUNC8)
+    assert eigenvalue_counts(K, [-np.inf, np.inf]).tolist() == [0, K.dim]
+    with pytest.raises(InvalidParameterError):
+        eigenvalue_counts(K, [0.0, np.nan])

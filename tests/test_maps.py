@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from cmvpencil.errors import InvalidParameterError, PolePointError
 from cmvpencil.maps import (
-    adjacent_companion,
     big_m1_parameters,
     big_m1_recurrence,
     chihara_split,
@@ -22,17 +21,15 @@ from cmvpencil.maps import (
     reflect_map,
     scale_map,
     sdg_eval_from_circle,
-    symmetric_christoffel,
 )
 from cmvpencil.measures import Measure, gram
 from cmvpencil.recurrences import (
     CirclePoint,
     MonicThreeTerm,
-    SymmetricThreeTerm,
+    ReflectionSequence,
     companion_symmetric_recurrence,
     dg_symmetric_recurrence,
     eval_monic,
-    eval_symmetric,
     jacobi_opuc_reflections,
     pencil_recurrence,
     sdg_recurrence,
@@ -154,11 +151,12 @@ def test_scale_map_polynomial_covariance():
 def test_scale_map_symmetric():
     sym = dg_symmetric_recurrence(jacobi_opuc_reflections(0.3, 0.7))
     scaled = scale_map(sym, 3.0)
-    assert scaled.v(2) == pytest.approx(9 * sym.v(2))
+    assert scaled.u(2) == pytest.approx(9 * sym.u(2))
+    assert all(scaled.b(n) == 0 for n in range(6))
     for x in (0.4, -1.1):
         for n in range(6):
-            assert eval_symmetric(scaled, n, x) == pytest.approx(
-                3.0**n * eval_symmetric(sym, n, x / 3.0), rel=1e-12
+            assert eval_monic(scaled, n, x) == pytest.approx(
+                3.0**n * eval_monic(sym, n, x / 3.0), rel=1e-12
             )
 
 
@@ -173,9 +171,10 @@ def test_reflect_map_parity():
 
 
 def test_adjacent_companion_is_reflected_family():
+    # the adjacent companion of the lam = 1 family is its reflection
     a = jacobi_opuc_reflections(0.3, 0.7)
     q = sdg_recurrence(a)
-    q_minus = adjacent_companion(a)
+    q_minus = reflect_map(q)
     for n in range(10):
         assert q_minus.b(n) == pytest.approx(-q.b(n))
         assert q_minus.u(n) == pytest.approx(q.u(n))
@@ -194,25 +193,17 @@ def test_scale_then_unscale_is_identity(n, x, g):
     )
 
 
-def test_symmetric_christoffel_validates_source():
-    a = jacobi_opuc_reflections(0.3, 0.7)
-    out = symmetric_christoffel(dg_symmetric_recurrence(a), a)
-    assert out.v(3) == pytest.approx((1 + a(2)) * (1 - a(3)))
-    wrong = SymmetricThreeTerm(v=lambda n: 1.0)
-    with pytest.raises(InvalidParameterError):
-        symmetric_christoffel(wrong, a)
-
-
 def test_chihara_split_exact_identities():
     chi = Fraction(2, 5)
     shift = Fraction(-1, 4)
     v_values = {n: Fraction(-(n + 1), n + 4) for n in range(1, 24)}
-    split = chihara_split(SymmetricThreeTerm(v=lambda n: v_values[n]), chi, shift)
-    assert split.theta == chi * chi + shift
     alternating = MonicThreeTerm(
         b=lambda n: chi if n % 2 == 0 else -chi,
         u=lambda n: 0 if n == 0 else v_values[n],
     )
+    split = chihara_split(alternating, shift)
+    assert split.chi == chi
+    assert split.theta == chi * chi + shift
     for x in (Fraction(1, 2), Fraction(-3, 7)):
         y = x * x + shift
         for n in range(7):
@@ -223,8 +214,9 @@ def test_chihara_split_exact_identities():
 
 
 def test_chihara_split_warns_on_sign_violation():
-    # positive v makes C = -v negative: advisory warning, not an error
-    split = chihara_split(SymmetricThreeTerm(v=lambda n: 1.0), 0.0)
+    # positive u makes C = -u negative: advisory warning, not an error
+    split = chihara_split(dg_symmetric_recurrence(ReflectionSequence.constant(0.0)))
+    assert split.chi == 0
     with pytest.warns(UserWarning):
         split.C(1)
 
@@ -282,13 +274,13 @@ def test_circle_evaluators_match_recurrences():
         point = CirclePoint(phi)
         for n in range(12):
             assert dg_eval_from_circle(a, n, point) == pytest.approx(
-                eval_symmetric(sym, n, point.x), rel=1e-11, abs=1e-11
+                eval_monic(sym, n, point.x), rel=1e-11, abs=1e-11
             )
             assert sdg_eval_from_circle(a, n, point) == pytest.approx(
                 eval_monic(mono, n, point.x), rel=1e-11, abs=1e-11
             )
             assert companion_eval_from_circle(a, n, point) == pytest.approx(
-                eval_symmetric(comp, n, point.x), rel=1e-11, abs=1e-11
+                eval_monic(comp, n, point.x), rel=1e-11, abs=1e-11
             )
 
 

@@ -220,6 +220,9 @@ def test_stieltjes_envelope_guard():
     m = named_weight("sdg", xi=0.0, eta=0.0)
     with pytest.raises(InvalidParameterError):
         stieltjes_recurrence(m, 31)
+    # a negative degree used to end in a numpy reduction ValueError
+    with pytest.raises(InvalidParameterError):
+        stieltjes_recurrence(m, -1)
 
 
 def test_gram_identity_and_orthogonality():

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +17,6 @@ from cmvpencil.recurrences import (
     companion_symmetric_recurrence,
     dg_symmetric_recurrence,
     eval_monic,
-    eval_symmetric,
     jacobi_opuc_reflections,
     pencil_recurrence,
     reflections_from_u,
@@ -88,11 +88,46 @@ def test_pencil_at_one_equals_sdg():
 def test_symmetric_first_coefficient():
     a = jacobi_opuc_reflections(Fraction(1, 2), Fraction(1))
     v = dg_symmetric_recurrence(a)
-    assert v.v(1) == 2 * (1 + Fraction(1, 7))  # uses a_{-1} = -1
+    assert v.u(1) == 2 * (1 + Fraction(1, 7))  # uses a_{-1} = -1
     w = companion_symmetric_recurrence(a)
-    assert w.v(1) == (1 + a(0)) * (1 - a(1))
-    with pytest.raises(InvalidParameterError):
-        v.v(0)
+    assert w.u(1) == (1 + a(0)) * (1 - a(1))
+    for rec in (v, w):
+        assert rec.u(0) == 0
+        assert all(rec.b(n) == 0 for n in range(6))
+
+
+def _symmetric_oracle(v, n, x):
+    # the symmetric recursion S_0 = 1, S_1 = x, S_{k+1} = x S_k - v_k S_{k-1}
+    one = x * 0 + 1
+    if n == 0:
+        return one
+    p_prev, p_cur = one, x
+    for k in range(1, n):
+        p_prev, p_cur = p_cur, x * p_cur - v(k) * p_prev
+    return p_cur
+
+
+@pytest.mark.parametrize(
+    "make", [dg_symmetric_recurrence, companion_symmetric_recurrence]
+)
+def test_eval_monic_on_symmetric_families_is_the_symmetric_recursion(make):
+    def same(lhs, rhs):
+        return type(lhs) is type(rhs) and repr(lhs) == repr(rhs)
+
+    xs = np.linspace(-2.5, 2.5, 41)
+    for xi, eta in ((0.0, 0.0), (0.3, 0.7), (-0.5, -0.5)):
+        rec = make(jacobi_opuc_reflections(xi, eta))
+        for n in range(25):
+            expected = _symmetric_oracle(rec.u, n, xs)
+            assert eval_monic(rec, n, xs).tobytes() == expected.tobytes()
+            for x in (*xs.tolist(), -0.0):
+                assert same(eval_monic(rec, n, x), _symmetric_oracle(rec.u, n, x))
+    rec = make(jacobi_opuc_reflections(Fraction(1, 2), Fraction(1)))
+    for x in (Fraction(1, 3), Fraction(-7, 4), Fraction(0), 2):
+        for n in range(15):
+            value = eval_monic(rec, n, x)
+            assert same(value, _symmetric_oracle(rec.u, n, x))
+            assert not isinstance(value, float)
 
 
 def test_eval_monic_is_exact_for_fractions():
@@ -175,7 +210,7 @@ def test_free_symmetric_family_is_first_kind():
     for tau in (0.3, 1.1, 2.0):
         x = 2 * math.cos(tau)
         for n in range(9):
-            assert eval_symmetric(rec, n, x) == pytest.approx(
+            assert eval_monic(rec, n, x) == pytest.approx(
                 chebyshev_closed_form("first", n, tau), abs=1e-12
             )
 
