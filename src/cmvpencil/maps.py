@@ -7,7 +7,8 @@ the even/odd split of a recurrence with alternating diagonal
 (``chihara_split``), plain rescaling (``scale_map``), reflection
 (``reflect_map``), and the parameter bookkeeping that identifies the reduced
 pencil family with a classical family on two symmetric intervals
-(``big_m1_parameters`` / ``big_m1_recurrence``).
+(``big_m1_parameters`` / ``big_m1_recurrence``).  The circle evaluators
+return every degree 0..n of an interval family from one Szego sweep per point.
 
 Every transform takes and returns ``MonicThreeTerm``; symmetric families are
 the zero-diagonal case and go through the same calls.  The companion of the
@@ -494,45 +495,43 @@ def big_m1_parameters(xi, eta, lam, branch: str = _BRANCH_LOW) -> BigM1Parameter
     )
 
 
-def _circle_pair(a: ReflectionSequence, n: int, point: CirclePoint):
-    phi_n, phis_n = szego_eval(a, n, point)
+def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
+    """Symmetric interval polynomials S_0 .. S_n through their circle representation.
+
+    S_k(x) = z^{-k/2} (Phi_k(z) + Phi_k^*(z)) / (1 - a_{k-1}) at
+    x = 2*cos(phi/2), from one Szego sweep.  Real up to roundoff.
+    """
     half = point.half
-    return phi_n, phis_n, half, half ** (-n)
+    # half ** (-k) for each degree: a running product would round differently
+    ladder = enumerate(szego_eval(a, n, point))
+    return [half ** (-k) * (phi + phis) / (1 - a(k - 1)) for k, (phi, phis) in ladder]
 
 
-def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> complex:
-    """Symmetric interval polynomial through its circle representation.
+def sdg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
+    """lam = 1 pencil polynomials Q_0 .. Q_n through their circle representation.
 
-    S_n(x) = z^{-n/2} (Phi_n(z) + Phi_n^*(z)) / (1 - a_{n-1}) at
-    x = 2*cos(phi/2).  The value is real up to roundoff.
+    Q_k(x) = z^{-k/2} (Phi_k^*(z) + z^{1/2} Phi_k(z)) / (1 + z^{1/2}), from one
+    Szego sweep.  The x = -2 pole (phi = 2*pi) is excluded by the branch.
     """
-    phi_n, phis_n, _, zmh = _circle_pair(a, n, point)
-    return zmh * (phi_n + phis_n) / (1 - a(n - 1))
-
-
-def sdg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> complex:
-    """lam = 1 pencil polynomial through its circle representation.
-
-    Q_n(x) = z^{-n/2} (Phi_n^*(z) + z^{1/2} Phi_n(z)) / (1 + z^{1/2}).
-    Requires phi != 2*pi-side pole (x = -2 is excluded by the branch).
-    """
-    phi_n, phis_n, half, zmh = _circle_pair(a, n, point)
+    half = point.half
     den = 1 + half
     if den == 0:
         raise InvalidParameterError("evaluation point hits the x = -2 pole")
-    return zmh * (phis_n + half * phi_n) / den
+    ladder = enumerate(szego_eval(a, n, point))
+    return [half ** (-k) * (phis + half * phi) / den for k, (phi, phis) in ladder]
 
 
 def companion_eval_from_circle(
     a: ReflectionSequence, n: int, point: CirclePoint
-) -> complex:
-    """Companion interval polynomial through its circle representation.
+) -> list:
+    """Companion interval polynomials T_0 .. T_n through their circle representation.
 
-    T_n(x) = z^{-n/2} (z*Phi_n(z) - Phi_n^*(z)) / (z - 1).  Requires phi != 0
-    (x = 2 is a pole of the representation).
+    T_k(x) = z^{-k/2} (z*Phi_k(z) - Phi_k^*(z)) / (z - 1), from one Szego
+    sweep.  Requires phi != 0 (x = 2 is a pole of the representation).
     """
-    phi_n, phis_n, half, zmh = _circle_pair(a, n, point)
+    half = point.half
     z = half * half
     if z == 1:
         raise InvalidParameterError("evaluation point hits the x = 2 pole")
-    return zmh * (z * phi_n - phis_n) / (z - 1)
+    ladder = enumerate(szego_eval(a, n, point))
+    return [half ** (-k) * (z * phi - phis) / (z - 1) for k, (phi, phis) in ladder]

@@ -218,9 +218,9 @@ def gram(m: Measure, rec_p, rec_q, n: int, k: int, tol: float = 1e-10) -> float:
     Returns <p_n, q_k> / sqrt(<p_n, p_n> <q_k, q_k>) under the measure, so an
     orthogonal pair gives ~0 and n = k with the same family gives 1.
     """
-    cross = integrate(m, lambda x: eval_monic(rec_p, n, x) * eval_monic(rec_q, k, x), tol)
-    nn = integrate(m, lambda x: eval_monic(rec_p, n, x) ** 2, tol)
-    kk = integrate(m, lambda x: eval_monic(rec_q, k, x) ** 2, tol)
+    cross = integrate(m, lambda x: eval_monic(rec_p, n, x)[n] * eval_monic(rec_q, k, x)[k], tol)
+    nn = integrate(m, lambda x: eval_monic(rec_p, n, x)[n] ** 2, tol)
+    kk = integrate(m, lambda x: eval_monic(rec_q, k, x)[k] ** 2, tol)
     if nn <= 0 or kk <= 0:
         raise InstabilityError(min(n, k), "nonpositive squared norm")
     return cross / math.sqrt(nn * kk)

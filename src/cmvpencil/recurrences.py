@@ -7,7 +7,7 @@ specialization, the symmetric family of the circle-to-interval map, and its
 companion.  Every family is a ``MonicThreeTerm``: a symmetric recurrence
 S_{n+1} = x S_n - v_n S_{n-1} is the monic one with b_n = 0 and u_n = v_n.
 Evaluation helpers run the forward three-term recurrence and the joint
-circle recursion.
+circle recursion once each and return every degree up to the one asked for.
 
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
@@ -217,6 +217,8 @@ class CirclePoint:
     phi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise InvalidParameterError(f"circle angle must be finite, got {self.phi!r}")
         if not (0 <= self.phi < 2 * math.pi):
             object.__setattr__(self, "phi", self.phi % (2 * math.pi))
 
@@ -340,40 +342,39 @@ def companion_symmetric_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
     return MonicThreeTerm(b=_zero, u=_memoized(u))
 
 
-def eval_monic(rec: MonicThreeTerm, n: int, x):
-    """Value of the monic degree-n polynomial of ``rec`` at x.
+def eval_monic(rec: MonicThreeTerm, n: int, x) -> list:
+    """Values [P_0(x), ..., P_n(x)] of the monic family of ``rec``, from one sweep.
 
-    Works elementwise when x is a numpy array and exactly when x and the
-    coefficients are rational.
+    Works elementwise when x is a numpy array (each entry is then an array)
+    and exactly when x and the coefficients are rational.
     """
     if n < 0:
         raise InvalidParameterError("degree must be >= 0")
     one = x * 0 + 1  # matches the dtype of x
-    if n == 0:
-        return one
-    p_prev, p_cur = one, x - rec.b(0) * one
+    ladder = [one, x - rec.b(0) * one] if n > 0 else [one]
     for k in range(1, n):
-        p_prev, p_cur = p_cur, (x - rec.b(k)) * p_cur - rec.u(k) * p_prev
-    return p_cur
+        ladder.append((x - rec.b(k)) * ladder[k] - rec.u(k) * ladder[k - 1])
+    return ladder
 
 
-def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> tuple[complex, complex]:
-    """Joint evaluation of the circle polynomial pair at a circle point.
+def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
+    """Joint evaluation of the circle polynomial pairs at a circle point.
 
     Returns
     -------
-    (complex, complex)
-        (Phi_n(z), Phi_n^*(z)) from Phi_{n+1} = z*Phi_n - a_n*Phi_n^* and
-        Phi_{n+1}^* = Phi_n^* - a_n*z*Phi_n, starting from (1, 1).
+    list of (complex, complex)
+        [(Phi_0(z), Phi_0^*(z)), ..., (Phi_n(z), Phi_n^*(z))] from (1, 1) by one
+        sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
     """
     if n < 0:
         raise InvalidParameterError("degree must be >= 0")
     zz = z.z if isinstance(z, CirclePoint) else complex(z)
-    phi, phis = 1.0 + 0.0j, 1.0 + 0.0j
+    ladder = [(1.0 + 0.0j, 1.0 + 0.0j)]
     for k in range(n):
+        phi, phis = ladder[k]
         ak = a(k)
-        phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
-    return phi, phis
+        ladder.append((zz * phi - ak * phis, phis - ak * zz * phi))
+    return ladder
 
 
 def reflections_from_u(u: Callable[[int], float], signs: Callable[[int], int]) -> ReflectionSequence:

@@ -134,19 +134,16 @@ def suite_maps(n_max: int = 20, tol: float = 1e-10) -> list:
     results = []
     for xi, eta in pairs:
         a = jacobi_opuc_reflections(xi, eta)
-        sym = dg_symmetric_recurrence(a)
-        mono = sdg_recurrence(a)
+        # the direct route: one ladder per family on all points; elementwise
+        # float64 arithmetic gives the per-point values bit for bit
+        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), n_max, xs)).T.tolist()
+        direct_mono = np.array(eval_monic(sdg_recurrence(a), n_max, xs)).T.tolist()
         worst_sym = 0.0
         worst_mono = 0.0
-        for n in range(n_max + 1):
-            # the direct route once per degree on all points; elementwise
-            # float64 arithmetic gives the per-point values bit for bit
-            direct_sym = eval_monic(sym, n, xs).tolist()
-            direct_mono = eval_monic(mono, n, xs).tolist()
-            for point, d_sym, d_mono in zip(points, direct_sym, direct_mono):
-                via_circle = dg_eval_from_circle(a, n, point)
+        for point, col_sym, col_mono in zip(points, direct_sym, direct_mono):
+            for via_circle, d_sym in zip(dg_eval_from_circle(a, n_max, point), col_sym):
                 worst_sym = max(worst_sym, abs(via_circle - d_sym) / max(1.0, abs(d_sym)))
-                via_circle = sdg_eval_from_circle(a, n, point)
+            for via_circle, d_mono in zip(sdg_eval_from_circle(a, n_max, point), col_mono):
                 worst_mono = max(worst_mono, abs(via_circle - d_mono) / max(1.0, abs(d_mono)))
         results.append(
             CheckResult(
@@ -177,9 +174,7 @@ def _gram_offdiag_worst(measure, rec, n_max: int) -> float:
     prev = None
     for n_nodes in (128, 256, 512):
         x, w = discretize(measure, n_nodes)
-        V = np.empty((n_max + 1, x.size))
-        for n in range(n_max + 1):
-            V[n] = eval_monic(rec, n, x)
+        V = np.array(eval_monic(rec, n_max, x))
         G = (V * w) @ V.T
         norms = np.sqrt(np.abs(np.diag(G)))
         G = G / np.outer(norms, norms)
@@ -214,6 +209,11 @@ def suite_little_m1(n_max: int = 12, tol: float = 1e-7) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _require_degree(n_max: int) -> None:
+    if n_max < 0:
+        raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
+
+
 def _coeff_mismatch(lhs: MonicThreeTerm, rhs: MonicThreeTerm, n_max: int) -> float:
     worst = 0.0
     for n in range(n_max + 1):
@@ -223,6 +223,7 @@ def _coeff_mismatch(lhs: MonicThreeTerm, rhs: MonicThreeTerm, n_max: int) -> flo
 
 
 def suite_big_m1(cases=None, n_max: int = 15, tol: float = 1e-7) -> list:
+    _require_degree(n_max)
     if cases is None:
         cases = [
             (xi, eta, lam) for xi, eta in ((0.0, 0.0), (0.5, 1.0)) for lam in (2.0, 3.0)
@@ -454,6 +455,7 @@ def suite_weyl() -> list:
 
 
 def suite_dunkl(cases=None, n_max: int = 10) -> list:
+    _require_degree(n_max)
     if cases is None:
         cases = [
             (0, 0, 0),
@@ -514,11 +516,11 @@ def suite_structural() -> list:
     q = sdg_recurrence(a)
     q_minus = reflect_map(q)
     xs = rng.uniform(-2, 2, size=11)
+    reflected, plain = eval_monic(q_minus, 20, xs), eval_monic(q, 20, -xs)
     worst = 0.0
     for n in range(21):
         sign = 1.0 if n % 2 == 0 else -1.0
-        lhs = eval_monic(q_minus, n, xs)
-        rhs = sign * eval_monic(q, n, -xs)
+        lhs, rhs = reflected[n], sign * plain[n]
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
     results.append(
         CheckResult(
@@ -533,14 +535,13 @@ def suite_structural() -> list:
     src = pencil_recurrence(jacobi_opuc_reflections(0.2, 0.4), 1.3)
     data = christoffel(src, -3.0, 22)
     xs = rng.uniform(-2.2, 2.2, size=11)
+    direct = eval_monic(src, 20, xs)
+    transformed = eval_monic(data.transformed, 20, xs)
     worst = 0.0
     for n in range(1, 21):
-        direct = eval_monic(src, n, xs)
-        rebuilt = eval_monic(data.transformed, n, xs) - data.C(n) * eval_monic(
-            data.transformed, n - 1, xs
-        )
+        rebuilt = transformed[n] - data.C(n) * transformed[n - 1]
         worst = max(
-            worst, float(np.max(np.abs(direct - rebuilt) / np.maximum(1.0, np.abs(direct))))
+            worst, float(np.max(np.abs(direct[n] - rebuilt) / np.maximum(1.0, np.abs(direct[n]))))
         )
     results.append(
         CheckResult(
@@ -563,13 +564,11 @@ def suite_structural() -> list:
     exact = exact and all(split.A(n) == -v_values[2 * n + 1] for n in range(0, 9))
     for x in (Fraction(1, 3), Fraction(-2, 5), Fraction(2)):
         y = x * x + alpha_shift
-        for n in range(9):
-            exact = exact and eval_monic(alt, 2 * n, x) == eval_monic(split.P, n, y)
-            exact = exact and eval_monic(alt, 2 * n + 1, x) == (x - chi) * eval_monic(
-                split.P_tilde, n, y
-            )
-            if not exact:
-                break
+        s = eval_monic(alt, 17, x)
+        p, p_tilde = eval_monic(split.P, 8, y), eval_monic(split.P_tilde, 8, y)
+        exact = exact and all(
+            s[2 * n] == p[n] and s[2 * n + 1] == (x - chi) * p_tilde[n] for n in range(9)
+        )
     results.append(
         CheckResult(
             label="even/odd split composes back exactly",

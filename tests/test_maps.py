@@ -41,9 +41,9 @@ def test_christoffel_ratios_are_polynomial_ratios():
     src = sdg_recurrence(a)
     theta = Fraction(3)
     data = christoffel(src, theta, 8)
+    values = eval_monic(src, 7, theta)
     for n in range(7):
-        ratio = eval_monic(src, n + 1, theta) / eval_monic(src, n, theta)
-        assert data.A(n) == ratio  # exact
+        assert data.A(n) == values[n + 1] / values[n]  # exact
     assert data.C(0) == 0
     for n in range(1, 7):
         assert data.C(n) == src.u(n) / data.A(n - 1)
@@ -55,12 +55,11 @@ def test_christoffel_reconstruction_identity():
     src = pencil_recurrence(a, 1.3)
     data = christoffel(src, -3.0, 15)
     xs = np.linspace(-2.1, 2.1, 9)
+    direct = eval_monic(src, 13, xs)
+    transformed = eval_monic(data.transformed, 13, xs)
     for n in range(1, 14):
-        direct = eval_monic(src, n, xs)
-        rebuilt = eval_monic(data.transformed, n, xs) - data.C(n) * eval_monic(
-            data.transformed, n - 1, xs
-        )
-        np.testing.assert_allclose(rebuilt, direct, rtol=1e-11, atol=1e-11)
+        rebuilt = transformed[n] - data.C(n) * transformed[n - 1]
+        np.testing.assert_allclose(rebuilt, direct[n], rtol=1e-11, atol=1e-11)
 
 
 def test_christoffel_pole_detection():
@@ -140,10 +139,9 @@ def test_scale_map_polynomial_covariance():
     g = -2.5
     scaled = scale_map(rec, g)
     for x in (-1.0, 0.3, 1.7):
+        lhs, rhs = eval_monic(scaled, 7, x), eval_monic(rec, 7, x / g)
         for n in range(8):
-            assert eval_monic(scaled, n, x) == pytest.approx(
-                g**n * eval_monic(rec, n, x / g), rel=1e-12
-            )
+            assert lhs[n] == pytest.approx(g**n * rhs[n], rel=1e-12)
     with pytest.raises(InvalidParameterError):
         scale_map(rec, 0)
 
@@ -154,20 +152,18 @@ def test_scale_map_symmetric():
     assert scaled.u(2) == pytest.approx(9 * sym.u(2))
     assert all(scaled.b(n) == 0 for n in range(6))
     for x in (0.4, -1.1):
+        lhs, rhs = eval_monic(scaled, 5, x), eval_monic(sym, 5, x / 3.0)
         for n in range(6):
-            assert eval_monic(scaled, n, x) == pytest.approx(
-                3.0**n * eval_monic(sym, n, x / 3.0), rel=1e-12
-            )
+            assert lhs[n] == pytest.approx(3.0**n * rhs[n], rel=1e-12)
 
 
 def test_reflect_map_parity():
     rec = pencil_recurrence(jacobi_opuc_reflections(0.2, 0.4), 1.7)
     flipped = reflect_map(rec)
     for x in (-1.2, 0.5, 2.0):
+        lhs, rhs = eval_monic(flipped, 8, x), eval_monic(rec, 8, -x)
         for n in range(9):
-            assert eval_monic(flipped, n, x) == pytest.approx(
-                (-1) ** n * eval_monic(rec, n, -x), rel=1e-12, abs=1e-12
-            )
+            assert lhs[n] == pytest.approx((-1) ** n * rhs[n], rel=1e-12, abs=1e-12)
 
 
 def test_adjacent_companion_is_reflected_family():
@@ -188,8 +184,8 @@ def test_adjacent_companion_is_reflected_family():
 def test_scale_then_unscale_is_identity(n, x, g):
     rec = sdg_recurrence(jacobi_opuc_reflections(0.3, 0.7))
     roundtrip = scale_map(scale_map(rec, g), 1.0 / g)
-    assert eval_monic(roundtrip, n, x) == pytest.approx(
-        eval_monic(rec, n, x), rel=1e-10, abs=1e-10
+    assert eval_monic(roundtrip, n, x)[n] == pytest.approx(
+        eval_monic(rec, n, x)[n], rel=1e-10, abs=1e-10
     )
 
 
@@ -206,11 +202,11 @@ def test_chihara_split_exact_identities():
     assert split.theta == chi * chi + shift
     for x in (Fraction(1, 2), Fraction(-3, 7)):
         y = x * x + shift
+        s = eval_monic(alternating, 13, x)
+        p, p_tilde = eval_monic(split.P, 6, y), eval_monic(split.P_tilde, 6, y)
         for n in range(7):
-            assert eval_monic(alternating, 2 * n, x) == eval_monic(split.P, n, y)
-            assert eval_monic(alternating, 2 * n + 1, x) == (x - chi) * eval_monic(
-                split.P_tilde, n, y
-            )
+            assert s[2 * n] == p[n]
+            assert s[2 * n + 1] == (x - chi) * p_tilde[n]
 
 
 def test_chihara_split_warns_on_sign_violation():
@@ -272,16 +268,124 @@ def test_circle_evaluators_match_recurrences():
     comp = companion_symmetric_recurrence(a)
     for phi in (0.7, 2.0, 4.5):
         point = CirclePoint(phi)
-        for n in range(12):
-            assert dg_eval_from_circle(a, n, point) == pytest.approx(
-                eval_monic(sym, n, point.x), rel=1e-11, abs=1e-11
+        for evaluate, rec in (
+            (dg_eval_from_circle, sym),
+            (sdg_eval_from_circle, mono),
+            (companion_eval_from_circle, comp),
+        ):
+            via_circle = evaluate(a, 11, point)
+            assert len(via_circle) == 12
+            assert via_circle == pytest.approx(
+                eval_monic(rec, 11, point.x), rel=1e-11, abs=1e-11
             )
-            assert sdg_eval_from_circle(a, n, point) == pytest.approx(
-                eval_monic(mono, n, point.x), rel=1e-11, abs=1e-11
-            )
-            assert companion_eval_from_circle(a, n, point) == pytest.approx(
-                eval_monic(comp, n, point.x), rel=1e-11, abs=1e-11
-            )
+
+
+def _old_circle_values(a, n, point):
+    # the single-degree circle recursion and the per-degree formulas of
+    # dg_eval_from_circle, sdg_eval_from_circle and companion_eval_from_circle
+    zz = point.z
+    phi, phis = 1.0 + 0.0j, 1.0 + 0.0j
+    for k in range(n):
+        ak = a(k)
+        phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
+    half = point.half
+    zmh = half ** (-n)
+    z = half * half
+    return (
+        zmh * (phi + phis) / (1 - a(n - 1)),
+        zmh * (phis + half * phi) / (1 + half),
+        zmh * (z * phi - phis) / (z - 1),
+    )
+
+
+def test_circle_evaluator_ladders_are_the_per_degree_formulas():
+    # the 25 points and five (xi, eta) pairs of the shipped maps suite
+    points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
+    for xi, eta in ((0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)):
+        a = jacobi_opuc_reflections(xi, eta)
+        for point in points:
+            ladders = [
+                dg_eval_from_circle(a, 20, point),
+                sdg_eval_from_circle(a, 20, point),
+                companion_eval_from_circle(a, 20, point),
+            ]
+            for n, values in enumerate(zip(*ladders)):
+                expected = _old_circle_values(a, n, point)
+                assert [repr(v) for v in values] == [repr(v) for v in expected]
+            assert len(ladders[0]) == 21
+
+
+class _GaussianRational:
+    """Exact re + im*i with Fraction parts."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def lift(value):
+        return value if isinstance(value, _GaussianRational) else _GaussianRational(value)
+
+    def __add__(self, other):
+        other = self.lift(other)
+        return _GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -self.lift(other)
+
+    def __rsub__(self, other):
+        return self.lift(other) - self
+
+    def __mul__(self, other):
+        other = self.lift(other)
+        return _GaussianRational(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self.lift(other)
+        norm = other.re * other.re + other.im * other.im
+        return self * _GaussianRational(other.re / norm, -other.im / norm)
+
+
+def test_circle_map_is_exact_at_rational_circle_points():
+    # w = ((1 - t^2) + 2t i)/(1 + t^2) lies on the circle for rational t; with
+    # z = w^2 and x = w + 1/w every quantity of the circle route is
+    # Gaussian-rational, so S_n and Q_n must be real and equal the recurrence
+    checks = 0
+    for xi, eta in (
+        (Fraction(0), Fraction(0)),
+        (Fraction(3, 10), Fraction(7, 10)),
+        (Fraction(1), Fraction(1, 2)),
+        (Fraction(-1, 4), Fraction(3, 4)),
+    ):
+        a = jacobi_opuc_reflections(xi, eta)
+        for t in (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(7, 4)):
+            w = _GaussianRational(1 - t * t, 2 * t) / (1 + t * t)
+            w_inv = _GaussianRational(1) / w
+            x = (w + w_inv).re
+            assert (w + w_inv).im == 0 and isinstance(x, Fraction)
+            sym = eval_monic(dg_symmetric_recurrence(a), 20, x)
+            mono = eval_monic(sdg_recurrence(a), 20, x)
+            z = w * w
+            phi, phis = _GaussianRational(1), _GaussianRational(1)
+            w_pow = _GaussianRational(1)  # w^{-k}
+            for k in range(21):
+                s_k = w_pow * (phi + phis) / (1 - a(k - 1))
+                q_k = w_pow * (phis + w * phi) / (1 + w)
+                for via_circle, direct in ((s_k, sym[k]), (q_k, mono[k])):
+                    assert isinstance(direct, Fraction)
+                    assert via_circle.im == 0 and via_circle.re == direct
+                    checks += 1
+                phi, phis = z * phi - a(k) * phis, phis - a(k) * z * phi
+                w_pow = w_pow * w_inv
+    assert checks == 672
 
 
 def test_companion_eval_pole_guard():

@@ -35,3 +35,22 @@ def test_tracer_installs_and_removes_its_wrappers():
     )
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_maps_suite_runs_one_szego_sweep_per_point_and_family():
+    # 5 (xi, eta) pairs x 25 points x 2 families x 20 steps
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'perfbench')!r}]\n"
+        "import tracing\n"
+        "from cmvpencil import cli\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.begin_pass(0)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--suite', 'maps'])\n"
+        "tracer.end_pass()\n"
+        "print(code, tracer.pass_counts[0]['recurrences.szego_steps'])\n"
+    )
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["0", "5000"]

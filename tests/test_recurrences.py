@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmvpencil.errors import InvalidParameterError, ReflectionBoundError
+from cmvpencil.maps import big_m1_recurrence
 from cmvpencil.recurrences import (
     CirclePoint,
     MonicThreeTerm,
@@ -96,6 +97,14 @@ def test_symmetric_first_coefficient():
         assert all(rec.b(n) == 0 for n in range(6))
 
 
+def _same(lhs, rhs):
+    # bit for bit: same type and repr (signed zeros included), or same array bytes
+    if isinstance(lhs, np.ndarray):
+        same_dtype = isinstance(rhs, np.ndarray) and lhs.dtype == rhs.dtype
+        return same_dtype and lhs.tobytes() == rhs.tobytes()
+    return type(lhs) is type(rhs) and repr(lhs) == repr(rhs)
+
+
 def _symmetric_oracle(v, n, x):
     # the symmetric recursion S_0 = 1, S_1 = x, S_{k+1} = x S_k - v_k S_{k-1}
     one = x * 0 + 1
@@ -111,34 +120,101 @@ def _symmetric_oracle(v, n, x):
     "make", [dg_symmetric_recurrence, companion_symmetric_recurrence]
 )
 def test_eval_monic_on_symmetric_families_is_the_symmetric_recursion(make):
-    def same(lhs, rhs):
-        return type(lhs) is type(rhs) and repr(lhs) == repr(rhs)
-
     xs = np.linspace(-2.5, 2.5, 41)
     for xi, eta in ((0.0, 0.0), (0.3, 0.7), (-0.5, -0.5)):
         rec = make(jacobi_opuc_reflections(xi, eta))
+        ladder = eval_monic(rec, 24, xs)
         for n in range(25):
-            expected = _symmetric_oracle(rec.u, n, xs)
-            assert eval_monic(rec, n, xs).tobytes() == expected.tobytes()
-            for x in (*xs.tolist(), -0.0):
-                assert same(eval_monic(rec, n, x), _symmetric_oracle(rec.u, n, x))
+            assert ladder[n].tobytes() == _symmetric_oracle(rec.u, n, xs).tobytes()
+        for x in (*xs.tolist(), -0.0):
+            ladder = eval_monic(rec, 24, x)
+            for n in range(25):
+                assert _same(ladder[n], _symmetric_oracle(rec.u, n, x))
     rec = make(jacobi_opuc_reflections(Fraction(1, 2), Fraction(1)))
     for x in (Fraction(1, 3), Fraction(-7, 4), Fraction(0), 2):
-        for n in range(15):
-            value = eval_monic(rec, n, x)
-            assert same(value, _symmetric_oracle(rec.u, n, x))
+        for n, value in enumerate(eval_monic(rec, 14, x)):
+            assert _same(value, _symmetric_oracle(rec.u, n, x))
             assert not isinstance(value, float)
+
+
+def _eval_monic_oracle(rec, n, x):
+    # the single-degree forward recurrence, one call per degree
+    one = x * 0 + 1
+    if n == 0:
+        return one
+    p_prev, p_cur = one, x - rec.b(0) * one
+    for k in range(1, n):
+        p_prev, p_cur = p_cur, (x - rec.b(k)) * p_cur - rec.u(k) * p_prev
+    return p_cur
+
+
+def _szego_oracle(a, n, z):
+    # the single-degree circle recursion, one call per degree
+    zz = z.z if isinstance(z, CirclePoint) else complex(z)
+    phi, phis = 1.0 + 0.0j, 1.0 + 0.0j
+    for k in range(n):
+        ak = a(k)
+        phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
+    return phi, phis
+
+
+def test_eval_monic_ladder_is_the_single_degree_recurrence():
+    a = jacobi_opuc_reflections(0.3, 0.7)
+    floats = [
+        pencil_recurrence(a, 2.5),
+        sdg_recurrence(a),
+        dg_symmetric_recurrence(a),
+        companion_symmetric_recurrence(a),
+        pencil_recurrence(ReflectionSequence.constant(-0.0), 0.5),
+    ]
+    xs = np.linspace(-2.5, 2.5, 41)
+    for rec in floats:
+        for x in (xs, -xs, *xs.tolist(), -0.0, 0.0, 1.0, 2):
+            ladder = eval_monic(rec, 20, x)
+            assert len(ladder) == 21
+            for n, value in enumerate(ladder):
+                assert _same(value, _eval_monic_oracle(rec, n, x))
+    exact = jacobi_opuc_reflections(Fraction(1, 2), Fraction(1))
+    cases = [
+        (pencil_recurrence(exact, Fraction(3, 2)), 15),
+        (dg_symmetric_recurrence(exact), 15),
+        (big_m1_recurrence(2, 3, Fraction(2, 5)), 15),
+        (MonicThreeTerm.from_arrays([1, -2, 0, 3, 1], [0, 2, 5, 1, 4]), 5),
+    ]
+    for rec, n_max in cases:
+        for x in (Fraction(1, 3), Fraction(-7, 4), Fraction(0), 0, 2, -3):
+            for n, value in enumerate(eval_monic(rec, n_max, x)):
+                expected = _eval_monic_oracle(rec, n, x)
+                assert value == expected and type(value) is type(expected)
+
+
+def test_szego_ladder_is_the_single_degree_recursion():
+    sequences = [
+        jacobi_opuc_reflections(0.3, 0.7),
+        jacobi_opuc_reflections(-0.5, -0.5),
+        ReflectionSequence.constant(-0.0),
+        ReflectionSequence.from_list([0.9 * math.sin(1.7 * k) for k in range(20)]),
+        jacobi_opuc_reflections(Fraction(1, 2), Fraction(1)),
+    ]
+    points = [CirclePoint(phi) for phi in (0.0, 0.7, 2.0, math.pi, 4.5)]
+    for a in sequences:
+        for z in (*points, 0.0, 1.0, -0.0):
+            ladder = szego_eval(a, 20, z)
+            assert len(ladder) == 21
+            for n, pair in enumerate(ladder):
+                assert _same(pair, _szego_oracle(a, n, z))
 
 
 def test_eval_monic_is_exact_for_fractions():
     a = jacobi_opuc_reflections(Fraction(1, 2), Fraction(1))
     rec = pencil_recurrence(a, Fraction(3, 2))
-    value = eval_monic(rec, 4, Fraction(1, 3))
-    assert isinstance(value, Fraction)
+    ladder = eval_monic(rec, 4, Fraction(1, 3))
+    assert len(ladder) == 5
+    assert all(isinstance(value, Fraction) for value in ladder)
     # independent route: expand the recurrence by hand at degree 2
     p1 = Fraction(1, 3) - rec.b(0)
     p2 = (Fraction(1, 3) - rec.b(1)) * p1 - rec.u(1)
-    assert eval_monic(rec, 2, Fraction(1, 3)) == p2
+    assert ladder[:3] == [1, p1, p2]
 
 
 def test_eval_degree_validation():
@@ -150,17 +226,20 @@ def test_eval_degree_validation():
 def test_szego_free_case_is_power():
     a = ReflectionSequence.constant(0.0)
     z = CirclePoint(1.234)
-    phi, phis = szego_eval(a, 7, z)
-    assert phi == pytest.approx(z.z**7, abs=1e-14)
-    assert phis == pytest.approx(1.0, abs=1e-14)
+    ladder = szego_eval(a, 7, z)
+    assert len(ladder) == 8
+    for n, (phi, phis) in enumerate(ladder):
+        assert phi == pytest.approx(z.z**n, abs=1e-14)
+        assert phis == pytest.approx(1.0, abs=1e-14)
 
 
 def test_szego_values_at_zero_and_one():
     a = jacobi_opuc_reflections(0.3, 0.7)
+    at_zero, at_one = szego_eval(a, 7, 0.0), szego_eval(a, 7, 1.0)
     for n in range(1, 8):
-        phi, _ = szego_eval(a, n, 0.0)
+        phi, _ = at_zero[n]
         assert phi == pytest.approx(-a(n - 1), abs=1e-15)
-        phi1, _ = szego_eval(a, n, 1.0)
+        phi1, _ = at_one[n]
         prod = 1.0
         for k in range(n):
             prod *= 1 - a(k)
@@ -171,7 +250,7 @@ def test_szego_frozen_values():
     # independently computed with 40-digit arithmetic
     a = jacobi_opuc_reflections(0.3, 0.7)
     z = cmath.exp(1.1j)
-    phi, phis = szego_eval(a, 6, z)
+    phi, phis = szego_eval(a, 6, z)[6]
     assert phi == pytest.approx(
         0.6265968974000016 + 0.1243210781640373j, abs=1e-14
     )
@@ -183,17 +262,22 @@ def test_szego_frozen_values():
 @given(reflection_lists, st.floats(min_value=0.0, max_value=6.28))
 def test_szego_moduli_agree_on_circle(values, phi):
     a = ReflectionSequence.from_list(values)
-    n = len(values)
-    p, ps = szego_eval(a, n, CirclePoint(phi))
-    assert abs(p) == pytest.approx(abs(ps), rel=1e-9, abs=1e-9)
+    for p, ps in szego_eval(a, len(values), CirclePoint(phi)):
+        assert abs(p) == pytest.approx(abs(ps), rel=1e-9, abs=1e-9)
 
 
 @given(reflection_lists)
 def test_szego_constant_term_is_reflection(values):
     a = ReflectionSequence.from_list(values)
-    n = len(values)
-    phi, _ = szego_eval(a, n, 0.0)
-    assert phi == pytest.approx(-values[-1], abs=1e-12)
+    ladder = szego_eval(a, len(values), 0.0)
+    for (phi, _), value in zip(ladder[1:], values):
+        assert phi == pytest.approx(-value, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_circle_point_rejects_non_finite_angle(phi):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        CirclePoint(phi)
 
 
 def test_circle_point_normalization_and_branch():
@@ -208,11 +292,8 @@ def test_free_symmetric_family_is_first_kind():
     # a == 0 gives v_1 = 2, v_n = 1: the family 2*cos(n*tau) at x = 2*cos(tau)
     rec = dg_symmetric_recurrence(ReflectionSequence.constant(0.0))
     for tau in (0.3, 1.1, 2.0):
-        x = 2 * math.cos(tau)
-        for n in range(9):
-            assert eval_monic(rec, n, x) == pytest.approx(
-                chebyshev_closed_form("first", n, tau), abs=1e-12
-            )
+        for n, value in enumerate(eval_monic(rec, 8, 2 * math.cos(tau))):
+            assert value == pytest.approx(chebyshev_closed_form("first", n, tau), abs=1e-12)
 
 
 def test_monic_third_and_fourth_kind_closed_forms():
@@ -222,11 +303,13 @@ def test_monic_third_and_fourth_kind_closed_forms():
     third = MonicThreeTerm(b=lambda n: 1.0 if n == 0 else 0.0, u=lambda n: 0.0 if n == 0 else 1.0)
     fourth = MonicThreeTerm(b=lambda n: -1.0 if n == 0 else 0.0, u=lambda n: 0.0 if n == 0 else 1.0)
     for tau in (0.4, 1.0, 2.2):
+        third_ladder = eval_monic(third, 7, 2 * math.cos(tau))
+        fourth_ladder = eval_monic(fourth, 7, 2 * math.cos(tau))
         for n in range(8):
-            assert eval_monic(third, n, 2 * math.cos(tau)) == pytest.approx(
+            assert third_ladder[n] == pytest.approx(
                 chebyshev_closed_form("third", n, tau), abs=1e-12
             )
-            assert eval_monic(fourth, n, 2 * math.cos(tau)) == pytest.approx(
+            assert fourth_ladder[n] == pytest.approx(
                 chebyshev_closed_form("fourth", n, tau), abs=1e-12
             )
 

@@ -40,6 +40,12 @@ def test_suites_reject_odd_or_small_dim(suite, dim):
         run_suite(suite, dim=dim)
 
 
+@pytest.mark.parametrize("suite", ["maps", "little-m1", "big-m1", "dunkl"])
+def test_suites_reject_negative_degree(suite):
+    with pytest.raises(InvalidParameterError, match=">= 0"):
+        run_suite(suite, n_max=-1)
+
+
 def test_spectrum_suite_at_scale():
     # the full eigensolve this replaced costs O(dim^2) at this size
     results = run_suite("spectrum", dim=100_000)
