@@ -4,7 +4,9 @@ For each lam on the grid the script reports the predicted essential-spectrum
 bands, the eigenvalue range of the truncated pencil, the outlier count
 against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  A 2x2 hand truncation checked
-against the quadratic formula guards the matrix conventions.
+against the quadratic formula guards the matrix conventions.  An odd --dim,
+one below 4, or a nan or infinite --lams or --inflate value prints
+``error: ...`` to stderr and exits 2, as the CLI does.
 
 Examples
 --------
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from cmvpencil.cmv import TruncationSpec, build_K, eigenvalue_counts
+from cmvpencil.errors import CmvPencilError, InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
 
@@ -78,7 +81,18 @@ def main(argv=None):
     parser.add_argument("--lams", type=float, nargs="*", default=DEFAULT_LAMS)
     parser.add_argument("--output", default=None, help="optional CSV path")
     args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except CmvPencilError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args):
+    if args.dim < 4 or args.dim % 2:
+        raise InvalidParameterError(f"need even dim >= 4, got {args.dim}")
+    if not all(math.isfinite(v) for v in (*args.lams, args.inflate)):
+        raise InvalidParameterError(f"--lams and --inflate must be finite, got {args.lams}, {args.inflate}")
     if args.xi is None:
         a = ReflectionSequence.constant(0.0)
         label = "free (a = 0)"

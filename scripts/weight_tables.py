@@ -4,7 +4,9 @@ For each requested family the script recovers recurrence coefficients from
 the weight by quadrature alone and prints them next to the closed-form
 coefficients, with the worst deviation.  This is the weight <-> recurrence
 round trip that the identification rests on; the band-density case also
-reports the failing alternative closed form.
+reports the failing alternative closed form.  Invalid parameters (an --n
+outside the recovery's degree cap, say) print ``error: ...`` to stderr and
+exit 2.
 
 Examples
 --------
@@ -18,6 +20,7 @@ import sys
 
 import numpy as np
 
+from cmvpencil.errors import CmvPencilError
 from cmvpencil.maps import big_m1_parameters
 from cmvpencil.measures import (
     named_weight,
@@ -59,7 +62,14 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--output", default=None, help="optional CSV path")
     args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except CmvPencilError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args):
     measure, rec = closed_form_pair(args)
     recovered = stieltjes_recurrence(measure, args.n + 1, tol=1e-9)
 

@@ -13,17 +13,17 @@ and stays exact for rational inputs; its eigenfunctions are the two-interval
 endpoint family produced by ``cmvpencil.maps.big_m1_recurrence``, used here
 without any further affine change of variable.
 
-Representation.  An exact polynomial is a tuple of integer numerators over
-one shared positive denominator, reduced by a single ``math.gcd(den, *nums)``
+Representation.  An exact polynomial is a pair (integer numerators, one
+shared positive denominator), reduced by a single ``math.gcd(den, *nums)``
 per polynomial instead of one gcd per coefficient operation (fraction-free
 arithmetic, as in Bareiss, Math. Comp. 22, 1968).  ``Fraction`` values exist
-only at the public boundary: inputs are brought to one denominator, and each
-output coefficient gets the type that coefficient-wise ``int``/``Fraction``
-arithmetic gives it (the leading 1 of a monic polynomial stays an ``int``).
-Inputs that are not all ``int``/``Fraction`` (floats, say) run through the
-same code with denominator 1 and no gcd step; the operations and their order
-are those of coefficient-wise arithmetic, so float results do not depend on
-the representation, bit for bit.
+only at the public boundary: inputs are brought to one denominator, and every
+exact output coefficient is a ``Fraction`` (the leading 1 of a monic
+polynomial included).  Inputs that are not all ``int``/``Fraction`` (floats,
+say) run through the same helpers on the coefficient values themselves, with
+denominator ``None`` and no gcd step; the operations and their order are
+those of coefficient-wise arithmetic, so float results do not depend on the
+representation, bit for bit.
 
 Cache.  ``verify_eigenfunction`` keeps, for each ``(alpha, beta, c)``, the
 ``big_m1_recurrence`` and the monic polynomials P_0 .. P_n built so far in a
@@ -76,13 +76,12 @@ def _check_degree(n: int) -> None:
 
 # -- numerator vectors ------------------------------------------------------
 # The helpers below act on numerator vectors: ints of an exact polynomial, or
-# the coefficient values themselves (denominator 1) for any other input.
+# the coefficient values themselves (denominator None) for any other input.
 
 
-def _values(nums, den, fractions):
-    """Coefficient values of numerators over ``den``; ``fractions[k]`` says
-    whether coefficient k is a Fraction or an int."""
-    return tuple(Fraction(x, den) if f else x // den for x, f in zip(nums, fractions))
+def _values(nums, den):
+    """Fraction coefficients of integer numerators over ``den``."""
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def _sum(p, q):
@@ -102,25 +101,6 @@ def _convolve(factor, values):
     return out
 
 
-def _convolve_fractions(factor, fractions):
-    """Which coefficients ``_convolve(factor, values)`` makes Fractions, given
-    the factor values and the Fraction flags of ``values``."""
-    n = len(fractions)
-    out = [False] * (len(factor) + n - 1)
-    for i, f in enumerate(factor):
-        if f != 0:
-            if isinstance(f, Fraction):
-                out[i : i + n] = [True] * n
-            else:
-                out[i : i + n] = [a or b for a, b in zip(out[i : i + n], fractions)]
-    return out
-
-
-def _or(p, q):
-    n = max(len(p), len(q))
-    return [(k < len(p) and p[k]) or (k < len(q) and q[k]) for k in range(n)]
-
-
 def _over_common_denominator(values):
     """Rational values -> (integer numerators, least common denominator)."""
     den = math.lcm(*(v.denominator for v in values))
@@ -135,17 +115,13 @@ def _reflect_and_derive(nums):
 
 
 # -- monic ladder -----------------------------------------------------------
-# A ladder entry is (nums, den, fractions).  Exact entries hold reduced integer
-# numerators, and coefficients 0 .. fractions-1 are Fractions, the rest ints;
-# coefficient-wise arithmetic always gives such a prefix.  Other entries hold
-# the coefficient values, with den 1 and fractions None.
+# A ladder entry is (nums, den).  Exact entries hold reduced integer numerators
+# over den > 0; other entries hold the coefficient values, with den None.
 
 
 def _entry_values(entry):
-    nums, den, fractions = entry
-    if fractions is None:
-        return nums
-    return _values(nums, den, [k < fractions for k in range(len(nums))])
+    nums, den = entry
+    return nums if den is None else _values(nums, den)
 
 
 def _three_term(cur, prev, shift, b, u):
@@ -161,7 +137,7 @@ def _three_term(cur, prev, shift, b, u):
 
 def _exact_step(cur, prev, b, u):
     """P_{k+1} = (x - b) P_k - u P_{k-1} on reduced integer numerators."""
-    (c_nums, c_den, c_frac), (p_nums, p_den, p_frac) = cur, prev
+    (c_nums, c_den), (p_nums, p_den) = cur, prev
     bd, ud = b.denominator, u.denominator
     den = math.lcm(c_den * bd, p_den * ud)
     nums = _three_term(
@@ -175,15 +151,7 @@ def _exact_step(cur, prev, b, u):
     if g > 1:
         nums = [x // g for x in nums]
         den //= g
-    # x * cur moves cur's Fraction prefix up one slot, a Fraction b makes all
-    # of b * cur Fractions; u * prev adds nothing beyond prev's own prefix,
-    # since cur's prefix already covers every slot of prev from P_2 on
-    fractions = max(
-        c_frac + 1 if c_frac else 0,
-        len(c_nums) if isinstance(b, Fraction) else 0,
-        p_frac,
-    )
-    return tuple(nums), den, fractions
+    return tuple(nums), den
 
 
 class _MonicLadder:
@@ -191,7 +159,7 @@ class _MonicLadder:
 
     def __init__(self, rec: MonicThreeTerm):
         self._rec = rec
-        self._entries = [((1,), 1, 1)]  # P_0 = Fraction(1)
+        self._entries = [((1,), 1)]  # P_0 = 1
         self._lock = threading.Lock()
 
     def __getitem__(self, n: int):
@@ -207,14 +175,14 @@ class _MonicLadder:
         if k == 1:
             b = rec.b(0)
             if isinstance(b, _RATIONAL):
-                return (-b.numerator, b.denominator), b.denominator, int(isinstance(b, Fraction))
-            return (-b, 1), 1, None
+                return (-b.numerator, b.denominator), b.denominator
+            return (-b, 1), None
         cur, prev = entries[k - 1], entries[k - 2]
         b, u = rec.b(k - 1), rec.u(k - 1)
-        if cur[2] is not None and isinstance(b, _RATIONAL) and isinstance(u, _RATIONAL):
+        if cur[1] is not None and isinstance(b, _RATIONAL) and isinstance(u, _RATIONAL):
             return _exact_step(cur, prev, b, u)
         nums = _three_term(_entry_values(cur), _entry_values(prev), 1, -b, -u)
-        return tuple(nums), 1, None
+        return tuple(nums), None
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -225,58 +193,51 @@ def _ladder(alpha, beta, c) -> _MonicLadder:
 # -- the operator -----------------------------------------------------------
 
 
-def _operator_image(alpha, beta, c, nums, den, fractions):
-    """Numerators of L p for p = nums / den.
+def _operator_image(alpha, beta, c, nums, den):
+    """Numerators of L p for p = nums / den (den None: nums are the values).
 
-    Returns (quotient, scale, quotient_fractions): the trimmed image is
-    quotient / (den * scale).  ``fractions`` (Fraction flags of p) is None
-    for a non-exact p, and then so is quotient_fractions.
+    Returns (quotient, scale): the trimmed image is quotient / (den * scale),
+    and scale is 1 when den is None.
     """
     g = (c, c * alpha - beta, alpha + beta + 1)
     # 2 x (x - 1)(x + c) = 2x^3 + 2(c-1)x^2 - 2c x
     cubic = (0, -2 * c, 2 * (c - 1), 2)
     reflected, derivative = _reflect_and_derive(nums)
     diff = [r - x for r, x in zip(reflected, nums)]
-    if fractions is None:
+    if den is None:
         scale, g_nums, cubic_nums = 1, g, cubic
     else:
         factor_nums, scale = _over_common_denominator(g + cubic)
         g_nums, cubic_nums = factor_nums[:3], factor_nums[3:]
-        numerator_fractions = _or(
-            _convolve_fractions(g, fractions),
-            _convolve_fractions(cubic, fractions[1:] or fractions[:1]),
-        )
     numerator = _sum(_convolve(g_nums, diff), _convolve(cubic_nums, derivative))
     remainder = tuple(numerator[:2])
     if any(r != 0 for r in remainder):
-        if fractions is not None:
-            raise OperatorImageError(_values(remainder, den * scale, numerator_fractions))
+        if den is not None:
+            raise OperatorImageError(_values(remainder, den * scale))
         exact = all(not isinstance(r, float) for r in remainder)
         if exact or max(abs(float(r)) for r in remainder) > 1e-9 * max(
             1.0, max(abs(float(x)) for x in nums)
         ):
             raise OperatorImageError(remainder)
-    quotient = _trim(numerator[2:])
-    if fractions is None:
-        return quotient, scale, None
-    return quotient, scale, numerator_fractions[2 : 2 + len(quotient)]
+    return _trim(numerator[2:]), scale
 
 
 def _numerators(alpha, beta, c, coeffs):
-    """(nums, den, fractions) of p: exact when p and the parameters are all
-    int/Fraction, else the values over denominator 1 with fractions None."""
+    """(nums, den) of p: exact when p and the parameters are all int/Fraction,
+    else the values themselves with den None."""
     if all(isinstance(v, _RATIONAL) for v in (alpha, beta, c, *coeffs)):
-        nums, den = _over_common_denominator(coeffs)
-        return nums, den, [isinstance(v, Fraction) for v in coeffs]
-    return coeffs, 1, None
+        return _over_common_denominator(coeffs)
+    return coeffs, None
 
 
 @dataclass(frozen=True)
 class PolynomialCoeffs:
     """Dense polynomial in coefficient form, index k -> coefficient of x^k.
 
-    Coefficients may be Fractions/ints (exact mode) or floats; arithmetic
-    preserves the type.  The zero polynomial is the single coefficient 0.
+    Coefficients may be Fractions/ints (exact mode) or floats.  Every exact
+    result of this module has ``Fraction`` coefficients; a float or mixed
+    input gives the values of coefficient-wise arithmetic on it.  The zero
+    polynomial is the single coefficient 0.
     """
 
     coeffs: tuple
@@ -323,11 +284,9 @@ def apply_dunkl(alpha, beta, c, p: PolynomialCoeffs) -> PolynomialCoeffs:
         If the division leaves a remainder (the image would not be a
         polynomial), which signals invalid input or a bug.
     """
-    nums, den, fractions = _numerators(alpha, beta, c, p.coeffs)
-    quotient, scale, quotient_fractions = _operator_image(alpha, beta, c, nums, den, fractions)
-    if quotient_fractions is None:
-        return PolynomialCoeffs(quotient)
-    return PolynomialCoeffs(_values(quotient, den * scale, quotient_fractions))
+    nums, den = _numerators(alpha, beta, c, p.coeffs)
+    quotient, scale = _operator_image(alpha, beta, c, nums, den)
+    return PolynomialCoeffs(quotient if den is None else _values(quotient, den * scale))
 
 
 def dunkl_eigenvalue(n: int, alpha, beta):
@@ -366,27 +325,25 @@ def verify_eigenfunction(alpha, beta, c, n: int) -> DunklReport:
     construction).  With rational inputs the residual is exactly zero, never
     merely small.  P_n comes from the cached ladder of ``(alpha, beta, c)``.
     """
-    ladder = _ladder(alpha, beta, c)
+    # the degree is checked before the cache is touched, so a rejected call
+    # cannot evict a valid ladder
     _check_degree(n)
-    entry = ladder[n]
+    entry = _ladder(alpha, beta, c)[n]
     eig = dunkl_eigenvalue(n, alpha, beta)
-    nums, den, prefix = entry
-    if prefix is not None and all(isinstance(v, _RATIONAL) for v in (alpha, beta, c)):
-        fractions = [k < prefix for k in range(len(nums))]
+    nums, den = entry
+    if den is not None and all(isinstance(v, _RATIONAL) for v in (alpha, beta, c)):
         eig_num, eig_den = eig.numerator, eig.denominator
     else:
-        nums, den, fractions = _entry_values(entry), 1, None
+        nums, den = _entry_values(entry), None
         eig_num, eig_den = eig, 1
-    image, scale, image_fractions = _operator_image(alpha, beta, c, nums, den, fractions)
+    image, scale = _operator_image(alpha, beta, c, nums, den)
     # image - eig * P_n, over den * scale * eig_den
     res = _trim(_sum([q * eig_den for q in image], [-eig_num * scale * x for x in nums]))
-    if fractions is None:
+    if den is None:
         residual = PolynomialCoeffs(res)
         exact = all(not isinstance(v, float) for v in (alpha, beta, c, *nums, *image))
     else:
-        eig_fraction = isinstance(eig, Fraction)
-        res_fractions = _or(image_fractions, [eig_fraction or f for f in fractions])
-        residual = PolynomialCoeffs(_values(res, den * scale * eig_den, res_fractions))
+        residual = PolynomialCoeffs(_values(res, den * scale * eig_den))
         exact = True
     return DunklReport(
         n=n,
@@ -417,19 +374,16 @@ def _chebyshev_nums(n: int, const) -> tuple:
     """Integer coefficients of V_n with V_0 = 1, V_1 = 2x + const and
     V_{k+1} = 2x V_k - V_{k-1}."""
     _check_degree(n)
-    prev, cur = [1], [const, 2]
     if n == 0:
         return (1,)
+    prev, cur = (1,), (const, 2)
     for _ in range(1, n):
-        nxt = [0, *(2 * v for v in cur)]
-        for k, v in enumerate(prev):
-            nxt[k] -= v
-        prev, cur = cur, nxt
+        prev, cur = cur, _three_term(cur, prev, 2, 0, -1)
     return tuple(cur)
 
 
 def _chebyshev(n: int, const) -> PolynomialCoeffs:
-    return PolynomialCoeffs(tuple(map(Fraction, _chebyshev_nums(n, const))))
+    return PolynomialCoeffs(_values(_chebyshev_nums(n, const), 1))
 
 
 def _first_order_identity_residual(nums, edge, n: int) -> PolynomialCoeffs:
@@ -439,7 +393,7 @@ def _first_order_identity_residual(nums, edge, n: int) -> PolynomialCoeffs:
     lhs = _sum(_convolve((edge, 2), derivative), reflected)  # (2x + edge) * ...
     factor = (2 * n + 1) * (1 if n % 2 == 0 else -1)
     residual = _trim(_sum(lhs, [-factor * x for x in nums]))
-    return PolynomialCoeffs(tuple(map(Fraction, residual)))
+    return PolynomialCoeffs(_values(residual, 1))
 
 
 def third_kind_identity_residual(n: int) -> PolynomialCoeffs:

@@ -464,9 +464,7 @@ def suite_dunkl(cases=None, n_max: int = 10) -> list:
         ]
     results = []
     for alpha, beta, c in cases:
-        alpha_r = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-        beta_r = Fraction(beta) if not isinstance(beta, Fraction) else beta
-        c_r = Fraction(c) if not isinstance(c, Fraction) else c
+        alpha_r, beta_r, c_r = Fraction(alpha), Fraction(beta), Fraction(c)
         worst = 0.0
         all_exact = True
         for n in range(n_max + 1):

@@ -19,6 +19,7 @@ from cmvpencil.dunkl import (
     third_kind_identity_residual,
     verify_eigenfunction,
 )
+from cmvpencil.errors import InvalidParameterError
 from cmvpencil.maps import big_m1_recurrence
 from cmvpencil.recurrences import MonicThreeTerm
 
@@ -151,8 +152,9 @@ def test_first_kind_values():
 # ---------------------------------------------------------------------------
 # Oracle: coefficient-wise arithmetic on Fraction/int/float tuples, one
 # operation at a time.  The module computes the same results on integer
-# numerators over one denominator; these tests hold it to the oracle's values,
-# coefficient types and (for floats) bits.
+# numerators over one denominator; these tests hold it to the oracle's values
+# (for floats also their type and bits), and hold every exact result to
+# Fraction coefficients.
 # ---------------------------------------------------------------------------
 
 
@@ -251,12 +253,24 @@ def oracle_identity_residual(p, edge, n):
 
 
 def _typed(values):
-    """Values with their types; floats by their bits (so -0.0 != 0.0)."""
-    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+    """Floats by their type and bits (so -0.0 != 0.0); ints and Fractions as
+    one rational value."""
+    return [
+        (float, v.hex()) if isinstance(v, float) else (Fraction, Fraction(v))
+        for v in values
+    ]
 
 
-def assert_same_coeffs(got, expected):
+def _all_exact(values):
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def assert_same_coeffs(got, expected, exact):
+    """Same values as the oracle; ``exact`` (the inputs are all int/Fraction)
+    also asks for Fraction coefficients only."""
     assert _typed(got.coeffs) == _typed(expected.coeffs)
+    if exact:
+        assert all(type(v) is Fraction for v in got.coeffs)
 
 
 def assert_same_report(report, alpha, beta, c, n, oracle=None):
@@ -266,7 +280,7 @@ def assert_same_report(report, alpha, beta, c, n, oracle=None):
     assert report.n == n
     assert (report.alpha, report.beta, report.c) == (alpha, beta, c)
     assert _typed([report.eigenvalue]) == _typed([eig])
-    assert_same_coeffs(report.residual, residual)
+    assert_same_coeffs(report.residual, residual, exact)
     assert _typed([report.max_abs_residual]) == _typed([max_abs])
     assert report.exact is exact
 
@@ -296,16 +310,18 @@ def test_exact_arithmetic_matches_oracle(alpha, beta, c, as_int, n):
         alpha, beta, c = _maybe_int(alpha), _maybe_int(beta), _maybe_int(c)
     oracle = oracle_verify_eigenfunction(alpha, beta, c, n)
     p = PolynomialCoeffs.from_three_term(big_m1_recurrence(alpha, beta, c), n)
-    assert_same_coeffs(p, oracle[0])
-    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle[1])
+    assert_same_coeffs(p, oracle[0], exact=True)
+    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle[1], exact=True)
     assert_same_report(verify_eigenfunction(alpha, beta, c, n), alpha, beta, c, n, oracle)
     for coeffs, residual, const in (
         (third_kind_coeffs, third_kind_identity_residual, Fraction(-1)),
         (fourth_kind_coeffs, fourth_kind_identity_residual, Fraction(1)),
     ):
         chebyshev = oracle_chebyshev(n, const)
-        assert_same_coeffs(coeffs(n), chebyshev)
-        assert_same_coeffs(residual(n), oracle_identity_residual(chebyshev, 2 * const, n))
+        assert_same_coeffs(coeffs(n), chebyshev, exact=True)
+        assert_same_coeffs(
+            residual(n), oracle_identity_residual(chebyshev, 2 * const, n), exact=True
+        )
 
 
 rationals = st.one_of(
@@ -336,7 +352,11 @@ def _with_float(values, at):
 @example(coeffs=[Fraction(3, 4)], at=None, alpha=-1, beta=0, c=0)
 def test_apply_dunkl_mixed_types_match_oracle(coeffs, at, alpha, beta, c):
     p = PolynomialCoeffs(tuple(_with_float(coeffs, at)))
-    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle_apply_dunkl(alpha, beta, c, p))
+    assert_same_coeffs(
+        apply_dunkl(alpha, beta, c, p),
+        oracle_apply_dunkl(alpha, beta, c, p),
+        exact=_all_exact((alpha, beta, c, *p.coeffs)),
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,8 +374,11 @@ def test_from_three_term_mixed_types_match_oracle(b_values, u_values, at, n):
     # themselves; -0.0 + -0.0 at the x^(n-1) slot of P_2 must still give 0.0
     coeffs = _with_float([*b_values, *u_values], at)
     rec = MonicThreeTerm.from_arrays(coeffs[:10], [0, *coeffs[11:]])
+    used = [*(rec.b(k) for k in range(n)), *(rec.u(k) for k in range(1, n))]
     assert_same_coeffs(
-        PolynomialCoeffs.from_three_term(rec, n), oracle_from_three_term(rec, n)
+        PolynomialCoeffs.from_three_term(rec, n),
+        oracle_from_three_term(rec, n),
+        exact=_all_exact(used),
     )
 
 
@@ -388,10 +411,20 @@ def test_ladder_entries_are_reduced():
     ladder = dunkl._ladder(Fraction(7, 4), Fraction(2, 3), Fraction(1, 6))
     verify_eigenfunction(Fraction(7, 4), Fraction(2, 3), Fraction(1, 6), 20)
     for k in range(21):
-        nums, den, _ = ladder[k]
+        nums, den = ladder[k]
         assert den > 0
         assert math.gcd(den, *nums) == 1
         assert nums[-1] == den  # monic
+
+
+def test_rejected_degree_leaves_the_ladder_cache_alone():
+    # fresh triples: checking the cache first would build and cache their
+    # ladders, evicting valid ones
+    info = dunkl._ladder.cache_info()
+    for triple in ((Fraction(1, 7), 0, 0), (2, 1, Fraction(1, 9)), (0.25, 0.5, 0.125)):
+        with pytest.raises(InvalidParameterError):
+            verify_eigenfunction(*triple, -1)
+    assert dunkl._ladder.cache_info() == info
 
 
 def test_ladder_concurrent_sweeps():

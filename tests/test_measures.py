@@ -27,8 +27,11 @@ from cmvpencil.measures import (
     stieltjes_recurrence,
     validate_periodic_density,
 )
+from cmvpencil.maps import little_m1_recurrence, reflect_map
 from cmvpencil.recurrences import (
     ReflectionSequence,
+    companion_symmetric_recurrence,
+    dg_symmetric_recurrence,
     jacobi_opuc_reflections,
     pencil_recurrence,
     sdg_recurrence,
@@ -129,11 +132,24 @@ def test_stieltjes_recovers_symmetric_rationals():
 
 
 def test_stieltjes_matches_closed_form_family():
-    # dual route: quadrature-only recovery against the reflection formulas
+    # dual route: quadrature-only recovery against the reflection formulas,
+    # for every named weight family with a closed-form recurrence
+    cases = [(named_weight("little_m1", alpha=2.0, beta=1.0), little_m1_recurrence(2.0, 1.0))]
     for xi, eta in ((0.0, 0.0), (1.0, 0.5)):
-        m = named_weight("sdg", xi=xi, eta=eta)
+        a = jacobi_opuc_reflections(xi, eta)
+        cases += [
+            (named_weight("sdg", xi=xi, eta=eta), sdg_recurrence(a)),
+            (named_weight("adjacent", xi=xi, eta=eta), reflect_map(sdg_recurrence(a))),
+            (named_weight("companion", xi=xi, eta=eta), companion_symmetric_recurrence(a)),
+            (named_weight("dg_from_circle", xi=xi, eta=eta), dg_symmetric_recurrence(a)),
+            (named_weight("gen_gegenbauer", xi=xi, eta=eta), dg_symmetric_recurrence(a)),
+            *(
+                (named_weight("pencil", xi=xi, eta=eta, lam=lam), pencil_recurrence(a, lam))
+                for lam in (0.5, 2.0)
+            ),
+        ]
+    for m, expected in cases:
         rec = stieltjes_recurrence(m, 13, tol=1e-10)
-        expected = sdg_recurrence(jacobi_opuc_reflections(xi, eta))
         for n in range(13):
             assert float(rec.b(n)) == pytest.approx(float(expected.b(n)), abs=1e-8)
             assert float(rec.u(n)) == pytest.approx(float(expected.u(n)), abs=1e-8)
