@@ -5,8 +5,8 @@ bands, the eigenvalue range of the truncated pencil, the outlier count
 against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  A 2x2 hand truncation checked
 against the quadratic formula guards the matrix conventions.  An odd --dim,
-one below 4, or a nan or infinite --lams or --inflate value prints
-``error: ...`` to stderr and exits 2, as the CLI does.
+one below 4, a nan or infinite --lams or --inflate value, or a --lams value
+at or below 0 prints ``error: ...`` to stderr and exits 2, as the CLI does.
 
 Examples
 --------
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from cmvpencil.cmv import TruncationSpec, build_K, eigenvalue_counts
+from cmvpencil.cmv import TruncationSpec, band_census, build_K
 from cmvpencil.errors import CmvPencilError, InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
@@ -42,7 +42,7 @@ def two_by_two_check(a, lam):
 
 
 def sweep(a, lams, dim, inflate):
-    trunc = TruncationSpec(n_blocks=dim // 2)
+    trunc = TruncationSpec.from_dim(dim)
     rows = []
     for lam in lams:
         K = build_K(a, lam, trunc)
@@ -51,13 +51,7 @@ def sweep(a, lams, dim, inflate):
             float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))[0])
             for k in (0, dim - 1)
         )
-        bands = essential_spectrum_periodic(abs(lam))
-        # eigenvalues outside the inflated bands: those below the first band,
-        # between consecutive bands and above the last one
-        starts = [eig_min - 1.0, *(q + inflate for _, q in bands)]
-        ends = [*(p - inflate for p, _ in bands), eig_max + 1.0]
-        windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
-        counts = eigenvalue_counts(K, [*(t for w in windows for t in w), -inflate, inflate])
+        outliers, _, near_zero = band_census(K, essential_spectrum_periodic(lam), inflate)
         rows.append(
             {
                 "lam": lam,
@@ -65,8 +59,8 @@ def sweep(a, lams, dim, inflate):
                 "band_outer": lam + 1.0,
                 "eig_min": eig_min,
                 "eig_max": eig_max,
-                "outliers": int(np.sum(counts[1:-2:2] - counts[0:-2:2])),
-                "near_zero": int(counts[-1] - counts[-2]),
+                "outliers": outliers,
+                "near_zero": near_zero,
             }
         )
     return rows
@@ -89,10 +83,12 @@ def main(argv=None):
 
 
 def run(args):
-    if args.dim < 4 or args.dim % 2:
-        raise InvalidParameterError(f"need even dim >= 4, got {args.dim}")
+    # the dimension and every lam are checked before any output
+    TruncationSpec.from_dim(args.dim)
     if not all(math.isfinite(v) for v in (*args.lams, args.inflate)):
         raise InvalidParameterError(f"--lams and --inflate must be finite, got {args.lams}, {args.inflate}")
+    for lam in args.lams:
+        essential_spectrum_periodic(lam)  # raises for lam <= 0
     if args.xi is None:
         a = ReflectionSequence.constant(0.0)
         label = "free (a = 0)"

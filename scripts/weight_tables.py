@@ -5,8 +5,8 @@ the weight by quadrature alone and prints them next to the closed-form
 coefficients, with the worst deviation.  This is the weight <-> recurrence
 round trip that the identification rests on; the band-density case also
 reports the failing alternative closed form.  Invalid parameters (an --n
-outside the recovery's degree cap, say) print ``error: ...`` to stderr and
-exit 2.
+outside 0..29, the recovery's degree cap less one, say) print ``error: ...``
+to stderr and exit 2.
 
 Examples
 --------
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from cmvpencil.errors import CmvPencilError
+from cmvpencil.errors import CmvPencilError, InvalidParameterError
 from cmvpencil.maps import big_m1_parameters
 from cmvpencil.measures import (
     named_weight,
@@ -70,6 +70,9 @@ def main(argv=None):
 
 
 def run(args):
+    # stieltjes_recurrence recovers indices 0 .. --n + 1 and stops at index 30
+    if not 0 <= args.n <= 29:
+        raise InvalidParameterError(f"--n must be in 0..29, got {args.n}")
     measure, rec = closed_form_pair(args)
     recovered = stieltjes_recurrence(measure, args.n + 1, tol=1e-9)
 
@@ -95,7 +98,7 @@ def run(args):
         for t in grid:
             try:
                 alt = periodic_weight_verbatim(args.lam, float(t))
-            except Exception:
+            except InvalidParameterError:
                 dev = float("inf")
                 break
             dev = max(dev, abs(alt - stieltjes_perron_density(args.lam, float(t))))

@@ -7,9 +7,9 @@ Three subcommands:
 - ``verify``: run named verification suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 bad
-usage or parameters (a non-finite numeric option, or a ``verify`` option the
-chosen suite does not read, included), 3 quadrature or iteration
-non-convergence.
+usage or parameters (a non-finite numeric option, a ``spectrum --lambda``
+at or below 0, or a ``verify`` option the chosen suite does not read,
+included), 3 quadrature or iteration non-convergence.
 
 Output is deterministic: fixed float formatting, no timestamps, sorted JSON
 keys, and LF newlines, so repeated ``--reproducible`` runs are byte-identical.
@@ -141,12 +141,10 @@ def cmd_recurrence(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = _config_from(args)
-    if args.dim < 4 or args.dim % 2:
-        raise InvalidParameterError(f"need even dim >= 4, got {args.dim}")
+    trunc = TruncationSpec.from_dim(args.dim)
+    bands = essential_spectrum_periodic(args.lam)
     a = jacobi_opuc_reflections(args.xi, args.eta)
-    K = build_K(a, args.lam, TruncationSpec(n_blocks=args.dim // 2))
-    eigs = tridiagonal_eigenvalues(K)
-    bands = essential_spectrum_periodic(abs(args.lam))
+    eigs = tridiagonal_eigenvalues(build_K(a, args.lam, trunc))
     rows = []
     for k, e in enumerate(eigs):
         e = float(e)

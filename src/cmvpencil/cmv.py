@@ -8,12 +8,16 @@ is tridiagonal for every lam.  Finite truncations keep 2*n_blocks rows; the
 block chopped in half at the boundary pollutes only the last two rows, so the
 algebraic identities are verified on rows 0 .. dim-3.
 
+``TruncationSpec.from_dim`` is the one check that a requested dimension is
+even and at least 4.
+
 Everything here is O(dim): the builders read the coefficients as arrays
 (``ReflectionSequence.take``), the identity residuals are computed in
-banded storage, and ``eigenvalue_counts`` answers "how many eigenvalues lie
-below t" by Sturm (LDL^T inertia) counts.  Only ``tridiagonal_eigenvalues``
-(all eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test
-oracles cost more.
+banded storage, ``eigenvalue_counts`` answers "how many eigenvalues lie
+below t" by Sturm (LDL^T inertia) counts, and ``band_census`` uses one such
+call to count (and bisection to locate) the eigenvalues outside predicted
+bands.  Only ``tridiagonal_eigenvalues`` (all eigenvalues, about O(dim^2)
+in LAPACK) and the ``to_dense`` test oracles cost more.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "verify_identities",
     "tridiagonal_eigenvalues",
     "eigenvalue_counts",
+    "band_census",
 ]
 
 
@@ -57,6 +62,13 @@ class TruncationSpec:
     @property
     def dim(self) -> int:
         return 2 * self.n_blocks
+
+    @classmethod
+    def from_dim(cls, dim: int) -> "TruncationSpec":
+        """The truncation with ``dim`` rows; TruncationError unless dim is even and >= 4."""
+        if dim < 4 or dim % 2:
+            raise TruncationError(f"need even dim >= 4, got {dim}")
+        return cls(n_blocks=dim // 2)
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,6 @@ class BandedSymmetricMatrix:
                 raise InvalidParameterError(
                     f"diagonal {k} has length {len(band)}, expected {self.dim - k}"
                 )
-
-    def band(self, k: int) -> np.ndarray:
-        """The k-th superdiagonal (k >= 0)."""
-        return self.bands[k]
 
     def entry(self, i: int, j: int) -> float:
         k = abs(i - j)
@@ -349,21 +357,23 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
     }
 
 
+def _tridiagonal(m: BandedSymmetricMatrix) -> tuple:
+    """The diagonal and off-diagonal of a bandwidth-1 matrix, as float arrays."""
+    if m.bandwidth != 1:
+        raise InvalidParameterError(
+            f"expected a tridiagonal matrix (bandwidth 1), got bandwidth {m.bandwidth}; "
+            "BandedSymmetricMatrix.eigenvalues() takes any bandwidth"
+        )
+    return np.asarray(m.bands[0], dtype=float), np.asarray(m.bands[1], dtype=float)
+
+
 def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
     """All eigenvalues of a tridiagonal symmetric truncation, ascending.
 
     Uses the dedicated symmetric tridiagonal solver; accuracy is at the
     1e-12 * norm level required of spectral reports.
     """
-    if m.bandwidth != 1:
-        raise InvalidParameterError(
-            f"expected bandwidth 1, got {m.bandwidth}; use .eigenvalues() instead"
-        )
-    return eigh_tridiagonal(
-        np.asarray(m.bands[0], dtype=float),
-        np.asarray(m.bands[1], dtype=float),
-        eigvals_only=True,
-    )
+    return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True)
 
 
 def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
@@ -385,13 +395,11 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     numpy.ndarray
         Integer counts, one per shift, in the order given.
     """
-    if m.bandwidth != 1:
-        raise InvalidParameterError(f"expected bandwidth 1, got {m.bandwidth}")
+    diag, off = _tridiagonal(m)
     shifts = np.asarray(shifts, dtype=float).ravel()
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
-    diag = np.asarray(m.bands[0], dtype=float)
-    off2 = np.asarray(m.bands[1], dtype=float) ** 2
+    off2 = off**2
     pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
     # a zero in front of the squared off-diagonal makes the first step d_0
     steps = list(zip(diag.tolist(), [0.0, *off2.tolist()]))
@@ -406,3 +414,51 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
                 count += 1
         counts.append(count)
     return np.array(counts, dtype=int)
+
+
+def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
+    """Eigenvalues of a tridiagonal matrix outside the inflated bands, and near zero.
+
+    The real line outside the bands, each widened by ``inflate`` on both
+    sides, splits into windows: below the first band, between consecutive
+    bands and above the last one, closed off by a Gershgorin bound that no
+    eigenvalue reaches.  One ``eigenvalue_counts`` call counts the
+    eigenvalues in every window and in (-inflate, inflate); bisection then
+    locates the eigenvalues of the windows that hold any.
+
+    Complexity: O(dim) per window edge, plus O(dim) per eigenvalue found
+    outside the bands.  No full eigensolve and no O(dim^2) object.
+
+    Parameters
+    ----------
+    m : BandedSymmetricMatrix
+        A tridiagonal matrix (InvalidParameterError otherwise).
+    bands : sequence of (lo, hi)
+        The predicted bands, ascending and not overlapping.
+    inflate : float
+        How far each band is widened on both sides, and the half width of
+        the window around zero; InvalidParameterError unless >= 0.
+
+    Returns
+    -------
+    (n_outside, outside_values, n_near_zero)
+        The number of eigenvalues outside the inflated bands, their values
+        (ascending within each window), and the number in (-inflate, inflate).
+    """
+    diag, off = _tridiagonal(m)
+    if not inflate >= 0:
+        # a negative width would count a window "around zero" as -1 eigenvalues
+        raise InvalidParameterError(f"need inflate >= 0, got {inflate}")
+    bound = 1.0 + float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
+    starts = [-bound, *(q + inflate for _, q in bands)]
+    ends = [*(p - inflate for p, _ in bands), bound]
+    windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
+    counts = eigenvalue_counts(m, [*(t for w in windows for t in w), -inflate, inflate])
+    n_outside, outside = 0, []
+    for (lo, hi), below_lo, below_hi in zip(windows, counts[0:-2:2], counts[1:-2:2]):
+        if below_hi > below_lo:
+            n_outside += int(below_hi - below_lo)
+            outside += eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="v", select_range=(lo, hi)
+            ).tolist()
+    return n_outside, outside, int(counts[-1] - counts[-2])

@@ -536,9 +536,12 @@ def named_weight(family: str, **params) -> Measure:
 
 
 def essential_spectrum_periodic(lam: float):
-    """The two bands [-lam-1, -|lam-1|] and [|lam-1|, lam+1] (touching at lam=1)."""
-    if lam < 0:
-        raise InvalidParameterError(f"need lam >= 0, got {lam}")
+    """The two bands [-lam-1, -|lam-1|] and [|lam-1|, lam+1] (touching at lam=1).
+
+    The prediction is for lam > 0; lam <= 0 raises InvalidParameterError.
+    """
+    if not lam > 0:
+        raise InvalidParameterError(f"need lam > 0, got {lam}")
     lo, hi = abs(lam - 1.0), lam + 1.0
     return ((-hi, -lo), (lo, hi))
 

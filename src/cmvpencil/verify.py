@@ -3,20 +3,26 @@
 Each suite returns a list of CheckResult records; a suite passes when every
 record passes.  Suites are deterministic: random inputs come from fixed-seed
 generators and quadrature schedules are fixed, so repeated runs agree bitwise.
+
+The battery is fixed: tolerances, degrees and the spectrum suite's band
+inflation are constants of each suite.  The only settable keywords are
+``dim`` (matrix-identities, spectrum) and ``cases`` (big-m1, dunkl);
+``run_suite`` rejects any other with InvalidParameterError.  A numeric check
+passes when its value is at most its tolerance; the spectrum, dunkl and
+exact-split checks state their own pass rules.
 """
 
 from __future__ import annotations
 
-import cmath
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .cmv import TruncationSpec, build_K, eigenvalue_counts, verify_identities
+from .cmv import TruncationSpec, band_census, build_K, verify_identities
 from .dunkl import (
     fourth_kind_identity_residual,
     third_kind_identity_residual,
@@ -79,10 +85,9 @@ class CheckResult:
         }
 
 
-def _truncation(dim: int) -> TruncationSpec:
-    if dim < 4 or dim % 2:
-        raise InvalidParameterError(f"need even dim >= 4, got {dim}")
-    return TruncationSpec(n_blocks=dim // 2)
+def _within(label: str, value: float, tol: float, **details) -> CheckResult:
+    """A check that passes when its value is at most its tolerance."""
+    return CheckResult(label=label, passed=value <= tol, value=value, tol=tol, details=details)
 
 
 def _random_reflections(rng, size: int) -> ReflectionSequence:
@@ -95,8 +100,8 @@ def _random_reflections(rng, size: int) -> ReflectionSequence:
 # ---------------------------------------------------------------------------
 
 
-def suite_matrix_identities(dim: int = 64, tol: float = 1e-13) -> list:
-    trunc = _truncation(dim)
+def suite_matrix_identities(dim: int = 64) -> list:
+    trunc = TruncationSpec.from_dim(dim)
     rng = np.random.default_rng(_SEED)
     sequences = [("jacobi(0.3,0.7)", jacobi_opuc_reflections(0.3, 0.7))]
     for k in range(5):
@@ -111,13 +116,7 @@ def suite_matrix_identities(dim: int = 64, tol: float = 1e-13) -> list:
                 if res > worst:
                     worst, worst_case = res, f"{key} at lam={lam}"
         results.append(
-            CheckResult(
-                label=f"matrix identities, {name}, dim={dim}",
-                passed=worst <= tol,
-                value=worst,
-                tol=tol,
-                details={"worst_case": worst_case},
-            )
+            _within(f"matrix identities, {name}, dim={dim}", worst, 1e-13, worst_case=worst_case)
         )
     return results
 
@@ -127,7 +126,8 @@ def suite_matrix_identities(dim: int = 64, tol: float = 1e-13) -> list:
 # ---------------------------------------------------------------------------
 
 
-def suite_maps(n_max: int = 20, tol: float = 1e-10) -> list:
+def suite_maps() -> list:
+    degree, tol = 20, 1e-10
     pairs = [(0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)]
     points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
     xs = np.array([point.x for point in points])
@@ -136,31 +136,18 @@ def suite_maps(n_max: int = 20, tol: float = 1e-10) -> list:
         a = jacobi_opuc_reflections(xi, eta)
         # the direct route: one ladder per family on all points; elementwise
         # float64 arithmetic gives the per-point values bit for bit
-        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), n_max, xs)).T.tolist()
-        direct_mono = np.array(eval_monic(sdg_recurrence(a), n_max, xs)).T.tolist()
+        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), degree, xs)).T.tolist()
+        direct_mono = np.array(eval_monic(sdg_recurrence(a), degree, xs)).T.tolist()
         worst_sym = 0.0
         worst_mono = 0.0
         for point, col_sym, col_mono in zip(points, direct_sym, direct_mono):
-            for via_circle, d_sym in zip(dg_eval_from_circle(a, n_max, point), col_sym):
+            for via_circle, d_sym in zip(dg_eval_from_circle(a, degree, point), col_sym):
                 worst_sym = max(worst_sym, abs(via_circle - d_sym) / max(1.0, abs(d_sym)))
-            for via_circle, d_mono in zip(sdg_eval_from_circle(a, n_max, point), col_mono):
+            for via_circle, d_mono in zip(sdg_eval_from_circle(a, degree, point), col_mono):
                 worst_mono = max(worst_mono, abs(via_circle - d_mono) / max(1.0, abs(d_mono)))
-        results.append(
-            CheckResult(
-                label=f"symmetric family via circle pair, (xi,eta)=({xi},{eta})",
-                passed=worst_sym <= tol,
-                value=worst_sym,
-                tol=tol,
-            )
-        )
-        results.append(
-            CheckResult(
-                label=f"shifted family via circle pair, (xi,eta)=({xi},{eta})",
-                passed=worst_mono <= tol,
-                value=worst_mono,
-                tol=tol,
-            )
-        )
+        pair = f"(xi,eta)=({xi},{eta})"
+        results.append(_within(f"symmetric family via circle pair, {pair}", worst_sym, tol))
+        results.append(_within(f"shifted family via circle pair, {pair}", worst_mono, tol))
     return results
 
 
@@ -169,12 +156,12 @@ def suite_maps(n_max: int = 20, tol: float = 1e-10) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _gram_offdiag_worst(measure, rec, n_max: int) -> float:
+def _gram_offdiag_worst(measure, rec, degree: int) -> float:
     """Worst normalized off-diagonal Gram entry, fixed-rule quadrature."""
     prev = None
     for n_nodes in (128, 256, 512):
         x, w = discretize(measure, n_nodes)
-        V = np.array(eval_monic(rec, n_max, x))
+        V = np.array(eval_monic(rec, degree, x))
         G = (V * w) @ V.T
         norms = np.sqrt(np.abs(np.diag(G)))
         G = G / np.outer(norms, norms)
@@ -186,20 +173,15 @@ def _gram_offdiag_worst(measure, rec, n_max: int) -> float:
     return worst
 
 
-def suite_little_m1(n_max: int = 12, tol: float = 1e-7) -> list:
+def suite_little_m1() -> list:
     results = []
     for xi, eta in ((0.0, 0.0), (1.0, 0.5), (-0.25, 0.75)):
         a = jacobi_opuc_reflections(xi, eta)
         rec = sdg_recurrence(a)
         measure = named_weight("sdg", xi=xi, eta=eta)
-        worst = _gram_offdiag_worst(measure, rec, n_max)
+        worst = _gram_offdiag_worst(measure, rec, 12)
         results.append(
-            CheckResult(
-                label=f"lam=1 family orthogonal under its weight, (xi,eta)=({xi},{eta})",
-                passed=worst <= tol,
-                value=worst,
-                tol=tol,
-            )
+            _within(f"lam=1 family orthogonal under its weight, (xi,eta)=({xi},{eta})", worst, 1e-7)
         )
     return results
 
@@ -209,21 +191,16 @@ def suite_little_m1(n_max: int = 12, tol: float = 1e-7) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _require_degree(n_max: int) -> None:
-    if n_max < 0:
-        raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-
-
-def _coeff_mismatch(lhs: MonicThreeTerm, rhs: MonicThreeTerm, n_max: int) -> float:
+def _coeff_mismatch(lhs: MonicThreeTerm, rhs: MonicThreeTerm, degree: int) -> float:
     worst = 0.0
-    for n in range(n_max + 1):
+    for n in range(degree + 1):
         worst = max(worst, abs(float(lhs.b(n)) - float(rhs.b(n))))
         worst = max(worst, abs(float(lhs.u(n)) - float(rhs.u(n))))
     return worst
 
 
-def suite_big_m1(cases=None, n_max: int = 15, tol: float = 1e-7) -> list:
-    _require_degree(n_max)
+def suite_big_m1(cases=None) -> list:
+    degree = 15
     if cases is None:
         cases = [
             (xi, eta, lam) for xi, eta in ((0.0, 0.0), (0.5, 1.0)) for lam in (2.0, 3.0)
@@ -234,26 +211,21 @@ def suite_big_m1(cases=None, n_max: int = 15, tol: float = 1e-7) -> list:
         measure = named_weight(
             "big_m1", alpha=params.alpha, beta=params.beta, c=params.c
         )
-        from_weight = stieltjes_recurrence(measure, n_max + 1, tol=1e-9)
-        resolved = _coeff_mismatch(from_weight, params.resolved, n_max)
-        literal = _coeff_mismatch(from_weight, params.star, n_max)
+        from_weight = stieltjes_recurrence(measure, degree + 1, tol=1e-9)
+        resolved = _coeff_mismatch(from_weight, params.resolved, degree)
+        literal = _coeff_mismatch(from_weight, params.star, degree)
         results.append(
-            CheckResult(
-                label=(
-                    f"two-interval weight reproduces the reduced pencil family, "
-                    f"(xi,eta,lam)=({xi},{eta},{lam})"
+            _within(
+                f"two-interval weight reproduces the reduced pencil family, "
+                f"(xi,eta,lam)=({xi},{eta},{lam})",
+                resolved,
+                1e-7,
+                literal_rescaling_residual=literal,
+                note=(
+                    "the literal g-rescaling disagrees at O(1); the match "
+                    "holds for the reciprocal-parameter reflection (see "
+                    "maps.big_m1_recurrence)"
                 ),
-                passed=resolved <= tol,
-                value=resolved,
-                tol=tol,
-                details={
-                    "literal_rescaling_residual": literal,
-                    "note": (
-                        "the literal g-rescaling disagrees at O(1); the match "
-                        "holds for the reciprocal-parameter reflection (see "
-                        "maps.big_m1_recurrence)"
-                    ),
-                },
             )
         )
     return results
@@ -264,36 +236,21 @@ def suite_big_m1(cases=None, n_max: int = 15, tol: float = 1e-7) -> list:
 # ---------------------------------------------------------------------------
 
 
-def suite_spectrum(dim: int = 200, inflate: float = 0.05, max_outliers: int = 2) -> list:
-    """Truncated free-pencil spectra against the inflated band prediction.
+def suite_spectrum(dim: int = 200) -> list:
+    """Truncated free-pencil spectra against the band prediction inflated by 0.05.
 
-    Complexity: O(dim) per lam.  The outlier and near-zero counts are
-    ``eigenvalue_counts`` at the window edges; the outlier values come from
-    bisection, run only in the windows outside the inflated bands that hold
-    eigenvalues.  No full eigensolve and no O(dim^2) object is involved.
+    Passes with at most two eigenvalues outside the inflated bands and, at
+    lam = 2, exactly one near zero.  Complexity: O(dim) per lam, through
+    ``band_census``; no full eigensolve and no O(dim^2) object.
     """
-    trunc = _truncation(dim)
+    trunc = TruncationSpec.from_dim(dim)
+    max_outliers = 2
     a = ReflectionSequence.constant(0.0)
     results = []
     for lam in (0.5, 1.0, 2.0):
-        K = build_K(a, lam, trunc)
-        diag, off = K.bands
-        # Gershgorin: every eigenvalue lies strictly inside (-bound, bound)
-        bound = 1.0 + float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
-        bands = essential_spectrum_periodic(lam)
-        starts = [-bound, *(q + inflate for _, q in bands)]
-        ends = [*(p - inflate for p, _ in bands), bound]
-        windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
-        counts = eigenvalue_counts(K, [*(t for w in windows for t in w), -inflate, inflate])
-        outliers = []
-        n_outliers = 0
-        for (lo, hi), below_lo, below_hi in zip(windows, counts[0:-2:2], counts[1:-2:2]):
-            if below_hi > below_lo:
-                n_outliers += int(below_hi - below_lo)
-                outliers += eigh_tridiagonal(
-                    diag, off, eigvals_only=True, select="v", select_range=(lo, hi)
-                ).tolist()
-        near_zero = int(counts[-1] - counts[-2])
+        n_outliers, outliers, near_zero = band_census(
+            build_K(a, lam, trunc), essential_spectrum_periodic(lam), 0.05
+        )
         ok = n_outliers <= max_outliers
         if lam == 2.0:
             ok = ok and near_zero == 1
@@ -314,7 +271,7 @@ def suite_spectrum(dim: int = 200, inflate: float = 0.05, max_outliers: int = 2)
 # ---------------------------------------------------------------------------
 
 
-def suite_periodic_weight(tol: float = 1e-8, tol_cheb: float = 1e-10) -> list:
+def suite_periodic_weight() -> list:
     a = ReflectionSequence.constant(0.0)
     results = []
     for lam in (0.5, 2.0):
@@ -323,27 +280,13 @@ def suite_periodic_weight(tol: float = 1e-8, tol_cheb: float = 1e-10) -> list:
         expected = pencil_recurrence(a, lam)
         worst = _coeff_mismatch(from_weight, expected, 20)
         verbatim = _verbatim_comparison(lam)
-        results.append(
-            CheckResult(
-                label=f"band density reproduces free pencil coefficients, lam={lam}",
-                passed=worst <= tol,
-                value=worst,
-                tol=tol,
-                details=verbatim,
-            )
-        )
+        label = f"band density reproduces free pencil coefficients, lam={lam}"
+        results.append(_within(label, worst, 1e-8, **verbatim))
     measure = named_weight("periodic", lam=1.0)
     from_weight = stieltjes_recurrence(measure, 21, tol=1e-10)
     third_kind = MonicThreeTerm(b=lambda n: 1.0 if n == 0 else 0.0, u=lambda n: 0.0 if n == 0 else 1.0)
     worst = _coeff_mismatch(from_weight, third_kind, 20)
-    results.append(
-        CheckResult(
-            label="lam=1 density gives monic third-kind coefficients",
-            passed=worst <= tol_cheb,
-            value=worst,
-            tol=tol_cheb,
-        )
-    )
+    results.append(_within("lam=1 density gives monic third-kind coefficients", worst, 1e-10))
     return results
 
 
@@ -359,7 +302,7 @@ def _verbatim_comparison(lam: float) -> dict:
             reference = stieltjes_perron_density(lam, float(t))
             try:
                 verbatim = periodic_weight_verbatim(lam, float(t))
-            except Exception:
+            except InvalidParameterError:
                 pole_in_band = True
                 continue
             if verbatim <= 0:
@@ -398,12 +341,7 @@ def suite_weyl() -> list:
         scale = max(1.0, abs(z) ** 2 * abs(m))
         worst_quad = max(worst_quad, abs(residual) / scale)
     results = [
-        CheckResult(
-            label="closed-form branch satisfies its quadratic at 50 points",
-            passed=worst_quad <= 1e-12,
-            value=worst_quad,
-            tol=1e-12,
-        )
+        _within("closed-form branch satisfies its quadratic at 50 points", worst_quad, 1e-12)
     ]
 
     worst_cf = 0.0
@@ -417,35 +355,18 @@ def suite_weyl() -> list:
             m = m_new
         worst_cf = max(worst_cf, abs(m - m_per(z, lam)))
     results.append(
-        CheckResult(
-            label="continued-fraction oracle agrees with the closed form",
-            passed=worst_cf <= 1e-10,
-            value=worst_cf,
-            tol=1e-10,
-        )
+        _within("continued-fraction oracle agrees with the closed form", worst_cf, 1e-10)
     )
 
     worst_density = max(
         validate_periodic_density(0.5), validate_periodic_density(2.0)
     )
     results.append(
-        CheckResult(
-            label="boundary values of the Weyl function match the band density",
-            passed=worst_density <= 1e-4,
-            value=worst_density,
-            tol=1e-4,
-        )
+        _within("boundary values of the Weyl function match the band density", worst_density, 1e-4)
     )
 
     asym = abs(1e6j * m_per(1e6j, 1.7) + 1.0)
-    results.append(
-        CheckResult(
-            label="z*m -> -1 at large |z|",
-            passed=asym <= 1e-5,
-            value=asym,
-            tol=1e-5,
-        )
-    )
+    results.append(_within("z*m -> -1 at large |z|", asym, 1e-5))
     return results
 
 
@@ -454,8 +375,8 @@ def suite_weyl() -> list:
 # ---------------------------------------------------------------------------
 
 
-def suite_dunkl(cases=None, n_max: int = 10) -> list:
-    _require_degree(n_max)
+def suite_dunkl(cases=None) -> list:
+    degree = 10
     if cases is None:
         cases = [
             (0, 0, 0),
@@ -467,7 +388,7 @@ def suite_dunkl(cases=None, n_max: int = 10) -> list:
         alpha_r, beta_r, c_r = Fraction(alpha), Fraction(beta), Fraction(c)
         worst = 0.0
         all_exact = True
-        for n in range(n_max + 1):
+        for n in range(degree + 1):
             report = verify_eigenfunction(alpha_r, beta_r, c_r, n)
             worst = max(worst, report.max_abs_residual)
             all_exact = all_exact and report.exact and report.residual.is_zero()
@@ -520,14 +441,7 @@ def suite_structural() -> list:
         sign = 1.0 if n % 2 == 0 else -1.0
         lhs, rhs = reflected[n], sign * plain[n]
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
-    results.append(
-        CheckResult(
-            label="reflected family equals (-1)^n Q_n(-x)",
-            passed=worst <= 1e-10,
-            value=worst,
-            tol=1e-10,
-        )
-    )
+    results.append(_within("reflected family equals (-1)^n Q_n(-x)", worst, 1e-10))
 
     # transform followed by its inverse reconstruction
     src = pencil_recurrence(jacobi_opuc_reflections(0.2, 0.4), 1.3)
@@ -541,14 +455,7 @@ def suite_structural() -> list:
         worst = max(
             worst, float(np.max(np.abs(direct[n] - rebuilt) / np.maximum(1.0, np.abs(direct[n]))))
         )
-    results.append(
-        CheckResult(
-            label="transform then inverse reconstruction is the identity",
-            passed=worst <= 1e-10,
-            value=worst,
-            tol=1e-10,
-        )
-    )
+    results.append(_within("transform then inverse reconstruction is the identity", worst, 1e-10))
 
     # even/odd split: exact compose and evaluation identities
     chi = Fraction(1, 3)
@@ -590,14 +497,7 @@ def suite_structural() -> list:
             star_u[lam] = [float(scaled.u(n)) for n in range(16)]
         for u1, u2 in zip(star_u[0.5], star_u[2.0]):
             worst = max(worst, abs(u1 - u2))
-    results.append(
-        CheckResult(
-            label="reduced recurrence rescales to a lam-free shape",
-            passed=worst <= 1e-12,
-            value=worst,
-            tol=1e-12,
-        )
-    )
+    results.append(_within("reduced recurrence rescales to a lam-free shape", worst, 1e-12))
     return results
 
 
@@ -615,11 +515,21 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> list:
-    """Run one named suite; returns its CheckResult list."""
+    """Run one named suite; returns its CheckResult list.
+
+    Raises InvalidParameterError for an unknown suite or a keyword the suite
+    does not take.
+    """
     if name not in SUITES:
         raise InvalidParameterError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
+    takes = inspect.signature(SUITES[name]).parameters
+    for key in kwargs:
+        if key not in takes:
+            raise InvalidParameterError(
+                f"suite {name!r} takes no keyword {key!r}; it takes: {', '.join(takes) or 'none'}"
+            )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return SUITES[name](**kwargs)

@@ -67,6 +67,15 @@ def test_spectrum_dim_validation(capsys):
     assert "dim" in err
 
 
+@pytest.mark.parametrize("lam", ["0", "-1"])
+def test_spectrum_rejects_non_positive_lambda(lam, capsys):
+    # these used to print a table against the bands of |lam| and exit 0
+    code, out, err = run(["spectrum", f"--lambda={lam}", "--dim", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "need lam > 0" in err
+
+
 @pytest.mark.parametrize("suite", ["spectrum", "matrix-identities"])
 def test_verify_suite_dim_validation(suite, capsys):
     # an odd dim used to run on dim - 1 under a dim label

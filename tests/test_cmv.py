@@ -10,6 +10,7 @@ from cmvpencil.cmv import (
     BandedMatrix,
     BandedSymmetricMatrix,
     TruncationSpec,
+    band_census,
     banded_product,
     build_H,
     build_J,
@@ -21,6 +22,7 @@ from cmvpencil.cmv import (
     verify_identities,
 )
 from cmvpencil.errors import InvalidParameterError, TruncationError
+from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
 
 TRUNC8 = TruncationSpec(n_blocks=4)
@@ -45,6 +47,12 @@ def test_truncation_spec():
     assert TruncationSpec(n_blocks=5).dim == 10
     with pytest.raises(TruncationError):
         TruncationSpec(n_blocks=1)
+    assert TruncationSpec.from_dim(4) == TruncationSpec(n_blocks=2)
+    for dim in (7, 2, 0):
+        # a TruncationError is an InvalidParameterError, so the CLI exits 2
+        with pytest.raises(InvalidParameterError, match=f"need even dim >= 4, got {dim}") as info:
+            TruncationSpec.from_dim(dim)
+        assert isinstance(info.value, TruncationError)
 
 
 def test_block_structure_free_case():
@@ -254,6 +262,33 @@ def test_eigenvalue_counts_match_full_spectrum(dim):
         shifts += [-10.0, 0.05, 10.0]
         expected = [int(np.count_nonzero(eigs < s)) for s in shifts]
         assert eigenvalue_counts(K, shifts).tolist() == expected
+
+
+@pytest.mark.parametrize("dim", [200, 4000])
+def test_band_census_matches_full_spectrum(dim):
+    trunc = TruncationSpec(n_blocks=dim // 2)
+    rng = np.random.default_rng(dim)
+    inflate = 0.05
+    cases = (
+        (jacobi_opuc_reflections(0.3, 0.7), 2.0),
+        (jacobi_opuc_reflections(-0.5, 0.9), 0.5),
+        (ReflectionSequence.from_list(rng.uniform(-0.95, 0.95, size=dim)), 1.3),
+        (ReflectionSequence.constant(0.0), 0.5),  # nothing outside the bands
+    )
+    for a, lam in cases:
+        K = build_K(a, lam, trunc)
+        eigs = eigh_tridiagonal(K.bands[0], K.bands[1], eigvals_only=True)
+        bands = essential_spectrum_periodic(lam)
+        inside = np.zeros(dim, dtype=bool)
+        for p, q in bands:
+            inside |= (p - inflate <= eigs) & (eigs < q + inflate)
+        n_outside, values, n_near_zero = band_census(K, bands, inflate)
+        assert n_outside == np.count_nonzero(~inside) == len(values)
+        np.testing.assert_allclose(sorted(values), eigs[~inside], rtol=0, atol=1e-12)
+        assert n_near_zero == np.count_nonzero((-inflate <= eigs) & (eigs < inflate))
+    assert n_outside == 0 and values == [] and n_near_zero == 0
+    with pytest.raises(InvalidParameterError, match="need inflate >= 0"):
+        band_census(K, bands, -inflate)
 
 
 def test_eigenvalue_counts_guards_zero_pivots():

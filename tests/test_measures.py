@@ -253,9 +253,10 @@ def test_gram_identity_and_orthogonality():
 def test_essential_spectrum_bands():
     assert essential_spectrum_periodic(2.0) == ((-3.0, -1.0), (1.0, 3.0))
     assert essential_spectrum_periodic(1.0) == ((-2.0, 0.0), (0.0, 2.0))
-    assert essential_spectrum_periodic(0.0) == ((-1.0, -1.0), (1.0, 1.0))
-    with pytest.raises(InvalidParameterError):
-        essential_spectrum_periodic(-0.5)
+    # the prediction is for lam > 0; lam = 0 used to give two point bands
+    for lam in (0.0, -0.5):
+        with pytest.raises(InvalidParameterError, match="need lam > 0"):
+            essential_spectrum_periodic(lam)
 
 
 def test_m_per_frozen_oracle():

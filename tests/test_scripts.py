@@ -42,6 +42,9 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--inflate", "inf"]),
         ("weight_tables", ["--n", "40"]),
         ("weight_tables", ["--n", "-3"]),
+        ("spectrum_sweep", ["--lams", "0"]),
+        ("spectrum_sweep", ["--lams", "1", "-1"]),
+        ("weight_tables", ["--n", "30"]),
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
@@ -49,3 +52,6 @@ def test_bad_input_exits_2(capsys, name, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+    if name == "weight_tables":
+        # the message names the option the user gave, not an internal degree
+        assert "--n must be in 0..29" in err

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cmvpencil import measures
+from cmvpencil import measures, verify
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.recurrences import jacobi_opuc_reflections, sdg_recurrence
 from cmvpencil.verify import SUITES, CheckResult, _gram_offdiag_worst, run_all, run_suite
@@ -42,8 +42,20 @@ def test_suites_reject_odd_or_small_dim(suite, dim):
 
 @pytest.mark.parametrize("suite", ["maps", "little-m1", "big-m1", "dunkl"])
 def test_suites_reject_negative_degree(suite):
-    with pytest.raises(InvalidParameterError, match=">= 0"):
+    # the degree is fixed in each suite, so n_max is refused as a keyword
+    with pytest.raises(InvalidParameterError, match="takes no keyword 'n_max'"):
         run_suite(suite, n_max=-1)
+
+
+def test_verbatim_bug_is_not_reported_as_a_pole(monkeypatch):
+    # only InvalidParameterError means "no value at this t"; any other error
+    # is a fault in the display and must surface
+    def broken(lam, t):
+        raise RuntimeError("broken display")
+
+    monkeypatch.setattr(verify, "periodic_weight_verbatim", broken)
+    with pytest.raises(RuntimeError, match="broken display"):
+        run_suite("periodic-weight")
 
 
 def test_spectrum_suite_at_scale():
