@@ -12,6 +12,18 @@ regenerate them.  On top of it sit ``integrate``, a Stieltjes-procedure
 oracle (recurrence coefficients recovered from a measure alone) and the
 closed-form Weyl functions of the constant-coefficient pencil, whose boundary
 values give the two-band spectral density.
+
+``integrate`` and ``stieltjes_recurrence`` share a second bounded cache,
+keyed by (measure, node count): each entry holds one discretization and the
+Stieltjes chain run on it so far, which a later call extends only to the
+degree it asks for.  A measure is a key by value, so its density must be a
+pure function of x; a measure that cannot be hashed is served uncached.
+
+Arguments are checked before any work: a tol that is nan, infinite or below
+1e-13, an n_max or n_nodes that is not an integer (bool included) or out of
+range, a lam that is not finite and positive, and a Weyl point z that is not
+finite or at which the quadratic's discriminant or the chosen root overflows
+all raise InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -19,6 +31,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,7 +149,13 @@ def discretize(m: Measure, n_nodes: int):
     -------
     x, w : ndarray
         The panels' nodes and weights, concatenated in support order.
+
+    Raises
+    ------
+    InvalidParameterError
+        If n_nodes is not an integer >= 1.
     """
+    _require_count("n_nodes", n_nodes, 1)
     xs, ws = [], []
     for p, q, gl, gr in _panels(m):
         t, w = _jacobi_rule(n_nodes, gr, gl)
@@ -172,21 +192,23 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     m : Measure
     f : callable
         Continuous on the support; vectorized or scalar.
-    tol : real, >= 1e-13
+    tol : real, finite, >= 1e-13
         Target error relative to max(|integral|, integral of |integrand|).
 
     Raises
     ------
+    InvalidParameterError
+        If tol is nan, infinite or below 1e-13.
     NonConvergenceError
         If successive refinements fail to settle within the node budget, or
         if the refinements diverge (undeclared singularity heuristic).
     """
-    if tol < 1e-13:
-        raise InvalidParameterError(f"tol must be >= 1e-13, got {tol!r}")
+    _require_tol(tol)
     prev = None
     history = []
     for n_nodes in _LEVELS:
-        x, w = discretize(m, n_nodes)
+        chain = _chain_of(m, n_nodes)
+        x, w = chain.x, chain.w
         contrib = w * _apply(f, x)
         total = float(contrib.sum())
         total_abs = float(np.abs(contrib).sum())
@@ -230,6 +252,75 @@ _STIELTJES_LEVELS = (64, 128, 256, 512)
 _STIELTJES_N_MAX = 30
 
 
+def _require_count(name: str, value, lo: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def _require_tol(tol) -> None:
+    if not 1e-13 <= tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and >= 1e-13, got {tol!r}")
+
+
+class _StieltjesChain:
+    """One discretization of a measure and the Stieltjes chain run on it.
+
+    After extend(n): b holds b_0..b_k and u holds u_0..u_k for some k >= n,
+    p_prev and p_cur are p_{k-1} and p_k at the nodes, h_cur = <p_k, p_k>.
+    Entry j depends only on the entries before it, so the table is the same
+    however far and in however many steps the chain was run.
+    """
+
+    def __init__(self, m: Measure, n_nodes: int):
+        x, w = discretize(m, n_nodes)
+        # shared by every caller of this entry, integrands included
+        x.flags.writeable = False
+        w.flags.writeable = False
+        self.x, self.w = x, w
+        self.b, self.u = [], [0.0]
+        self._lock = threading.Lock()
+
+    def extend(self, n_max: int) -> None:
+        """Run the chain through degree n_max.  A degree whose squared norm
+        is not positive and finite raises InstabilityError and is not stored."""
+        if len(self.b) > n_max:
+            return
+        with self._lock:
+            x, w, b, u = self.x, self.w, self.b, self.u
+            if not b:
+                h_cur = float(w.sum())
+                if not (h_cur > 0 and math.isfinite(h_cur)):
+                    raise InstabilityError(0, f"h_0 = {h_cur!r}")
+                self.wx = w * x
+                self.p_prev, self.p_cur, self.h_cur = np.zeros_like(x), np.ones_like(x), h_cur
+                b.append(float((self.wx * self.p_cur * self.p_cur).sum()) / h_cur)
+            wx, p_prev, p_cur, h_cur = self.wx, self.p_prev, self.p_cur, self.h_cur
+            for n in range(len(b) - 1, n_max):
+                p_next = (x - b[n]) * p_cur - u[n] * p_prev
+                h_next = float((w * p_next * p_next).sum())
+                if not (h_next > 0 and math.isfinite(h_next)):
+                    raise InstabilityError(n + 1, f"h_{n + 1} = {h_next!r}")
+                b_next = float((wx * p_next * p_next).sum()) / h_next
+                u.append(h_next / h_cur)
+                b.append(b_next)
+                p_prev, p_cur, h_cur = p_cur, p_next, h_next
+                self.p_prev, self.p_cur, self.h_cur = p_prev, p_cur, h_cur
+
+
+@functools.lru_cache(maxsize=32)
+def _chain(m: Measure, n_nodes: int) -> _StieltjesChain:
+    return _StieltjesChain(m, n_nodes)
+
+
+def _chain_of(m: Measure, n_nodes: int) -> _StieltjesChain:
+    """The cached chain of (m, n_nodes); a fresh one if m cannot be hashed."""
+    try:
+        hash(m)
+    except TypeError:
+        return _StieltjesChain(m, n_nodes)
+    return _chain(m, n_nodes)
+
+
 def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThreeTerm:
     """Recurrence coefficients of the orthogonal family of a measure.
 
@@ -238,6 +329,11 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     from quadrature, refine the rule until the whole coefficient table
     settles to tol.
 
+    The chain at each quadrature level is cached per (measure, node count)
+    and extended on demand, so a ladder of degrees on one measure runs each
+    level's chain once.  The cache keys the measure by value: its density
+    must be a pure function of x.
+
     Parameters
     ----------
     m : Measure
@@ -245,50 +341,32 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
         Largest coefficient index.  30 is a fixed cap, not a measured
         limit: with the cap raised, the closed-form families still recover
         to about 5e-13 through degree 120 and beyond.
-    tol : real
+    tol : real, finite, >= 1e-13
         Agreement tolerance between successive quadrature refinements.
 
     Raises
     ------
+    InvalidParameterError
+        If n_max is not an integer in 0..30 (bool is refused), or tol is
+        nan, infinite or below 1e-13.
     InstabilityError
         If a squared norm h_n loses positivity (naming the failing n).
     NonConvergenceError
         If refinements do not settle.
     """
-    if n_max < 0:
-        raise InvalidParameterError("n_max must be >= 0")
+    _require_count("n_max", n_max, 0)
     if n_max > _STIELTJES_N_MAX:
         raise InvalidParameterError(
             f"n_max = {n_max} exceeds the fixed degree cap {_STIELTJES_N_MAX}"
         )
-
-    def chain(n_nodes: int):
-        x, w = discretize(m, n_nodes)
-        wx = w * x
-        b_list, u_list = [], [0.0]
-        p_prev = np.zeros_like(x)
-        p_cur = np.ones_like(x)
-        h_prev = None
-        h_cur = float(w.sum())
-        if not (h_cur > 0 and math.isfinite(h_cur)):
-            raise InstabilityError(0, f"h_0 = {h_cur!r}")
-        for n in range(n_max + 1):
-            b_n = float((wx * p_cur * p_cur).sum()) / h_cur
-            b_list.append(b_n)
-            if n == n_max:
-                break
-            u_n = 0.0 if h_prev is None else h_cur / h_prev
-            p_next = (x - b_n) * p_cur - (u_n if n else 0.0) * p_prev
-            p_prev, p_cur = p_cur, p_next
-            h_prev, h_cur = h_cur, float((w * p_cur * p_cur).sum())
-            if not (h_cur > 0 and math.isfinite(h_cur)):
-                raise InstabilityError(n + 1, f"h_{n + 1} = {h_cur!r}")
-            u_list.append(h_cur / h_prev)
-        return np.asarray(b_list), np.asarray(u_list)
+    _require_tol(tol)
 
     prev = None
     for n_nodes in _STIELTJES_LEVELS:
-        b_arr, u_arr = chain(n_nodes)
+        chain = _chain_of(m, n_nodes)
+        chain.extend(n_max)
+        b_arr = np.asarray(chain.b[: n_max + 1])
+        u_arr = np.asarray(chain.u[: n_max + 1])
         if prev is not None:
             pb, pu = prev
             scale = max(1.0, float(np.max(np.abs(b_arr))), float(np.max(np.abs(u_arr))))
@@ -310,6 +388,11 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidParameterError(msg)
+
+
+def _require_lam(lam) -> None:
+    if not 0 < lam < math.inf:
+        raise InvalidParameterError(f"need lam > 0 and finite, got {lam}")
 
 
 def _gen_gegenbauer_density(xi: float, eta: float):
@@ -462,7 +545,7 @@ def named_weight(family: str, **params) -> Measure:
         lam = params.pop("lam")
         _require(not params, f"unexpected parameters {sorted(params)}")
         _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
-        _require(lam > 0, f"need lam > 0, got {lam}")
+        _require_lam(lam)
         if lam == 1.0:
             return named_weight("sdg", xi=xi, eta=eta)
         lo, hi = abs(lam - 1.0), lam + 1.0
@@ -503,7 +586,7 @@ def named_weight(family: str, **params) -> Measure:
     if family == "periodic":
         lam = params.pop("lam")
         _require(not params, f"unexpected parameters {sorted(params)}")
-        _require(lam > 0, f"need lam > 0, got {lam}")
+        _require_lam(lam)
         density = _periodic_density(lam)
         if lam == 1.0:
             return Measure(
@@ -538,21 +621,28 @@ def named_weight(family: str, **params) -> Measure:
 def essential_spectrum_periodic(lam: float):
     """The two bands [-lam-1, -|lam-1|] and [|lam-1|, lam+1] (touching at lam=1).
 
-    The prediction is for lam > 0; lam <= 0 raises InvalidParameterError.
+    The prediction is for finite lam > 0; any other lam raises
+    InvalidParameterError.
     """
-    if not lam > 0:
-        raise InvalidParameterError(f"need lam > 0, got {lam}")
+    _require_lam(lam)
     lo, hi = abs(lam - 1.0), lam + 1.0
     return ((-hi, -lo), (lo, hi))
 
 
 def _stable_quadratic(A: complex, B: complex, C: complex):
-    """Roots of A m^2 + B m + C = 0, cancellation-safe; tuple of 1 or 2 roots."""
+    """Roots of A m^2 + B m + C = 0, cancellation-safe; tuple of 1 or 2 roots.
+
+    Raises OverflowError if the discriminant is not finite.  A finite
+    discriminant gives roots without nan, though one may overflow to inf.
+    """
     if A == 0:
         if B == 0:
             raise InvalidParameterError("degenerate quadratic")
         return (-C / B,)
-    sq = cmath.sqrt(B * B - 4 * A * C)
+    disc = B * B - 4 * A * C
+    if not cmath.isfinite(disc):
+        raise OverflowError(f"discriminant {disc!r} is not finite")
+    sq = cmath.sqrt(disc)
     if (B.conjugate() * sq).real >= 0:
         qq = -(B + sq) / 2
     else:
@@ -562,13 +652,24 @@ def _stable_quadratic(A: complex, B: complex, C: complex):
     return (qq / A, C / qq)
 
 
+_EDGE_GUARD = 1e-12
+
+
 def _band_edge_guard(z: complex, lam: float) -> None:
     for edge in (lam + 1.0, abs(lam - 1.0)):
-        if abs(abs(z) - edge) < 1e-12:
+        if abs(abs(z) - edge) < _EDGE_GUARD:
             raise BandEdgeError(
                 f"|z| = {abs(z)!r} is within 1e-12 of the band edge {edge!r}; "
                 "refusing to choose a branch"
             )
+
+
+def _no_finite_value(z: complex, lam: float) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"m_per has no finite value at z = {z!r}, lam = {lam!r}: z must be finite, "
+        "and the arithmetic overflows for |z| or lam beyond about 1e76 and next "
+        "to the pole at z = 0"
+    )
 
 
 def m_per(z: complex, lam: float) -> complex:
@@ -580,7 +681,18 @@ def m_per(z: complex, lam: float) -> complex:
     z : complex
         Spectral point with Im z != 0, or real and strictly outside the
         essential spectrum.
-    lam : real, > 0
+    lam : real, finite, > 0
+
+    Raises
+    ------
+    BandEdgeError
+        If |z| is within 1e-12 of a band edge.
+    InvalidParameterError
+        If lam is not finite and positive; if z is nan or infinite; if the
+        quadratic's discriminant or the chosen root overflows (|z| or lam
+        beyond about 1e76, or z within about 1e-308 of the pole at 0); if
+        real z lies inside the essential spectrum or, for lam > 1, is the
+        pole z = 0.
 
     Notes
     -----
@@ -590,24 +702,32 @@ def m_per(z: complex, lam: float) -> complex:
     vertical ray.  Real z are resolved by an imaginary lift and then snapped
     to the nearest exact real root.
     """
-    if not lam > 0:
-        raise InvalidParameterError(f"need lam > 0, got {lam}")
+    _require_lam(lam)
     z = complex(z)
-    _band_edge_guard(z, lam)
+    az = abs(z)
+    if abs(az - (lam + 1.0)) < _EDGE_GUARD or abs(az - abs(lam - 1.0)) < _EDGE_GUARD:
+        _band_edge_guard(z, lam)
+    real = z.imag == 0.0
+    if real:
+        z = complex(z.real)  # drops a signed zero imaginary part
+    try:
+        roots = _stable_quadratic(lam * lam * z, z * z - 1.0 + lam * lam, z)
+    except OverflowError:
+        raise _no_finite_value(z, lam) from None
 
-    def roots_at(zz: complex):
-        return _stable_quadratic(lam * lam * zz, zz * zz - 1.0 + lam * lam, zz)
-
-    if z.imag != 0.0:
-        roots = roots_at(z)
-        if len(roots) == 1:
-            return roots[0]
+    if not real:
+        # (r0, r1) in ascending order of imaginary part, as sorted() orders them;
+        # a single root is both
+        r0, r1 = roots[0], roots[-1]
+        if r1.imag < r0.imag:
+            r0, r1 = r1, r0
         want_positive = z.imag > 0
-        by_imag = sorted(roots, key=lambda r: r.imag)
-        pick = by_imag[1] if want_positive else by_imag[0]
+        pick = r1 if want_positive else r0
         if (pick.imag > 0) != want_positive and pick.imag != 0:
             # degenerate orientation: fall back to the asymptotic criterion
             pick = min(roots, key=lambda r: abs(z * r + 1))
+        if not cmath.isfinite(pick):
+            raise _no_finite_value(z, lam)
         return pick
 
     t = z.real
@@ -622,8 +742,7 @@ def m_per(z: complex, lam: float) -> complex:
             "evaluate at z + i*eps instead"
         )
     lifted = m_per(t + 1e-9j, lam)
-    real_roots = roots_at(complex(t))
-    return min(real_roots, key=lambda r: abs(r - lifted))
+    return min(roots, key=lambda r: abs(r - lifted))
 
 
 def m_full(z: complex, lam: float) -> complex:
@@ -652,8 +771,7 @@ def stieltjes_perron_density(lam: float, t: float) -> float:
     InvalidParameterError
         If t is not strictly inside a band.
     """
-    if not lam > 0:
-        raise InvalidParameterError(f"need lam > 0, got {lam}")
+    _require_lam(lam)
     if not _inside_band(lam, t):
         raise InvalidParameterError(
             f"t = {t!r} is not strictly inside the essential spectrum bands"
@@ -689,7 +807,14 @@ def validate_periodic_density(lam: float, n_grid: int = 20, eps: float = 1e-7) -
 
     The factor 2 converts the probability-normalized inversion value
     (1/pi)*Im m_full into the weight normalized to total mass 2*pi.
+
+    Raises
+    ------
+    InvalidParameterError
+        If n_grid is not an integer >= 1 (an empty grid would pass
+        vacuously), or lam is not finite and positive.
     """
+    _require_count("n_grid", n_grid, 1)
     lo, hi = abs(lam - 1.0), lam + 1.0
     pad = 0.05 * (hi - lo) if hi > lo else 0.05
     worst = 0.0

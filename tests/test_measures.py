@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.special import roots_jacobi
 from cmvpencil import measures
 from cmvpencil.errors import (
     BandEdgeError,
+    InstabilityError,
     InvalidParameterError,
     NonConvergenceError,
 )
@@ -344,3 +347,341 @@ def test_periodic_weight_recovers_free_recurrence():
     for n in range(12):
         assert float(rec.b(n)) == pytest.approx(float(expected.b(n)), abs=1e-8)
         assert float(rec.u(n)) == pytest.approx(float(expected.u(n)), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Weyl kernel against the sort-based branch choice it replaced
+# ---------------------------------------------------------------------------
+
+
+def _m_per_reference(z, lam):
+    """m_per as it stood before its scalar fast path, kept as an oracle.
+
+    Reads the root solver and the edge guard from the module at call time, so
+    a test that patches ``measures._stable_quadratic`` drives both versions.
+    """
+    if not lam > 0:
+        raise InvalidParameterError(f"need lam > 0, got {lam}")
+    z = complex(z)
+    measures._band_edge_guard(z, lam)
+
+    def roots_at(zz):
+        return measures._stable_quadratic(lam * lam * zz, zz * zz - 1.0 + lam * lam, zz)
+
+    if z.imag != 0.0:
+        roots = roots_at(z)
+        if len(roots) == 1:
+            return roots[0]
+        want_positive = z.imag > 0
+        by_imag = sorted(roots, key=lambda r: r.imag)
+        pick = by_imag[1] if want_positive else by_imag[0]
+        if (pick.imag > 0) != want_positive and pick.imag != 0:
+            pick = min(roots, key=lambda r: abs(z * r + 1))
+        return pick
+
+    t = z.real
+    if t == 0.0 and lam > 1.0:
+        raise InvalidParameterError(
+            "z = 0 is a pole of the function for lam > 1 (spectral point mass)"
+        )
+    disc = (t * t - (lam + 1.0) ** 2) * (t * t - (lam - 1.0) ** 2)
+    if disc < 0:
+        raise InvalidParameterError(
+            f"real z = {t!r} lies strictly inside the essential spectrum; "
+            "evaluate at z + i*eps instead"
+        )
+    lifted = _m_per_reference(t + 1e-9j, lam)
+    real_roots = roots_at(complex(t))
+    return min(real_roots, key=lambda r: abs(r - lifted))
+
+
+def _bits(value):
+    """Exact bit pattern of a complex value, signed zeros included."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _same_outcome(z, lam):
+    """Both versions return the same bits, or raise the same error."""
+    try:
+        expected = ("value", _bits(_m_per_reference(z, lam)))
+    except (InvalidParameterError, BandEdgeError) as exc:
+        expected = (type(exc), str(exc))
+    try:
+        got = ("value", _bits(m_per(z, lam)))
+    except (InvalidParameterError, BandEdgeError) as exc:
+        got = (type(exc), str(exc))
+    return got == expected
+
+
+WEYL_LAMS = (0.3, 0.99, 1.0, 1.7, 3.0)
+
+
+@pytest.mark.parametrize("lam", WEYL_LAMS)
+def test_m_per_matches_reference_on_seeded_points(lam):
+    rng = np.random.default_rng(20240)
+    z = rng.uniform(-5.0, 5.0, 20_000) + 1j * rng.uniform(-3.0, 3.0, 20_000)
+    z[1::2] = z[0::2].conjugate()  # conjugate pairs
+    z[::97] *= 1e-6  # a scatter of points near the origin
+    points = z.tolist()
+    got = [_bits(m_per(p, lam)) for p in points]
+    assert got == [_bits(_m_per_reference(p, lam)) for p in points]
+    composed = [_bits(m_full(p, lam)) for p in points[:2000]]
+    expected = []
+    for p in points[:2000]:
+        mp = _m_per_reference(p, lam)
+        expected.append(_bits(mp / (1.0 + lam * mp)))
+    assert composed == expected
+
+
+@pytest.mark.parametrize("lam", WEYL_LAMS)
+def test_m_per_matches_reference_on_axes(lam):
+    lo, hi = abs(lam - 1.0), lam + 1.0
+    imaginary = [s * 10.0**k * 1j for s in (1, -1) for k in range(-8, 9)]
+    beyond = [s * (hi + d) for s in (1, -1) for d in (1e-6, 0.1, 1.0, 7.5, 1e6)]
+    gap = [s * lo * f for s in (1, -1) for f in (0.0, 0.25, 0.5, 0.999)]
+    inside = [s * 0.5 * (lo + hi) for s in (1, -1)]
+    signed_zero = [complex(hi + 0.5, -0.0), complex(-(hi + 0.5), -0.0)]
+    for z in imaginary + beyond + gap + inside + signed_zero:
+        assert _same_outcome(z, lam), z
+
+
+def test_m_per_matches_reference_at_band_edges():
+    for lam in WEYL_LAMS:
+        for edge in (lam + 1.0, abs(lam - 1.0)):
+            for angle in (0.0, 0.3, math.pi / 2, 2.0, math.pi, -1.1):
+                for offset in (0.0, 4e-13, -4e-13):
+                    z = (edge + offset) * cmath.exp(1j * angle)
+                    with pytest.raises(BandEdgeError):
+                        m_per(z, lam)
+                    assert _same_outcome(z, lam), (z, lam)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        (1.0 + 1e-3j, 2.0 + 2e-3j),  # both above the axis
+        (-0.5 - 0.2j, 0.7 - 0.1j),  # both below
+        (1.0 + 1.0j, 2.0 + 1.0j),  # equal imaginary parts: order kept
+        (0.3 + 0.0j, -0.4 + 0.0j),  # zero imaginary parts
+        (1.0 + 2.0j, 1.0 + 2.0j),  # a double root
+        (0.2 - 1.0j, 0.5 + 1.0j),  # the usual opposite signs
+        (-1.0 + 0.5j, 1.0 + 0.5j),  # the asymptotic criterion ties at z = +-i
+    ],
+)
+def test_m_per_matches_reference_through_the_orientation_fallback(monkeypatch, roots):
+    # finite inputs never give two roots on one side of the axis, so the
+    # root solver is replaced to reach the fallback branch
+    monkeypatch.setattr(measures, "_stable_quadratic", lambda A, B, C: roots)
+    for z in (0.4 + 1.1j, 0.4 - 1.1j, 1j, -1j, -2.0 + 0.3j, 5.0):
+        assert _same_outcome(z, 1.7), (z, roots)
+
+
+def test_weyl_functions_reject_nonfinite_and_overflowing_input():
+    for z in (complex(math.nan, 1.0), complex(1.0, math.inf), math.inf, -math.inf, math.nan):
+        for fn in (m_per, m_full):
+            with pytest.raises(InvalidParameterError, match="no finite value"):
+                fn(z, 1.5)
+    # B*B overflows: this returned nan+nanj
+    for z in ((0.6 + 0.8j) * 1e78, 1e78, 1e78j, -3e100 + 1j):
+        for fn in (m_per, m_full):
+            with pytest.raises(InvalidParameterError, match="no finite value"):
+                fn(z, 1.5)
+    for lam in (math.inf, math.nan, -math.inf):
+        for fn in (m_per, m_full):
+            with pytest.raises(InvalidParameterError, match="need lam > 0 and finite"):
+                fn(0.3 + 1j, lam)
+    # the largest magnitudes that still have finite roots keep working
+    assert cmath.isfinite(m_per((0.6 + 0.8j) * 1e76, 1.5))
+    # near z = 0 the spurious root may overflow while the chosen one is exact
+    for z, lam in ((1e-310j, 0.5), (-1e-320 + 1e-320j, 0.5), (1e-120j, 1e-100)):
+        assert _bits(m_per(z, lam)) == _bits(_m_per_reference(z, lam))
+    # but an overflowing chosen root, next to the pole at 0 for lam > 1, raises
+    # (this returned -inf+7.5e307j)
+    with pytest.raises(InvalidParameterError, match="no finite value"):
+        m_per(3e-309 + 1e-309j, 2.0)
+
+
+def test_lam_must_be_finite_and_grids_nonempty():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="need lam > 0"):
+            essential_spectrum_periodic(lam)
+        for params in ({"family": "periodic"}, {"family": "pencil", "xi": 0.0, "eta": 0.0}):
+            with pytest.raises(InvalidParameterError, match="need lam > 0"):
+                named_weight(**params, lam=lam)
+        with pytest.raises(InvalidParameterError):
+            stieltjes_perron_density(lam, 1.0)
+    for n_grid in (0, -2, 2.5, True):
+        with pytest.raises(InvalidParameterError, match="n_grid"):
+            validate_periodic_density(2.0, n_grid=n_grid)
+    assert validate_periodic_density(2.0, n_grid=1) < 1e-4
+
+
+def test_quadrature_arguments_are_validated():
+    m = named_weight("sdg", xi=0.0, eta=0.0)
+    for tol in (math.nan, 0.0, -1e-9, math.inf, 1e-14):
+        with pytest.raises(InvalidParameterError, match="tol"):
+            stieltjes_recurrence(m, 4, tol=tol)
+        with pytest.raises(InvalidParameterError, match="tol"):
+            integrate(m, lambda x: x, tol)
+    for n_max in (2.5, True, "3", None):
+        with pytest.raises(InvalidParameterError, match="n_max"):
+            stieltjes_recurrence(m, n_max)
+    for n_nodes in (0, -3, 2.5, True):
+        with pytest.raises(InvalidParameterError, match="n_nodes"):
+            discretize(m, n_nodes)
+    rec = stieltjes_recurrence(m, np.int64(4))
+    assert [rec.b(n) for n in range(5)] == [stieltjes_recurrence(m, 4).b(n) for n in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# The cached Stieltjes chain
+# ---------------------------------------------------------------------------
+
+
+def _table(rec, n_max):
+    return [(rec.b(n), rec.u(n)) for n in range(n_max + 1)]
+
+
+CHAIN_MEASURES = [
+    {"family": "sdg", "xi": 0.3, "eta": 0.5},
+    {"family": "big_m1", "alpha": 2.0, "beta": 3.0, "c": 0.4},
+    {"family": "periodic", "lam": 0.6},
+]
+
+
+@pytest.mark.parametrize("params", CHAIN_MEASURES)
+def test_stieltjes_tables_do_not_depend_on_request_order(params):
+    m = named_weight(**params)
+    degrees = [0, 1, 6, 12, 13, 18, 24, 30]
+    fresh = {}
+    for n_max in degrees:
+        measures._chain.cache_clear()
+        fresh[n_max] = _table(stieltjes_recurrence(m, n_max, tol=1e-9), n_max)
+    shuffled = list(degrees)
+    np.random.default_rng(7).shuffle(shuffled)
+    for order in (degrees, degrees[::-1], shuffled):
+        measures._chain.cache_clear()
+        for n_max in order:
+            assert _table(stieltjes_recurrence(m, n_max, tol=1e-9), n_max) == fresh[n_max]
+
+
+def test_failed_calls_leave_later_results_unchanged():
+    near_one = named_weight("periodic", lam=1.0 + 1e-4)
+    sdg = named_weight("sdg", xi=0.3, eta=0.5)
+    zero_mass = Measure(
+        support=((-1.0, 1.0),), density=lambda x: 0.0 * np.asarray(x), endpoint_exponents=()
+    )
+    # 1 + 3x has positive mass and a negative h_1 on [-1, 1]
+    signed = Measure(
+        support=((-1.0, 1.0),), density=lambda x: 1.0 + 3.0 * np.asarray(x), endpoint_exponents=()
+    )
+    ones = lambda x: x * 0 + 1
+
+    measures._chain.cache_clear()
+    clean_sdg = _table(stieltjes_recurrence(sdg, 18), 18)
+    clean_signed = _table(stieltjes_recurrence(signed, 0), 0)
+    clean_mass = integrate(sdg, ones, 1e-12)
+
+    measures._chain.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError):
+            stieltjes_recurrence(near_one, 30, tol=1e-9)
+        with pytest.raises(InstabilityError) as zero:
+            stieltjes_recurrence(zero_mass, 5)
+        assert zero.value.index == 0
+        with pytest.raises(InstabilityError) as lost:
+            stieltjes_recurrence(signed, 5)
+        assert lost.value.index == 1
+    # the failing degrees were not stored
+    assert (measures._chain(zero_mass, 64).b, measures._chain(zero_mass, 64).u) == ([], [0.0])
+    assert (len(measures._chain(signed, 64).b), measures._chain(signed, 64).u) == (1, [0.0])
+    assert _table(stieltjes_recurrence(signed, 0), 0) == clean_signed
+    assert _table(stieltjes_recurrence(sdg, 18), 18) == clean_sdg
+    assert integrate(sdg, ones, 1e-12) == clean_mass
+
+
+def test_chain_concurrent_ladders():
+    # four threads on one measure (more than the cores here), two climbing
+    # the degrees and two descending, with frequent thread switches: a lost
+    # or repeated append would shift the table and change a coefficient
+    m = named_weight("big_m1", alpha=2.0, beta=3.0, c=0.4)
+    degrees = [0, 3, 6, 12, 18, 24, 30]
+    fresh = {}
+    for n_max in degrees:
+        measures._chain.cache_clear()
+        fresh[n_max] = _table(stieltjes_recurrence(m, n_max, tol=1e-9), n_max)
+    orders = [degrees, degrees[::-1]] * 2
+    barrier = threading.Barrier(len(orders))
+
+    def ladder(i):
+        barrier.wait()
+        results[i] = {n: _table(stieltjes_recurrence(m, n, tol=1e-9), n) for n in orders[i]}
+
+    for _ in range(4):  # each round races on a cold cache
+        measures._chain.cache_clear()
+        results = [None] * len(orders)
+        threads = [threading.Thread(target=ladder, args=(i,)) for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(tables == fresh for tables in results)
+
+
+class _UnhashableDensity:
+    """A density callable that defines equality and so has no hash."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableDensity) and other.inner is self.inner
+
+    __hash__ = None
+
+
+def test_chain_cache_is_bounded_and_unhashable_measures_bypass_it():
+    measures._chain.cache_clear()
+    assert measures._chain.cache_info().maxsize == 32
+    for k in range(20):
+        stieltjes_recurrence(named_weight("sdg", xi=0.1 * k, eta=0.5), 6)
+    info = measures._chain.cache_info()
+    assert info.misses > 32 and info.currsize == 32
+
+    m = named_weight("big_m1", alpha=2.0, beta=3.0, c=0.4)
+    wrapped = Measure(
+        support=m.support,
+        density=_UnhashableDensity(m.density),
+        endpoint_exponents=m.endpoint_exponents,
+        name=m.name,
+    )
+    with pytest.raises(TypeError):
+        hash(wrapped)
+    measures._chain.cache_clear()
+    got = _table(stieltjes_recurrence(wrapped, 12), 12)
+    mass = integrate(wrapped, lambda y: y * 0 + 1, 1e-12)
+    assert measures._chain.cache_info().currsize == 0
+    assert got == _table(stieltjes_recurrence(m, 12), 12)
+    assert mass == integrate(m, lambda y: y * 0 + 1, 1e-12)
+
+
+def test_cached_nodes_cannot_be_written_by_an_integrand():
+    m = named_weight("sdg", xi=0.0, eta=0.0)
+
+    def in_place(x):
+        x *= 2.0
+        return x
+
+    with pytest.raises(ValueError):
+        integrate(m, in_place, 1e-10)
+    assert integrate(m, lambda x: x * 0 + 1, 1e-12) == pytest.approx(8.0, rel=1e-12)
