@@ -5,8 +5,9 @@ bands, the eigenvalue range of the truncated pencil, the outlier count
 against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  A 2x2 hand truncation checked
 against the quadratic formula guards the matrix conventions.  An odd --dim,
-one below 4, a nan or infinite --lams or --inflate value, or a --lams value
-at or below 0 prints ``error: ...`` to stderr and exits 2, as the CLI does.
+one below 4, a nan or infinite --lams or --inflate value, a --lams value at
+or below 0, or an --inflate below 0 prints ``error: ...`` to stderr, and
+nothing to stdout, and exits 2, as the CLI does.
 
 Examples
 --------
@@ -89,6 +90,8 @@ def run(args):
         raise InvalidParameterError(f"--lams and --inflate must be finite, got {args.lams}, {args.inflate}")
     for lam in args.lams:
         essential_spectrum_periodic(lam)  # raises for lam <= 0
+    if args.inflate < 0:
+        raise InvalidParameterError(f"need inflate >= 0, got {args.inflate}")
     if args.xi is None:
         a = ReflectionSequence.constant(0.0)
         label = "free (a = 0)"

@@ -12,16 +12,17 @@ algebraic identities are verified on rows 0 .. dim-3.
 even and at least 4.
 
 Everything here is O(dim): the builders read the coefficients as arrays
-(``ReflectionSequence.take``), the identity residuals are computed in
-banded storage, ``eigenvalue_counts`` answers "how many eigenvalues lie
-below t" by Sturm (LDL^T inertia) counts, and ``band_census`` uses one such
-call to count (and bisection to locate) the eigenvalues outside predicted
-bands.  Only ``tridiagonal_eigenvalues`` (all eigenvalues, about O(dim^2)
-in LAPACK) and the ``to_dense`` test oracles cost more.
+(``ReflectionSequence.take``), H and the identity residuals take each product
+of two tridiagonals in closed form, ``eigenvalue_counts`` answers "how many
+eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and ``band_census``
+uses one such call to count (and bisection to locate) the eigenvalues outside
+predicted bands.  Only ``tridiagonal_eigenvalues`` (all eigenvalues, about
+O(dim^2) in LAPACK) and the ``to_dense`` test oracles cost more.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,8 @@ class BandedMatrix:
     """General (possibly nonsymmetric) banded matrix stored by offsets.
 
     data[offset] holds the diagonal j - i = offset, length dim - |offset|.
-    Only used for products such as U = L M, which is five-diagonal but not
-    symmetric.
+    The general route for products such as U = L M, which is five-diagonal
+    but not symmetric.
     """
 
     def __init__(self, dim: int, data: dict):
@@ -140,15 +141,6 @@ class BandedMatrix:
                 raise InvalidParameterError(
                     f"offset {k} has length {len(v)}, expected {dim - abs(k)}"
                 )
-
-    @staticmethod
-    def from_symmetric(m: BandedSymmetricMatrix) -> "BandedMatrix":
-        data = {}
-        for k in range(m.bandwidth + 1):
-            data[k] = np.array(m.bands[k], dtype=float)
-            if k > 0:
-                data[-k] = np.array(m.bands[k], dtype=float)
-        return BandedMatrix(m.dim, data)
 
     def offset(self, k: int) -> np.ndarray:
         return self.data.get(k, np.zeros(self.dim - abs(k)))
@@ -272,7 +264,10 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
 
     Diagonal alternates a_n - lam*a_{n-1} (even n, with a_{-1} = -1) and
     -a_{n-1} + lam*a_n (odd n); off-diagonal alternates r_{2k} and lam*r_{2k+1}.
+    A lam that is not finite raises InvalidParameterError; lam <= 0 is allowed.
     """
+    if not math.isfinite(lam):
+        raise InvalidParameterError(f"need a finite lam, got {lam}")
     dim = trunc.dim
     values = a.take(dim)
     prev = _shifted(values)
@@ -284,37 +279,45 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
+def _tri_product(d1, e1, d2, e2) -> dict:
+    """Offsets -2..2 of A B for symmetric tridiagonals A = (d1, e1) and B = (d2, e2).
+
+    Terms are added in ``banded_product``'s order, so every entry equals its
+    bit for bit; only a zero may differ in sign (it sums onto +0.0).
+    """
+    p0 = d1 * d2
+    ee = e1 * e2
+    p0[:-1] += ee
+    p0[1:] += ee
+    return {
+        -2: e1[1:] * e2[:-1],
+        -1: d1[1:] * e2 + e1 * d2[:-1],
+        0: p0,
+        1: d1[:-1] * e2 + e1 * d2[1:],
+        2: e1[:-1] * e2[1:],
+    }
+
+
+def _anticommutator(L: tuple, M: tuple) -> tuple:
+    """Bands 0..2 of L M + M L, (LM)_k + (LM)_-k, for L and M given as (diag, off)."""
+    lm = _tri_product(*L, *M)
+    return tuple(lm[k] + lm[-k] for k in range(3))
+
+
 def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
     """Five-diagonal symmetric truncation of the anticommutator L M + M L."""
-    L = BandedMatrix.from_symmetric(build_L(a, trunc))
-    M = BandedMatrix.from_symmetric(build_M(a, trunc))
-    LM = banded_product(L, M)
-    H = LM.add(LM.transpose())
-    dim = trunc.dim
-    bands = tuple(np.asarray(H.offset(k), dtype=float) for k in range(3))
-    return BandedSymmetricMatrix(dim=dim, bandwidth=2, bands=bands)
+    # the off-diagonals of L and M are >= +0.0, so no entry here is -0.0
+    bands = _anticommutator(build_L(a, trunc).bands, build_M(a, trunc).bands)
+    return BandedSymmetricMatrix(dim=trunc.dim, bandwidth=2, bands=bands)
 
 
-def _times(m: BandedMatrix, c) -> BandedMatrix:
-    return BandedMatrix(m.dim, {k: c * v for k, v in m.data.items()})
+def _residual(lhs, rhs, n: int) -> float:
+    """Max |lhs[k] - rhs[k]| over upper offsets k < len(rhs) on rows 0 .. n-1.
 
-
-def _identity_times(dim: int, c) -> BandedMatrix:
-    return BandedMatrix(dim, {0: np.full(dim, c, dtype=float)})
-
-
-def _interior_max_diff(lhs: BandedMatrix, rhs: BandedMatrix) -> float:
-    """Max abs entry of lhs - rhs over rows 0 .. dim-3 (truncation owns the last two).
-
-    Offset k stores row i at index i for k >= 0 and at index i + k for
-    k < 0, so rows 0 .. dim-3 are its first dim - 2 - max(-k, 0) entries.
+    Both sides are symmetric, so this covers the lower offsets too.  One
+    numpy max over every offset, so a nan in any of them is the result.
     """
-    dim = lhs.dim
-    worst = [
-        np.max(np.abs(lhs.offset(k) - rhs.offset(k))[: max(dim - 2 - max(-k, 0), 0)], initial=0.0)
-        for k in set(lhs.data) | set(rhs.data)
-    ]
-    return float(np.max(worst, initial=0.0))
+    return float(np.abs(np.concatenate([(lhs[k] - y)[:n] for k, y in enumerate(rhs)])).max())
 
 
 def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> dict:
@@ -324,36 +327,30 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
     L^2 = I, M^2 = I, J = L + M, K = L + lam*M, H = J^2 - 2I, and
     K^2 = (1 + lam^2) I + lam * H.
 
-    Complexity: O(dim) time and memory.  Every matrix, product and
-    residual stays in offset storage (``banded_product`` and ``add``);
-    nothing dense is formed.  The residuals equal those of a dense
-    evaluation of the same banded products bit for bit, except that a dense
-    J @ J may round its sums differently (by a few 1e-16).
+    Complexity: O(dim) time and memory; nothing dense is formed.  The
+    residuals equal those of ``banded_product`` and ``add`` bit for bit (a
+    dense J @ J may round differently, by a few 1e-16).  A lam that is not
+    finite raises InvalidParameterError.
 
     Returns
     -------
     dict
         Identity name -> max abs residual.
     """
-    dim = trunc.dim
-    L = BandedMatrix.from_symmetric(build_L(a, trunc))
-    M = BandedMatrix.from_symmetric(build_M(a, trunc))
-    J = BandedMatrix.from_symmetric(build_J(a, trunc))
-    K = BandedMatrix.from_symmetric(build_K(a, lam, trunc))
-    H = BandedMatrix.from_symmetric(build_H(a, trunc))
-    eye = _identity_times(dim, 1.0)
-
+    K = build_K(a, lam, trunc).bands
+    L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
+    H = _anticommutator(L, M)
+    L2, M2, J2, K2 = (_tri_product(*X, *X) for X in (L, M, J, K))
+    # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
+    scale, shift = float(lam), 1.0 + lam * lam
+    n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
     return {
-        "L_squared_is_identity": _interior_max_diff(banded_product(L, L), eye),
-        "M_squared_is_identity": _interior_max_diff(banded_product(M, M), eye),
-        "J_equals_L_plus_M": _interior_max_diff(J, L.add(M)),
-        "K_equals_L_plus_lam_M": _interior_max_diff(K, L.add(_times(M, lam))),
-        "H_equals_J_squared_minus_2": _interior_max_diff(
-            H, banded_product(J, J).add(_identity_times(dim, -2.0))
-        ),
-        "K_squared_identity": _interior_max_diff(
-            banded_product(K, K), _identity_times(dim, 1.0 + lam * lam).add(_times(H, lam))
-        ),
+        "L_squared_is_identity": _residual(L2, eye, n),
+        "M_squared_is_identity": _residual(M2, eye, n),
+        "J_equals_L_plus_M": _residual(J, [L[0] + M[0], L[1] + M[1]], n),
+        "K_equals_L_plus_lam_M": _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n),
+        "H_equals_J_squared_minus_2": _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n),
+        "K_squared_identity": _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n),
     }
 
 

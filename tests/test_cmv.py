@@ -1,11 +1,14 @@
 """Banded pencil matrices: structure, products, and defining identities."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from cmvpencil import cmv
 from cmvpencil.cmv import (
     BandedMatrix,
     BandedSymmetricMatrix,
@@ -26,6 +29,14 @@ from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
 
 TRUNC8 = TruncationSpec(n_blocks=4)
+
+
+def banded(X):
+    """A BandedSymmetricMatrix in general offset storage, offsets keyed 0, 1, -1, 2, -2."""
+    data = {0: X.bands[0]}
+    for k in range(1, X.bandwidth + 1):
+        data[k], data[-k] = X.bands[k], X.bands[k]
+    return BandedMatrix(X.dim, data)
 
 
 def dense_reference(a, lam, dim):
@@ -137,9 +148,7 @@ def test_involution_and_pencil_identities():
 def test_product_is_not_symmetric():
     # L*M is five-diagonal but not symmetric, hence the general banded type
     a = jacobi_opuc_reflections(0.3, 0.7)
-    L = BandedMatrix.from_symmetric(build_L(a, TRUNC8))
-    M = BandedMatrix.from_symmetric(build_M(a, TRUNC8))
-    U = banded_product(L, M).to_dense()
+    U = banded_product(banded(build_L(a, TRUNC8)), banded(build_M(a, TRUNC8))).to_dense()
     assert np.max(np.abs(U - U.T)) > 0.1
 
 
@@ -188,7 +197,7 @@ def dense_identity_residuals(a, lam, trunc):
     dim = trunc.dim
     L, M, J = build_L(a, trunc), build_M(a, trunc), build_J(a, trunc)
     K, H = build_K(a, lam, trunc), build_H(a, trunc)
-    Lb, Mb, Kb = (BandedMatrix.from_symmetric(X) for X in (L, M, K))
+    Lb, Mb, Kb = (banded(X) for X in (L, M, K))
     Ld, Md, Jd, Kd, Hd = (X.to_dense() for X in (L, M, J, K, H))
     eye = np.eye(dim)
 
@@ -228,6 +237,126 @@ def test_banded_residuals_match_dense_oracle(dim):
                     assert abs(value - dense[key]) <= 1e-15
                 else:
                     assert value == dense[key], key
+
+
+def general_route_residuals(a, lam, trunc):
+    """The six residuals as the general offset-storage route forms them.
+
+    Every product is a ``banded_product``, every sum a ``BandedMatrix.add``
+    over the union of offsets, and H = L M + (L M)^T; each residual is the
+    max over all offsets, lower ones included, on rows 0 .. dim-3.
+    """
+    dim = trunc.dim
+    L, M, J = (banded(build(a, trunc)) for build in (build_L, build_M, build_J))
+    K = banded(build_K(a, lam, trunc))
+    LM = banded_product(L, M)
+    H = LM.add(LM.transpose())
+
+    def times(m, c):
+        return BandedMatrix(dim, {k: c * v for k, v in m.data.items()})
+
+    def eye(c):
+        return BandedMatrix(dim, {0: np.full(dim, c, dtype=float)})
+
+    def interior(lhs, rhs):
+        worst = [
+            np.max(np.abs(lhs.offset(k) - rhs.offset(k))[: dim - 2 - max(-k, 0)], initial=0.0)
+            for k in set(lhs.data) | set(rhs.data)
+        ]
+        return float(np.max(worst, initial=0.0))
+
+    return {
+        "L_squared_is_identity": interior(banded_product(L, L), eye(1.0)),
+        "M_squared_is_identity": interior(banded_product(M, M), eye(1.0)),
+        "J_equals_L_plus_M": interior(J, L.add(M)),
+        "K_equals_L_plus_lam_M": interior(K, L.add(times(M, lam))),
+        "H_equals_J_squared_minus_2": interior(H, banded_product(J, J).add(eye(-2.0))),
+        "K_squared_identity": interior(banded_product(K, K), eye(1.0 + lam * lam).add(times(H, lam))),
+    }
+
+
+def identity_sequences(dim):
+    rng = np.random.default_rng(dim)
+    return {
+        "jacobi": jacobi_opuc_reflections(0.3, 0.7),
+        "jacobi-exact": jacobi_opuc_reflections(Fraction(1, 3), Fraction(2, 5)),
+        "random": ReflectionSequence.from_list(rng.uniform(-0.999, 0.999, size=dim)),
+        "constant": ReflectionSequence.constant(-0.5),
+        "free": ReflectionSequence.constant(0.0),
+        "signed-zeros": ReflectionSequence.from_list([0.0, -0.0] * (dim // 2)),
+        "fractions": ReflectionSequence.from_list(
+            [Fraction(int(k), 997) for k in rng.integers(-996, 997, size=dim)]
+        ),
+    }
+
+
+# float, int, Fraction and numpy scalars, zero and negative ones too; a
+# Fraction's 1 + lam^2 is exact before it rounds
+IDENTITY_LAMS = (
+    -2.0, -1, 0, 0.0, 0.5, 1, 3, 1.7, Fraction(1, 3), Fraction(-7, 3), np.float64(2.3), np.float64(-0.25),
+)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 16, 64, 256, 2048])
+def test_residuals_bit_identical_to_general_route(dim):
+    trunc = TruncationSpec.from_dim(dim)
+    for name, a in identity_sequences(dim).items():
+        for lam in IDENTITY_LAMS:
+            fast = verify_identities(a, lam, trunc)
+            general = general_route_residuals(a, lam, trunc)
+            assert list(fast) == list(general)
+            assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in general.items()}, (name, lam)
+
+
+@pytest.mark.parametrize("dim", [64, 2048, 100_000])
+def test_build_H_bit_identical_to_general_route(dim):
+    trunc = TruncationSpec.from_dim(dim)
+    for name, a in identity_sequences(dim).items():
+        if dim > 2048 and name in ("jacobi-exact", "fractions"):
+            continue  # Fraction coefficients are read one index at a time
+        LM = banded_product(banded(build_L(a, trunc)), banded(build_M(a, trunc)))
+        general = LM.add(LM.transpose())
+        H = build_H(a, trunc)
+        assert [band.tobytes() for band in H.bands] == [general.offset(k).tobytes() for k in range(3)]
+
+
+def test_residual_nan_in_a_later_offset():
+    n = 6
+    clean = [np.zeros(n + 2), np.full(n + 1, 0.25), np.zeros(n)]
+    assert cmv._residual(clean, [0.0, 0.0, 0.0], n) == 0.25
+    late = [clean[0], clean[1], np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0])]
+    # a builtin max over per-offset maxima would return 0.25 here
+    assert math.isnan(cmv._residual(late, [0.0, 0.0, 0.0], n))
+    # rows n and beyond belong to the truncation
+    edge = [np.array([0.0] * n + [np.nan, np.nan]), clean[1], clean[2]]
+    assert cmv._residual(edge, [0.0, 0.0, 0.0], n) == 0.25
+
+
+def test_nan_band_reaches_the_identity_residuals(monkeypatch):
+    build = cmv.build_J
+
+    def with_nan(a, trunc):
+        J = build(a, trunc)
+        off = J.bands[1].copy()
+        off[3] = np.nan
+        return BandedSymmetricMatrix(J.dim, 1, (J.bands[0], off))
+
+    monkeypatch.setattr(cmv, "build_J", with_nan)
+    residuals = verify_identities(jacobi_opuc_reflections(0.3, 0.7), 1.3, TruncationSpec(n_blocks=8))
+    nan_keys = {k for k, v in residuals.items() if math.isnan(v)}
+    assert nan_keys == {"J_equals_L_plus_M", "H_equals_J_squared_minus_2"}
+    assert max(v for k, v in residuals.items() if k not in nan_keys) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_non_finite_lam_raises(lam):
+    a = jacobi_opuc_reflections(0.3, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any arithmetic could warn
+        with pytest.raises(InvalidParameterError, match="need a finite lam"):
+            build_K(a, lam, TRUNC8)
+        with pytest.raises(InvalidParameterError, match="need a finite lam"):
+            verify_identities(a, lam, TRUNC8)
 
 
 def test_identities_at_scale():

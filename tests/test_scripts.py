@@ -45,6 +45,7 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--lams", "0"]),
         ("spectrum_sweep", ["--lams", "1", "-1"]),
         ("weight_tables", ["--n", "30"]),
+        ("spectrum_sweep", ["--inflate", "-1"]),
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
