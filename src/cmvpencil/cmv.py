@@ -22,7 +22,7 @@ O(dim^2) in LAPACK) and the ``to_dense`` test oracles cost more.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,12 +145,6 @@ class BandedMatrix:
     def offset(self, k: int) -> np.ndarray:
         return self.data.get(k, np.zeros(self.dim - abs(k)))
 
-    def entry(self, i: int, j: int) -> float:
-        k = j - i
-        if k not in self.data:
-            return 0.0
-        return float(self.data[k][min(i, j)])
-
     def transpose(self) -> "BandedMatrix":
         return BandedMatrix(self.dim, {-k: v.copy() for k, v in self.data.items()})
 
@@ -264,9 +258,11 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
 
     Diagonal alternates a_n - lam*a_{n-1} (even n, with a_{-1} = -1) and
     -a_{n-1} + lam*a_n (odd n); off-diagonal alternates r_{2k} and lam*r_{2k+1}.
-    A lam that is not finite raises InvalidParameterError; lam <= 0 is allowed.
+    A lam that is not a finite float (nan, +-inf, or an int or Fraction too
+    large for a float) raises InvalidParameterError; lam <= 0 is allowed.
     """
-    if not math.isfinite(lam):
+    # compared exactly, so a huge int or Fraction fails here and not in float()
+    if not abs(lam) <= sys.float_info.max:
         raise InvalidParameterError(f"need a finite lam, got {lam}")
     dim = trunc.dim
     values = a.take(dim)

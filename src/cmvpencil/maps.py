@@ -20,6 +20,8 @@ All coefficient formulas are dtype-generic: Fraction inputs stay exact.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,6 +227,12 @@ _BRANCH_LOW = "lambda-1"
 _BRANCH_HIGH = "lambda+1"
 
 
+def _require_lam(lam) -> None:
+    # compared exactly, so an int or Fraction too large for a float fails too
+    if not 0 < lam <= sys.float_info.max:
+        raise InvalidParameterError(f"lam must be > 0 and finite, got {lam!r}")
+
+
 def lambda_reduction(
     a: ReflectionSequence, lam, branch: str, n_check: int = 20
 ) -> tuple[ChristoffelData, MonicThreeTerm]:
@@ -233,7 +241,7 @@ def lambda_reduction(
     Parameters
     ----------
     a : ReflectionSequence
-    lam : real, > 0
+    lam : real, > 0, finite as a float
     branch : {"lambda-1", "lambda+1"}
         Which shift point to use: theta = lam - 1 or theta = lam + 1.
     n_check : int
@@ -249,8 +257,11 @@ def lambda_reduction(
 
     Raises
     ------
+    InvalidParameterError
+        If lam is not > 0 and finite as a float, or branch is unknown.
     InternalConsistencyError
-        If the closed forms disagree with the generic transform beyond 1e-10.
+        If the closed forms disagree with the generic transform beyond 1e-10,
+        or by nan.
 
     Notes
     -----
@@ -268,8 +279,7 @@ def lambda_reduction(
         transformed: b_n = (-1)^n*(lam - 1),
                      u_n = lam*(1 + a_{n-1})(1 - a_n)
     """
-    if not lam > 0:
-        raise InvalidParameterError(f"lam must be > 0, got {lam!r}")
+    _require_lam(lam)
     if branch == _BRANCH_LOW:
         theta = lam - 1
 
@@ -323,13 +333,13 @@ def lambda_reduction(
     )
 
     generic = christoffel(pencil_recurrence(a, lam), theta, n_check + 1)
-    worst = 0.0
-    for n in range(n_check + 1):
-        worst = max(worst, abs(float(A(n)) - float(generic.A(n))))
-        worst = max(worst, abs(float(C(n)) - float(generic.C(n))))
-        worst = max(worst, abs(float(b(n)) - float(generic.transformed.b(n))))
-        worst = max(worst, abs(float(u(n)) - float(generic.transformed.u(n))))
-    if worst > 1e-10:
+    pairs = ((A, generic.A), (C, generic.C), (b, generic.transformed.b), (u, generic.transformed.u))
+    diffs = [
+        abs(float(mine(n)) - float(theirs(n))) for n in range(n_check + 1) for mine, theirs in pairs
+    ]
+    # nan ranks above every number, so a nan residual is the one reported
+    worst = max(diffs, key=lambda d: math.inf if math.isnan(d) else d, default=0.0)
+    if not worst <= 1e-10:
         raise InternalConsistencyError(
             f"closed-form reduction disagrees with the generic transform by "
             f"{worst:.3e} at lam = {lam!r}, branch {branch!r}"
@@ -456,7 +466,7 @@ def big_m1_parameters(xi, eta, lam, branch: str = _BRANCH_LOW) -> BigM1Parameter
     ----------
     xi, eta : real, > -1
         Exponent parameters of the circle weight.
-    lam : real, > 0
+    lam : real, > 0, finite as a float
         Pencil parameter; lam = 1 gives c = 0 (one-interval case).
     branch : str
         Shift branch of the reduction; the identification uses theta = lam - 1.
@@ -470,8 +480,7 @@ def big_m1_parameters(xi, eta, lam, branch: str = _BRANCH_LOW) -> BigM1Parameter
         (b_n/g, u_n/g^2), and the ``resolved`` recurrence that actually
         matches the weight (reciprocal parameter plus reflection).
     """
-    if not lam > 0:
-        raise InvalidParameterError(f"lam must be > 0, got {lam!r}")
+    _require_lam(lam)
     one = lam * 0 + 1
     c = (lam - 1) / (lam + 1)
     g = -2 / (one - c)  # equals -(lam + 1)

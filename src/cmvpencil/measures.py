@@ -16,8 +16,10 @@ values give the two-band spectral density.
 ``integrate`` and ``stieltjes_recurrence`` share a second bounded cache,
 keyed by (measure, node count): each entry holds one discretization and the
 Stieltjes chain run on it so far, which a later call extends only to the
-degree it asks for.  A measure is a key by value, so its density must be a
-pure function of x; a measure that cannot be hashed is served uncached.
+degree it asks for.  The key holds the density by identity, so only a
+measure on the same density object hits an entry (each ``named_weight`` call
+builds a new one); that density must be a pure function of x.  A measure
+that cannot be hashed is served uncached.
 
 Arguments are checked before any work: a tol that is nan, infinite or below
 1e-13, an n_max or n_nodes that is not an integer (bool included) or out of
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 import numbers
 import threading
@@ -42,6 +45,7 @@ from scipy.special import roots_jacobi
 from .errors import (
     BandEdgeError,
     InstabilityError,
+    InternalConsistencyError,
     InvalidParameterError,
     NonConvergenceError,
 )
@@ -118,7 +122,8 @@ def _panels(m: Measure):
         )
         cuts = [p, *inner, q]
         for x0, x1 in zip(cuts[:-1], cuts[1:]):
-            panels.append((x0, x1, m.exponent_at(x0), m.exponent_at(x1)))
+            # as floats, the one type the Gauss-Jacobi rules take
+            panels.append((x0, x1, float(m.exponent_at(x0)), float(m.exponent_at(x1))))
     return panels
 
 
@@ -331,8 +336,8 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
 
     The chain at each quadrature level is cached per (measure, node count)
     and extended on demand, so a ladder of degrees on one measure runs each
-    level's chain once.  The cache keys the measure by value: its density
-    must be a pure function of x.
+    level's chain once.  The cache compares the density by identity, and the
+    density must be a pure function of x.
 
     Parameters
     ----------
@@ -395,67 +400,114 @@ def _require_lam(lam) -> None:
         raise InvalidParameterError(f"need lam > 0 and finite, got {lam}")
 
 
-def _gen_gegenbauer_density(xi: float, eta: float):
+# family -> (linear factor or None, whether the factor raises the exponent
+# at x = -2 by 1, and at x = +2)
+_INTERVAL_SHAPES = {
+    "gen_gegenbauer": (None, False, False),
+    "sdg": (lambda x: x + 2.0, True, False),
+    "adjacent": (lambda x: 2.0 - x, False, True),
+    "companion": (lambda x: 4.0 - x * x, True, True),
+    "dg_from_circle": (None, False, False),
+}
+
+
+def _interval_weight(family: str, *, xi, eta) -> Measure:
+    """A family on [-2, 2]: (4 - x^2)^xi |x|^(2 eta + 1) times its linear
+    factor, or, for dg_from_circle, the circle weight carried over."""
+    _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
+    factor, shift_lo, shift_hi = _INTERVAL_SHAPES[family]
+
     def density(x):
         x = np.asarray(x, dtype=float)
-        return (4.0 - x * x) ** xi * np.abs(x) ** (2.0 * eta + 1.0)
+        if family == "dg_from_circle":
+            # (1-cos)^(xi+1/2)(1+cos)^(eta+1/2) in the angle; theta scales like
+            # sqrt(2 -/+ x) near x = +/-2, so the exponents xi + 1/2 land at xi
+            theta = 2.0 * np.arccos(np.clip(x / 2.0, -1.0, 1.0))
+            rho = (1.0 - np.cos(theta)) ** (xi + 0.5) * (1.0 + np.cos(theta)) ** (eta + 0.5)
+            return rho / np.sin(theta / 2.0)
+        base = (4.0 - x * x) ** xi * np.abs(x) ** (2.0 * eta + 1.0)
+        return base if factor is None else factor(x) * base
 
-    return density
-
-
-def _circle_density(xi: float, eta: float):
-    # weight on the circle in the angle variable, (1-cos)^(xi+1/2)(1+cos)^(eta+1/2)
-    def rho(theta):
-        theta = np.asarray(theta, dtype=float)
-        return (1.0 - np.cos(theta)) ** (xi + 0.5) * (1.0 + np.cos(theta)) ** (
-            eta + 0.5
-        )
-
-    return rho
+    gamma_lo, gamma_hi = (1 + xi if shift_lo else xi), (1 + xi if shift_hi else xi)
+    exps = ((-2.0, gamma_lo), (2.0, gamma_hi), (0.0, 2 * eta + 1))
+    return Measure(support=((-2.0, 2.0),), density=density, endpoint_exponents=exps, name=family)
 
 
-def _pencil_density(xi: float, eta: float, lam: float):
+def _pencil_weight(family: str, *, xi, eta, lam) -> Measure:
+    _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
+    _require_lam(lam)
+    if lam == 1.0:
+        return _interval_weight("sdg", xi=xi, eta=eta)
+
     def density(v):
         v = np.asarray(v, dtype=float)
         outer = (lam + 1.0) ** 2 - v * v
         inner = np.abs(v * v - (lam - 1.0) ** 2)
-        return (
-            np.sign(v)
-            * (v + lam + 1.0)
-            * (v + lam - 1.0)
-            * outer**xi
-            * inner**eta
-        )
+        return np.sign(v) * (v + lam + 1.0) * (v + lam - 1.0) * outer**xi * inner**eta
 
-    return density
+    # the linear factors shift the pure power exponents at the points
+    # -(lam+1) and -(lam-1) (signed), wherever those fall
+    hi = lam + 1.0
+    exps = ((hi, xi), (-hi, 1 + xi), (lam - 1.0, eta), (-(lam - 1.0), 1 + eta))
+    support = essential_spectrum_periodic(lam)
+    return Measure(support=support, density=density, endpoint_exponents=exps, name=family)
 
 
-def _big_m1_density(alpha: float, beta: float, c: float):
+def _big_m1_weight(family: str, *, alpha, beta, c) -> Measure:
+    _require(alpha > -1 and beta > -1, f"need alpha, beta > -1, got ({alpha}, {beta})")
+    _require(0 <= c < 1, f"need 0 <= c < 1, got {c}")
     xi = 0.5 * (alpha - 1.0)
     eta = 0.5 * (beta - 1.0)
 
     def density(y):
         y = np.asarray(y, dtype=float)
         return (
-            np.sign(y)
-            * (y + 1.0)
-            * (y - c)
-            * (1.0 - y * y) ** xi
-            * np.abs(y * y - c * c) ** eta
+            np.sign(y) * (y + 1.0) * (y - c) * (1.0 - y * y) ** xi * np.abs(y * y - c * c) ** eta
         )
 
-    return density
+    if c == 0.0:
+        support = ((-1.0, 1.0),)
+        exps = ((-1.0, 1 + xi), (1.0, xi), (0.0, 1 + 2 * eta))
+    else:
+        support = ((-1.0, -c), (c, 1.0))
+        exps = ((-1.0, 1 + xi), (1.0, xi), (c, 1 + eta), (-c, eta))
+    return Measure(support=support, density=density, endpoint_exponents=exps, name=family)
 
 
-def _periodic_density(lam: float):
+def _little_m1_weight(family: str, *, alpha, beta) -> Measure:
+    return _big_m1_weight(family, alpha=alpha, beta=beta, c=0.0)
+
+
+def _periodic_weight(family: str, *, lam) -> Measure:
+    _require_lam(lam)
+
     def density(t):
         t = np.asarray(t, dtype=float)
         s2 = ((lam + 1.0) ** 2 - t * t) * (t * t - (lam - 1.0) ** 2)
-        return np.sqrt(np.maximum(s2, 0.0)) / (
-            lam * np.abs((t - lam) ** 2 - 1.0)
-        )
+        return np.sqrt(np.maximum(s2, 0.0)) / (lam * np.abs((t - lam) ** 2 - 1.0))
 
-    return density
+    if lam == 1.0:
+        support, exps = ((-2.0, 2.0),), ((-2.0, 0.5), (2.0, -0.5))
+    else:
+        # square-root zeros where the denominator is regular, inverse square
+        # roots at its zeros t = lam - 1 and t = lam + 1
+        support, hi = essential_spectrum_periodic(lam), lam + 1.0
+        exps = ((hi, -0.5), (lam - 1.0, -0.5), (-hi, 0.5), (-(lam - 1.0), 0.5))
+    return Measure(support=support, density=density, endpoint_exponents=exps, name=family)
+
+
+_WEIGHT_BUILDERS = {
+    **dict.fromkeys(_INTERVAL_SHAPES, _interval_weight),
+    "pencil": _pencil_weight,
+    "big_m1": _big_m1_weight,
+    "little_m1": _little_m1_weight,
+    "periodic": _periodic_weight,
+}
+# each family's parameters: its builder's arguments after the family name
+_WEIGHT_PARAMETERS = {
+    family: tuple(inspect.signature(builder).parameters)[1:]
+    for family, builder in _WEIGHT_BUILDERS.items()
+}
 
 
 def named_weight(family: str, **params) -> Measure:
@@ -474,6 +526,11 @@ def named_weight(family: str, **params) -> Measure:
     Measure
         With support and sharp endpoint exponents declared.
 
+    Raises
+    ------
+    InvalidParameterError
+        For an unknown family, or a missing, unexpected or out-of-range parameter.
+
     Notes
     -----
     The periodic density is the Weyl-function boundary value
@@ -482,135 +539,17 @@ def named_weight(family: str, **params) -> Measure:
     t = lam - 1 and t = lam + 1).  See ``periodic_weight_verbatim`` for the
     alternative closed form kept for comparison reporting.
     """
-    if family in ("gen_gegenbauer", "sdg", "adjacent", "companion", "dg_from_circle"):
-        xi = params.pop("xi")
-        eta = params.pop("eta")
-        _require(not params, f"unexpected parameters {sorted(params)}")
-        _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
-        base = _gen_gegenbauer_density(xi, eta)
-        if family == "gen_gegenbauer":
-            return Measure(
-                support=((-2.0, 2.0),),
-                density=base,
-                endpoint_exponents=((-2.0, xi), (2.0, xi), (0.0, 2 * eta + 1)),
-                name=family,
-            )
-        if family == "dg_from_circle":
-            rho = _circle_density(xi, eta)
-
-            def density(x):
-                x = np.asarray(x, dtype=float)
-                theta = 2.0 * np.arccos(np.clip(x / 2.0, -1.0, 1.0))
-                return rho(theta) / np.sin(theta / 2.0)
-
-            # theta scales like sqrt(2 -/+ x) near x = +/-2, so the circle
-            # exponents xi + 1/2 land at xi on the interval
-            return Measure(
-                support=((-2.0, 2.0),),
-                density=density,
-                endpoint_exponents=((-2.0, xi), (2.0, xi), (0.0, 2 * eta + 1)),
-                name=family,
-            )
-        if family == "sdg":
-
-            def density(x):
-                x = np.asarray(x, dtype=float)
-                return (x + 2.0) * base(x)
-
-            exps = ((-2.0, 1 + xi), (2.0, xi), (0.0, 2 * eta + 1))
-        elif family == "adjacent":
-
-            def density(x):
-                x = np.asarray(x, dtype=float)
-                return (2.0 - x) * base(x)
-
-            exps = ((-2.0, xi), (2.0, 1 + xi), (0.0, 2 * eta + 1))
-        else:  # companion
-
-            def density(x):
-                x = np.asarray(x, dtype=float)
-                return (4.0 - x * x) * base(x)
-
-            exps = ((-2.0, 1 + xi), (2.0, 1 + xi), (0.0, 2 * eta + 1))
-        return Measure(
-            support=((-2.0, 2.0),),
-            density=density,
-            endpoint_exponents=exps,
-            name=family,
+    takes = _WEIGHT_PARAMETERS.get(family) if isinstance(family, str) else None
+    if takes is None:
+        raise InvalidParameterError(f"unknown weight family {family!r}")
+    missing = [key for key in takes if key not in params]
+    unexpected = sorted(key for key in params if key not in takes)
+    if missing or unexpected:
+        raise InvalidParameterError(
+            f"weight family {family!r} takes {', '.join(takes)}; "
+            f"missing {missing}, unexpected {unexpected}"
         )
-
-    if family == "pencil":
-        xi = params.pop("xi")
-        eta = params.pop("eta")
-        lam = params.pop("lam")
-        _require(not params, f"unexpected parameters {sorted(params)}")
-        _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
-        _require_lam(lam)
-        if lam == 1.0:
-            return named_weight("sdg", xi=xi, eta=eta)
-        lo, hi = abs(lam - 1.0), lam + 1.0
-        return Measure(
-            support=((-hi, -lo), (lo, hi)),
-            density=_pencil_density(xi, eta, lam),
-            # the linear factors shift the pure power exponents at the
-            # points -(lam+1) and -(lam-1) (signed), wherever those fall
-            endpoint_exponents=(
-                (hi, xi),
-                (-hi, 1 + xi),
-                (lam - 1.0, eta),
-                (-(lam - 1.0), 1 + eta),
-            ),
-            name=family,
-        )
-
-    if family in ("big_m1", "little_m1"):
-        alpha = params.pop("alpha")
-        beta = params.pop("beta")
-        c = 0.0 if family == "little_m1" else params.pop("c")
-        _require(not params, f"unexpected parameters {sorted(params)}")
-        _require(alpha > -1 and beta > -1, f"need alpha, beta > -1, got ({alpha}, {beta})")
-        _require(0 <= c < 1, f"need 0 <= c < 1, got {c}")
-        xi = 0.5 * (alpha - 1.0)
-        eta = 0.5 * (beta - 1.0)
-        density = _big_m1_density(alpha, beta, c)
-        if c == 0.0:
-            support = ((-1.0, 1.0),)
-            exps = ((-1.0, 1 + xi), (1.0, xi), (0.0, 1 + 2 * eta))
-        else:
-            support = ((-1.0, -c), (c, 1.0))
-            exps = ((-1.0, 1 + xi), (1.0, xi), (c, 1 + eta), (-c, eta))
-        return Measure(
-            support=support, density=density, endpoint_exponents=exps, name=family
-        )
-
-    if family == "periodic":
-        lam = params.pop("lam")
-        _require(not params, f"unexpected parameters {sorted(params)}")
-        _require_lam(lam)
-        density = _periodic_density(lam)
-        if lam == 1.0:
-            return Measure(
-                support=((-2.0, 2.0),),
-                density=density,
-                endpoint_exponents=((-2.0, 0.5), (2.0, -0.5)),
-                name=family,
-            )
-        lo, hi = abs(lam - 1.0), lam + 1.0
-        return Measure(
-            support=((-hi, -lo), (lo, hi)),
-            density=density,
-            # square-root zeros where the denominator is regular, inverse
-            # square roots at its zeros t = lam - 1 and t = lam + 1
-            endpoint_exponents=(
-                (hi, -0.5),
-                (lam - 1.0, -0.5),
-                (-hi, 0.5),
-                (-(lam - 1.0), 0.5),
-            ),
-            name=family,
-        )
-
-    raise InvalidParameterError(f"unknown weight family {family!r}")
+    return _WEIGHT_BUILDERS[family](family, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +638,9 @@ def m_per(z: complex, lam: float) -> complex:
     For Im z > 0 the asymptotic branch is the root with positive imaginary
     part (the two roots have real product 1/lam^2, so their imaginary parts
     have opposite signs); this equals continuation from large |z| along a
-    vertical ray.  Real z are resolved by an imaginary lift and then snapped
-    to the nearest exact real root.
+    vertical ray.  Real z give two real roots with product 1/lam^2, so one
+    has |lam*m| < 1: that one is the branch, except in the gap |z| < lam - 1
+    around the pole at 0 (lam > 1), where the branch is the other one.
     """
     _require_lam(lam)
     z = complex(z)
@@ -724,25 +664,25 @@ def m_per(z: complex, lam: float) -> complex:
         want_positive = z.imag > 0
         pick = r1 if want_positive else r0
         if (pick.imag > 0) != want_positive and pick.imag != 0:
-            # degenerate orientation: fall back to the asymptotic criterion
-            pick = min(roots, key=lambda r: abs(z * r + 1))
-        if not cmath.isfinite(pick):
-            raise _no_finite_value(z, lam)
-        return pick
-
-    t = z.real
-    if t == 0.0 and lam > 1.0:
-        raise InvalidParameterError(
-            "z = 0 is a pole of the function for lam > 1 (spectral point mass)"
-        )
-    disc = (t * t - (lam + 1.0) ** 2) * (t * t - (lam - 1.0) ** 2)
-    if disc < 0:
-        raise InvalidParameterError(
-            f"real z = {t!r} lies strictly inside the essential spectrum; "
-            "evaluate at z + i*eps instead"
-        )
-    lifted = m_per(t + 1e-9j, lam)
-    return min(roots, key=lambda r: abs(r - lifted))
+            raise InternalConsistencyError(
+                f"m_per roots {roots!r} at z = {z!r}, lam = {lam!r} lie on one side of the axis"
+            )
+    else:
+        t = z.real
+        if t == 0.0 and lam > 1.0:
+            raise InvalidParameterError(
+                "z = 0 is a pole of the function for lam > 1 (spectral point mass)"
+            )
+        disc = (t * t - (lam + 1.0) ** 2) * (t * t - (lam - 1.0) ** 2)
+        if disc < 0:
+            raise InvalidParameterError(
+                f"real z = {t!r} lies strictly inside the essential spectrum; "
+                "evaluate at z + i*eps instead"
+            )
+        pick = (max if abs(t) < lam - 1.0 else min)(roots, key=abs)
+    if not cmath.isfinite(pick):
+        raise _no_finite_value(z, lam)
+    return pick
 
 
 def m_full(z: complex, lam: float) -> complex:

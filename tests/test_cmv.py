@@ -348,7 +348,10 @@ def test_nan_band_reaches_the_identity_residuals(monkeypatch):
     assert max(v for k, v in residuals.items() if k not in nan_keys) <= 1e-13
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, np.float64("nan")])
+# a Fraction or int too large for a float used to raise a bare OverflowError
+@pytest.mark.parametrize(
+    "lam", [math.nan, math.inf, -math.inf, np.float64("nan"), Fraction(10**400), 10**400, -(10**400)]
+)
 def test_non_finite_lam_raises(lam):
     a = jacobi_opuc_reflections(0.3, 0.7)
     with warnings.catch_warnings():

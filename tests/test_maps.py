@@ -1,5 +1,6 @@
 """Transform calculus: rank-one shifts, splits, rescalings, identifications."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cmvpencil.errors import InvalidParameterError, PolePointError
+from cmvpencil import maps
+from cmvpencil.errors import InternalConsistencyError, InvalidParameterError, PolePointError
 from cmvpencil.maps import (
     big_m1_parameters,
     big_m1_recurrence,
@@ -132,6 +134,32 @@ def test_lambda_reduction_branch_validation():
         lambda_reduction(a, 2.0, "other")
     with pytest.raises(InvalidParameterError):
         lambda_reduction(a, -1.0, "lambda-1")
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, Fraction(10**400), 10**400])
+def test_non_finite_lam_is_rejected(lam):
+    # lam = inf used to give b_0 = inf and pass the self-check on nan residuals
+    a = jacobi_opuc_reflections(0.3, 0.7)
+    for branch in ("lambda-1", "lambda+1"):
+        with pytest.raises(InvalidParameterError, match="lam must be > 0 and finite"):
+            lambda_reduction(a, lam, branch)
+    # this used to report "need -1 < c < 1, got nan"
+    with pytest.raises(InvalidParameterError, match="lam must be > 0 and finite"):
+        big_m1_parameters(0.3, 0.7, lam)
+
+
+def test_lambda_reduction_self_check_fails_on_nan(monkeypatch):
+    real = maps.christoffel
+
+    def with_nan(src, theta, n_max):
+        data = real(src, theta, n_max)
+        u = data.transformed.u
+        spoiled = MonicThreeTerm(b=data.transformed.b, u=lambda n: math.nan if n == 3 else u(n))
+        return dataclasses.replace(data, transformed=spoiled)
+
+    monkeypatch.setattr(maps, "christoffel", with_nan)
+    with pytest.raises(InternalConsistencyError, match="by nan"):
+        lambda_reduction(jacobi_opuc_reflections(0.3, 0.7), 2.0, "lambda-1")
 
 
 def test_scale_map_polynomial_covariance():

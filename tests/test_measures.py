@@ -4,6 +4,7 @@ import cmath
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cmvpencil import measures
 from cmvpencil.errors import (
     BandEdgeError,
     InstabilityError,
+    InternalConsistencyError,
     InvalidParameterError,
     NonConvergenceError,
 )
@@ -471,10 +473,89 @@ def test_m_per_matches_reference_at_band_edges():
 )
 def test_m_per_matches_reference_through_the_orientation_fallback(monkeypatch, roots):
     # finite inputs never give two roots on one side of the axis, so the
-    # root solver is replaced to reach the fallback branch
+    # root solver is replaced to reach the orientation check; where the
+    # reference fell back to the asymptotic criterion, m_per now raises
     monkeypatch.setattr(measures, "_stable_quadratic", lambda A, B, C: roots)
-    for z in (0.4 + 1.1j, 0.4 - 1.1j, 1j, -1j, -2.0 + 0.3j, 5.0):
-        assert _same_outcome(z, 1.7), (z, roots)
+    side = 1 if all(r.imag > 0 for r in roots) else -1 if all(r.imag < 0 for r in roots) else 0
+    for z in (0.4 + 1.1j, 0.4 - 1.1j, 1j, -1j, -2.0 + 0.3j):
+        if side * z.imag < 0:
+            with pytest.raises(InternalConsistencyError, match="one side of the axis"):
+                m_per(z, 1.7)
+        else:
+            assert _same_outcome(z, 1.7), (z, roots)
+
+
+@pytest.mark.parametrize("lam", [1.01, 2.0])
+def test_m_per_real_axis_next_to_the_pole(lam):
+    # inside |t| < 1e-9 the former lift t + 1e-9j snapped to the wrong root
+    # (m_per(1e-10, 2.0) was -3.3e-11)
+    for t in (1e-10, -1e-10, 1e-12, -1e-12):
+        value = m_per(t, lam)
+        assert value.imag == 0 and value.real == m_per(t + 1e-30j, lam).real, t
+        assert abs(lam * value) > 1
+    assert m_per(1e-10, 2.0).real == -7.5e9
+    # the chosen root overflows for subnormal t: raise rather than pick the other
+    with pytest.raises(InvalidParameterError, match="no finite value"):
+        m_per(1e-320, 2.0)
+    # 1.0000004e-12 inside the edge |lam - 1| = 0.01 the lift crossed into the
+    # edge guard and raised BandEdgeError; the root agrees with a tiny lift
+    t = 0.009999999999000008
+    assert m_per(t, lam).real == m_per(t + 1e-30j, lam).real
+    assert m_per(t, 0.99).real == m_per(t + 1e-30j, 0.99).real
+
+
+WEIGHT_PARAMETERS = {
+    "gen_gegenbauer": {"xi": 0.3, "eta": 0.2},
+    "sdg": {"xi": 0.3, "eta": 0.2},
+    "adjacent": {"xi": 0.3, "eta": 0.2},
+    "companion": {"xi": 0.3, "eta": 0.2},
+    "dg_from_circle": {"xi": 0.3, "eta": 0.2},
+    "pencil": {"xi": 0.3, "eta": 0.2, "lam": 1.7},
+    "big_m1": {"alpha": 1.5, "beta": 2.0, "c": 0.25},
+    "little_m1": {"alpha": 1.5, "beta": 2.0},
+    "periodic": {"lam": 1.7},
+}
+
+
+@pytest.mark.parametrize("family", sorted(WEIGHT_PARAMETERS))
+def test_named_weight_checks_parameter_names(family):
+    params = WEIGHT_PARAMETERS[family]
+    assert named_weight(family, **params).name == family
+    # a missing parameter used to escape as a bare KeyError
+    for key in params:
+        partial = {k: v for k, v in params.items() if k != key}
+        with pytest.raises(InvalidParameterError, match=f"missing \\['{key}'\\]"):
+            named_weight(family, **partial)
+    with pytest.raises(InvalidParameterError, match="unexpected \\['extra'\\]"):
+        named_weight(family, **params, extra=1.0)
+    other = "c" if "c" not in params else "lam"
+    with pytest.raises(InvalidParameterError, match=f"unexpected \\['{other}'\\]"):
+        named_weight(family, **params, **{other: 0.5})
+
+
+def test_named_weight_rejects_unknown_families():
+    for family in ("no_such_family", "", 3, None, ("sdg",)):
+        with pytest.raises(InvalidParameterError, match="unknown weight family"):
+            named_weight(family, xi=0.3, eta=0.2)
+
+
+def test_weight_exponents_reach_the_rules_as_floats():
+    # a Fraction exponent used to end in scipy's TypeError inside roots_jacobi
+    exact = stieltjes_recurrence(named_weight("sdg", xi=Fraction(1, 3), eta=0.2), 4)
+    approx = stieltjes_recurrence(named_weight("sdg", xi=1 / 3, eta=0.2), 4)
+    for n in range(5):
+        assert exact.b(n) == pytest.approx(approx.b(n), abs=1e-13)
+        assert exact.u(n) == pytest.approx(approx.u(n), abs=1e-13)
+    # int parameters keep the bits of their float equivalents
+    for family, ints, floats in (
+        ("sdg", {"xi": 1, "eta": 2}, {"xi": 1.0, "eta": 2.0}),
+        ("big_m1", {"alpha": 3, "beta": 1, "c": 0}, {"alpha": 3.0, "beta": 1.0, "c": 0.0}),
+        ("pencil", {"xi": 1, "eta": 0, "lam": 2}, {"xi": 1.0, "eta": 0.0, "lam": 2.0}),
+    ):
+        for n_nodes in (16, 64):
+            x_int, w_int = discretize(named_weight(family, **ints), n_nodes)
+            x_float, w_float = discretize(named_weight(family, **floats), n_nodes)
+            assert x_int.tobytes() == x_float.tobytes() and w_int.tobytes() == w_float.tobytes()
 
 
 def test_weyl_functions_reject_nonfinite_and_overflowing_input():
