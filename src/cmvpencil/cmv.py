@@ -22,6 +22,8 @@ O(dim^2) in LAPACK) and the ``to_dense`` test oracles cost more.
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -50,11 +52,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Size of a finite truncation, counted in 2x2 blocks."""
+    """Size of a finite truncation, counted in 2x2 blocks: an integer n_blocks >= 2
+    (numpy integers too); anything else raises TruncationError."""
 
     n_blocks: int
 
     def __post_init__(self):
+        # numpy integers are Integral; bool, floats, Fractions and strings are refused
+        if isinstance(self.n_blocks, bool) or not isinstance(self.n_blocks, numbers.Integral):
+            raise TruncationError(f"n_blocks must be an integer, got {self.n_blocks!r}")
         if self.n_blocks < 2:
             raise TruncationError(
                 f"need at least 2 blocks for a meaningful truncation, got {self.n_blocks}"
@@ -66,9 +72,9 @@ class TruncationSpec:
 
     @classmethod
     def from_dim(cls, dim: int) -> "TruncationSpec":
-        """The truncation with ``dim`` rows; TruncationError unless dim is even and >= 4."""
-        if dim < 4 or dim % 2:
-            raise TruncationError(f"need even dim >= 4, got {dim}")
+        """The truncation with ``dim`` rows; TruncationError unless dim is an even integer >= 4."""
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 4 or dim % 2:
+            raise TruncationError(f"need even dim >= 4, got {dim!r}")
         return cls(n_blocks=dim // 2)
 
 
@@ -316,6 +322,52 @@ def _residual(lhs, rhs, n: int) -> float:
     return float(np.abs(np.concatenate([(lhs[k] - y)[:n] for k, y in enumerate(rhs)])).max())
 
 
+# K^2 entries are sums of three products of entries up to 1 + |lam|, and
+# 1 + lam^2 is formed too, so |lam| up to sqrt(max float) / 4 keeps every
+# residual finite
+_IDENTITY_LAM_MAX = math.sqrt(sys.float_info.max) / 4
+
+
+def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> list:
+    """``verify_identities`` at each lam, with the lam-free work done once.
+
+    L, M and J come from their builders once, and so do H, L^2, M^2, J^2
+    and the four residuals that do not involve lam; per lam only K, K^2
+    and the two residuals of the pencil are formed.  Every lam is checked
+    before any arithmetic.
+    """
+    for lam in lams:
+        # compared exactly, so a huge int or Fraction fails here and not in float()
+        if not abs(lam) <= _IDENTITY_LAM_MAX:
+            raise InvalidParameterError(
+                f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
+                f"so that lam^2 and K^2 stay finite, got {lam}"
+            )
+    L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
+    H = _anticommutator(L, M)
+    L2, M2, J2 = (_tri_product(*X, *X) for X in (L, M, J))
+    n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
+    L_squared = _residual(L2, eye, n)
+    M_squared = _residual(M2, eye, n)
+    J_sum = _residual(J, [L[0] + M[0], L[1] + M[1]], n)
+    H_from_J = _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n)
+    out = []
+    for lam in lams:
+        K = build_K(a, lam, trunc).bands
+        K2 = _tri_product(*K, *K)
+        # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
+        scale, shift = float(lam), 1.0 + lam * lam
+        out.append({
+            "L_squared_is_identity": L_squared,
+            "M_squared_is_identity": M_squared,
+            "J_equals_L_plus_M": J_sum,
+            "K_equals_L_plus_lam_M": _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n),
+            "H_equals_J_squared_minus_2": H_from_J,
+            "K_squared_identity": _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n),
+        })
+    return out
+
+
 def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> dict:
     """Residuals of the defining algebraic identities on interior rows.
 
@@ -325,29 +377,18 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
 
     Complexity: O(dim) time and memory; nothing dense is formed.  The
     residuals equal those of ``banded_product`` and ``add`` bit for bit (a
-    dense J @ J may round differently, by a few 1e-16).  A lam that is not
-    finite raises InvalidParameterError.
+    dense J @ J may round differently, by a few 1e-16).  This is the one-lam
+    case of the routine the matrix-identities suite calls once per
+    sequence, which forms the four lam-free residuals once for all its lams.
+    A lam that is not finite, or with |lam| above about 3.35e153 (where
+    lam^2 or K^2 would overflow), raises InvalidParameterError.
 
     Returns
     -------
     dict
         Identity name -> max abs residual.
     """
-    K = build_K(a, lam, trunc).bands
-    L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
-    H = _anticommutator(L, M)
-    L2, M2, J2, K2 = (_tri_product(*X, *X) for X in (L, M, J, K))
-    # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
-    scale, shift = float(lam), 1.0 + lam * lam
-    n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
-    return {
-        "L_squared_is_identity": _residual(L2, eye, n),
-        "M_squared_is_identity": _residual(M2, eye, n),
-        "J_equals_L_plus_M": _residual(J, [L[0] + M[0], L[1] + M[1]], n),
-        "K_equals_L_plus_lam_M": _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n),
-        "H_equals_J_squared_minus_2": _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n),
-        "K_squared_identity": _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n),
-    }
+    return _identity_residuals(a, (lam,), trunc)[0]
 
 
 def _tridiagonal(m: BandedSymmetricMatrix) -> tuple:

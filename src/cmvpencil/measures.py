@@ -17,9 +17,11 @@ values give the two-band spectral density.
 keyed by (measure, node count): each entry holds one discretization and the
 Stieltjes chain run on it so far, which a later call extends only to the
 degree it asks for.  The key holds the density by identity, so only a
-measure on the same density object hits an entry (each ``named_weight`` call
-builds a new one); that density must be a pure function of x.  A measure
-that cannot be hashed is served uncached.
+measure on the same density object hits an entry; that density must be a
+pure function of x.  A measure that cannot be hashed is served uncached.
+``named_weight`` returns one shared measure for the same family and
+parameters, compared by value and by type, from a small bounded memo, so a
+repeated named weight hits the chains of its first call.
 
 Arguments are checked before any work: a tol that is nan, infinite or below
 1e-13, an n_max or n_nodes that is not an integer (bool included) or out of
@@ -337,7 +339,8 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     The chain at each quadrature level is cached per (measure, node count)
     and extended on demand, so a ladder of degrees on one measure runs each
     level's chain once.  The cache compares the density by identity, and the
-    density must be a pure function of x.
+    density must be a pure function of x; ``named_weight`` returns the same
+    measure for equal typed parameters, so its repeated weights hit.
 
     Parameters
     ----------
@@ -524,7 +527,10 @@ def named_weight(family: str, **params) -> Measure:
     Returns
     -------
     Measure
-        With support and sharp endpoint exponents declared.
+        With support and sharp endpoint exponents declared.  Calls with the
+        same family and parameters, compared by value and by type (so lam=2,
+        2.0 and Fraction(2) differ), return one shared measure from a memo
+        of 16 entries; a parameter that cannot be hashed gets a fresh one.
 
     Raises
     ------
@@ -549,7 +555,26 @@ def named_weight(family: str, **params) -> Measure:
             f"weight family {family!r} takes {', '.join(takes)}; "
             f"missing {missing}, unexpected {unexpected}"
         )
-    return _WEIGHT_BUILDERS[family](family, **params)
+    key = tuple((name, *_typed(params[name])) for name in takes)
+    try:
+        hash(key)
+    except TypeError:
+        # a parameter that cannot be hashed (a 0-d array, say) gets its own measure
+        return _WEIGHT_BUILDERS[family](family, **params)
+    return _shared_weight(family, key)
+
+
+def _typed(value) -> tuple:
+    """A parameter as compared by the weight memo: by value and by type, so
+    2, 2.0 and Fraction(2) differ, and a float by its sign too (-0.0, 0.0)."""
+    sign = math.copysign(1.0, value) if isinstance(value, (float, np.floating)) else 0.0
+    return type(value), value, sign
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_weight(family: str, key: tuple) -> Measure:
+    """The measure of ``named_weight``'s typed key, one object per key."""
+    return _WEIGHT_BUILDERS[family](family, **{name: v for name, _, v, _ in key})
 
 
 # ---------------------------------------------------------------------------

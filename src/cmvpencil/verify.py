@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cmv import TruncationSpec, band_census, build_K, verify_identities
+from .cmv import TruncationSpec, _identity_residuals, band_census, build_K
 from .dunkl import (
     fourth_kind_identity_residual,
     third_kind_identity_residual,
@@ -106,12 +106,12 @@ def suite_matrix_identities(dim: int = 64) -> list:
     sequences = [("jacobi(0.3,0.7)", jacobi_opuc_reflections(0.3, 0.7))]
     for k in range(5):
         sequences.append((f"random[{k}]", _random_reflections(rng, dim + 2)))
+    lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
     results = []
     for name, a in sequences:
         worst = 0.0
         worst_case = ""
-        for lam in (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0):
-            residuals = verify_identities(a, lam, trunc)
+        for lam, residuals in zip(lams, _identity_residuals(a, lams, trunc)):
             for key, res in residuals.items():
                 if res > worst:
                     worst, worst_case = res, f"{key} at lam={lam}"

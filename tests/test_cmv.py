@@ -27,6 +27,7 @@ from cmvpencil.cmv import (
 from cmvpencil.errors import InvalidParameterError, TruncationError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
+from cmvpencil.verify import run_suite
 
 TRUNC8 = TruncationSpec(n_blocks=4)
 
@@ -56,6 +57,8 @@ def dense_reference(a, lam, dim):
 
 def test_truncation_spec():
     assert TruncationSpec(n_blocks=5).dim == 10
+    assert TruncationSpec(n_blocks=np.int64(5)).dim == 10
+    assert TruncationSpec.from_dim(np.int32(10)) == TruncationSpec(n_blocks=5)
     with pytest.raises(TruncationError):
         TruncationSpec(n_blocks=1)
     assert TruncationSpec.from_dim(4) == TruncationSpec(n_blocks=2)
@@ -64,6 +67,19 @@ def test_truncation_spec():
         with pytest.raises(InvalidParameterError, match=f"need even dim >= 4, got {dim}") as info:
             TruncationSpec.from_dim(dim)
         assert isinstance(info.value, TruncationError)
+
+
+# these used to fail later, with a bare numpy TypeError or ValueError
+@pytest.mark.parametrize("n_blocks", [2.5, 3.0, Fraction(3), math.nan, "3", True, None])
+def test_truncation_spec_needs_an_integer(n_blocks):
+    with pytest.raises(TruncationError, match="n_blocks must be an integer"):
+        TruncationSpec(n_blocks=n_blocks)
+
+
+@pytest.mark.parametrize("dim", [6.0, 6.5, Fraction(6), math.nan, "6", True])
+def test_from_dim_needs_an_integer(dim):
+    with pytest.raises(TruncationError, match="need even dim >= 4"):
+        TruncationSpec.from_dim(dim)
 
 
 def test_block_structure_free_case():
@@ -306,6 +322,91 @@ def test_residuals_bit_identical_to_general_route(dim):
             general = general_route_residuals(a, lam, trunc)
             assert list(fast) == list(general)
             assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in general.items()}, (name, lam)
+
+
+def per_lam_residuals(a, lam, trunc):
+    """``verify_identities`` as it was before the lam-free work was shared:
+    every builder, product and residual formed afresh for one lam."""
+    K = build_K(a, lam, trunc).bands
+    L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
+    H = cmv._anticommutator(L, M)
+    L2, M2, J2, K2 = (cmv._tri_product(*X, *X) for X in (L, M, J, K))
+    scale, shift = float(lam), 1.0 + lam * lam
+    n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]
+    return {
+        "L_squared_is_identity": cmv._residual(L2, eye, n),
+        "M_squared_is_identity": cmv._residual(M2, eye, n),
+        "J_equals_L_plus_M": cmv._residual(J, [L[0] + M[0], L[1] + M[1]], n),
+        "K_equals_L_plus_lam_M": cmv._residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n),
+        "H_equals_J_squared_minus_2": cmv._residual(H, [J2[0] - 2.0, J2[1], J2[2]], n),
+        "K_squared_identity": cmv._residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n),
+    }
+
+
+@pytest.mark.parametrize("dim", [4, 8, 64, 2048])
+def test_shared_lam_free_work_bit_identical_to_per_lam(dim):
+    trunc = TruncationSpec.from_dim(dim)
+    for name, a in identity_sequences(dim).items():
+        shared = cmv._identity_residuals(a, IDENTITY_LAMS, trunc)
+        assert len(shared) == len(IDENTITY_LAMS)
+        for lam, residuals in zip(IDENTITY_LAMS, shared):
+            reference = per_lam_residuals(a, lam, trunc)
+            assert list(residuals) == list(reference)  # the suite's worst case follows this order
+            hexed = {k: v.hex() for k, v in residuals.items()}
+            assert hexed == {k: v.hex() for k, v in reference.items()}, (name, lam)
+            assert hexed == {k: v.hex() for k, v in verify_identities(a, lam, trunc).items()}
+
+
+def count_builder_calls(monkeypatch):
+    calls = dict.fromkeys(("build_L", "build_M", "build_J", "build_K"), 0)
+    for name in calls:
+        build = getattr(cmv, name)
+
+        def counted(*args, _name=name, _build=build):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(cmv, name, counted)
+    return calls
+
+
+def test_lam_free_builders_run_once_per_sequence(monkeypatch):
+    calls = count_builder_calls(monkeypatch)
+    lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
+    cmv._identity_residuals(jacobi_opuc_reflections(0.3, 0.7), lams, TRUNC8)
+    assert calls == {"build_L": 1, "build_M": 1, "build_J": 1, "build_K": 6}
+    calls.update(dict.fromkeys(calls, 0))
+    results = run_suite("matrix-identities")
+    assert len(results) == 6 and all(r.passed for r in results)
+    assert calls == {"build_L": 6, "build_M": 6, "build_J": 6, "build_K": 36}
+
+
+# lam^2 overflows beyond about 1.3e154, and K^2 a little before that
+@pytest.mark.parametrize("lam", [1e200, -1e200, 1e154, 10**200, Fraction(10**200), np.float64(4e153)])
+def test_lam_whose_square_overflows_raises(monkeypatch, lam):
+    a = jacobi_opuc_reflections(0.3, 0.7)
+    calls = count_builder_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="need a finite lam"):
+            verify_identities(a, lam, TRUNC8)
+        # every lam is checked before the first builder runs
+        with pytest.raises(InvalidParameterError, match="need a finite lam"):
+            cmv._identity_residuals(a, (0.5, 1.0, lam), TRUNC8)
+    assert sum(calls.values()) == 0
+
+
+@pytest.mark.parametrize("lam", [1e150, -1e150, cmv._IDENTITY_LAM_MAX, -cmv._IDENTITY_LAM_MAX])
+def test_large_lam_below_the_bound_stays_finite(lam):
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (
+            jacobi_opuc_reflections(0.3, 0.7),
+            ReflectionSequence.from_list(rng.uniform(-0.999, 0.999, size=64)),
+        ):
+            residuals = verify_identities(a, lam, TruncationSpec.from_dim(64))
+            assert all(math.isfinite(v) for v in residuals.values())
 
 
 @pytest.mark.parametrize("dim", [64, 2048, 100_000])

@@ -41,6 +41,7 @@ from cmvpencil.recurrences import (
     pencil_recurrence,
     sdg_recurrence,
 )
+from cmvpencil.verify import run_suite
 
 # frozen values computed independently with 40-digit quadrature
 GEN_GEG_M0 = 5.65051330225180013236983  # mass, xi = 0.5, eta = 0.25
@@ -230,6 +231,7 @@ def test_discretize_weights_sum_to_mass():
 def test_stieltjes_same_bits_cold_and_warm_cache(params):
     m = named_weight(**params)
     measures._jacobi_rule.cache_clear()
+    measures._chain.cache_clear()  # named_weight may return a measure already chained
     cold = stieltjes_recurrence(m, 20)
     assert measures._jacobi_rule.cache_info().currsize > 0
     warm = stieltjes_recurrence(m, 20)
@@ -766,3 +768,56 @@ def test_cached_nodes_cannot_be_written_by_an_integrand():
     with pytest.raises(ValueError):
         integrate(m, in_place, 1e-10)
     assert integrate(m, lambda x: x * 0 + 1, 1e-12) == pytest.approx(8.0, rel=1e-12)
+
+
+def test_named_weight_shares_one_measure_per_typed_key():
+    sdg = named_weight("sdg", xi=0.3, eta=0.5)
+    assert named_weight("sdg", eta=0.5, xi=0.3) is sdg  # keyword order does not matter
+    assert named_weight("sdg", xi=0.3, eta=0.25) is not sdg
+    assert named_weight("adjacent", xi=0.3, eta=0.5) is not sdg
+    # equal values of different types stay apart: the densities take them as given
+    two = [named_weight("periodic", lam=lam) for lam in (2, 2.0, Fraction(2), np.float64(2.0))]
+    assert len({id(m) for m in two}) == 4
+    again = [named_weight("periodic", lam=lam) for lam in (2, 2.0, Fraction(2), np.float64(2.0))]
+    assert all(m is n for m, n in zip(again, two))
+    assert named_weight("big_m1", alpha=2.0, beta=3.0, c=-0.0) is not named_weight(
+        "big_m1", alpha=2.0, beta=3.0, c=0.0
+    )
+
+
+def test_named_weight_unhashable_parameter_is_served_uncached():
+    measures._shared_weight.cache_clear()
+    m = named_weight("sdg", xi=np.array(0.3), eta=0.5)
+    assert named_weight("sdg", xi=np.array(0.3), eta=0.5) is not m
+    assert measures._shared_weight.cache_info().currsize == 0
+    plain = named_weight("sdg", xi=0.3, eta=0.5)
+    x = np.linspace(-1.9, 1.9, 41)
+    assert m.density(x).tobytes() == plain.density(x).tobytes()
+    assert _table(stieltjes_recurrence(m, 12), 12) == _table(stieltjes_recurrence(plain, 12), 12)
+
+
+def test_named_weight_memo_is_bounded():
+    maxsize = measures._shared_weight.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 32
+    first = named_weight("sdg", xi=0.05, eta=0.5)
+    for k in range(2 * maxsize):
+        named_weight("sdg", xi=0.1 * k, eta=0.5)
+    assert measures._shared_weight.cache_info().currsize == maxsize
+    assert named_weight("sdg", xi=0.05, eta=0.5) is not first  # evicted, built afresh
+
+
+@pytest.mark.parametrize("params", CHAIN_MEASURES)
+def test_shared_measures_give_the_tables_of_a_fresh_build(params):
+    warm = [_table(stieltjes_recurrence(named_weight(**params), 24, tol=1e-9), 24) for _ in range(2)]
+    measures._shared_weight.cache_clear()
+    measures._chain.cache_clear()
+    fresh = _table(stieltjes_recurrence(named_weight(**params), 24, tol=1e-9), 24)
+    assert warm == [fresh, fresh]
+
+
+def test_repeated_big_m1_suite_adds_no_chain_miss():
+    first = run_suite("big-m1")
+    misses = measures._chain.cache_info().misses
+    again = run_suite("big-m1")
+    assert measures._chain.cache_info().misses == misses
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
