@@ -36,6 +36,7 @@ from .recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
+    _require_count,
     jacobi_opuc_reflections,
     pencil_recurrence,
     szego_eval,
@@ -108,16 +109,11 @@ class BigM1Parameters:
     c : real
         Inner support endpoint, c = (lam - 1)/(lam + 1); support is
         [-1, -|c|] union [|c|, 1].
-    g : real
-        Scale of the affine variable change, g = -2/(1 - c) = -(lam + 1).
-    affine : callable
-        The map x -> g*x.
-    A_scaled, C_scaled : callable
-        The reduced-transform ratios divided by g.
     star : MonicThreeTerm
-        The literal g-rescaled pencil recurrence (b_n/g, u_n/g^2).  Kept so
-        the acceptance checks can report how it compares against the
-        two-interval weight; the match that actually holds is ``resolved``.
+        The literal pencil recurrence rescaled by g = -2/(1 - c) = -(lam + 1)
+        (b_n/g, u_n/g^2).  Kept so the acceptance checks can report how it
+        compares against the two-interval weight; the match that actually
+        holds is ``resolved``.
     resolved : MonicThreeTerm
         The recurrence that reproduces the two-interval weight exactly:
         the pencil family at the reciprocal parameter 1/lam, scaled by
@@ -129,10 +125,6 @@ class BigM1Parameters:
     alpha: float
     beta: float
     c: float
-    g: float
-    affine: Callable[[float], float]
-    A_scaled: Callable[[int], float]
-    C_scaled: Callable[[int], float]
     star: MonicThreeTerm
     resolved: MonicThreeTerm
 
@@ -166,8 +158,7 @@ def christoffel(src: MonicThreeTerm, theta, n_max: int) -> ChristoffelData:
     A(0) = theta - b_0, A(n) = theta - b_n - u_n/A(n-1), never by evaluating
     the polynomials themselves (which overflows near degree 40).
     """
-    if n_max < 0:
-        raise InvalidParameterError("n_max must be >= 0")
+    _require_count("n_max", n_max, 0)
     A_list = [theta - src.b(0)]
     C_list = [theta * 0]  # zero in the dtype of theta
     for n in range(1, n_max + 1):
@@ -234,7 +225,7 @@ def _require_lam(lam) -> None:
 
 
 def lambda_reduction(
-    a: ReflectionSequence, lam, branch: str, n_check: int = 20
+    a: ReflectionSequence, lam, branch: str
 ) -> tuple[ChristoffelData, MonicThreeTerm]:
     """Closed-form rank-one reduction of the pencil family at theta = lam -/+ 1.
 
@@ -244,9 +235,6 @@ def lambda_reduction(
     lam : real, > 0, finite as a float
     branch : {"lambda-1", "lambda+1"}
         Which shift point to use: theta = lam - 1 or theta = lam + 1.
-    n_check : int
-        Depth of the construction-time self check against the generic
-        ratio recursion.
 
     Returns
     -------
@@ -260,8 +248,8 @@ def lambda_reduction(
     InvalidParameterError
         If lam is not > 0 and finite as a float, or branch is unknown.
     InternalConsistencyError
-        If the closed forms disagree with the generic transform beyond 1e-10,
-        or by nan.
+        If the closed forms disagree with the generic transform through
+        degree 20 (the construction-time self check) beyond 1e-10, or by nan.
 
     Notes
     -----
@@ -332,6 +320,7 @@ def lambda_reduction(
         theta=theta, A=A, C=C, transformed=MonicThreeTerm(b=b, u=u)
     )
 
+    n_check = 20
     generic = christoffel(pencil_recurrence(a, lam), theta, n_check + 1)
     pairs = ((A, generic.A), (C, generic.C), (b, generic.transformed.b), (u, generic.transformed.u))
     diffs = [
@@ -458,7 +447,7 @@ def little_m1_recurrence(alpha, beta) -> MonicThreeTerm:
     return big_m1_recurrence(alpha, beta, alpha * 0)
 
 
-def big_m1_parameters(xi, eta, lam, branch: str = _BRANCH_LOW) -> BigM1Parameters:
+def big_m1_parameters(xi, eta, lam) -> BigM1Parameters:
     """Parameters identifying the reduced pencil family with the two-interval
     family.
 
@@ -468,16 +457,13 @@ def big_m1_parameters(xi, eta, lam, branch: str = _BRANCH_LOW) -> BigM1Parameter
         Exponent parameters of the circle weight.
     lam : real, > 0, finite as a float
         Pencil parameter; lam = 1 gives c = 0 (one-interval case).
-    branch : str
-        Shift branch of the reduction; the identification uses theta = lam - 1.
 
     Returns
     -------
     BigM1Parameters
-        alpha = 2*xi + 1, beta = 2*eta + 1, c = (lam - 1)/(lam + 1),
-        g = -2/(1 - c), the affine map x -> g*x, the scaled ratios
-        A(n)/g and C(n)/g, the literal rescaled recurrence ``star``
-        (b_n/g, u_n/g^2), and the ``resolved`` recurrence that actually
+        alpha = 2*xi + 1, beta = 2*eta + 1, c = (lam - 1)/(lam + 1), the
+        literal rescaled recurrence ``star`` (b_n/g, u_n/g^2 with
+        g = -2/(1 - c)), and the ``resolved`` recurrence that actually
         matches the weight (reciprocal parameter plus reflection).
     """
     _require_lam(lam)
@@ -486,20 +472,12 @@ def big_m1_parameters(xi, eta, lam, branch: str = _BRANCH_LOW) -> BigM1Parameter
     g = -2 / (one - c)  # equals -(lam + 1)
     alpha = 2 * xi + 1
     beta = 2 * eta + 1
-    a = jacobi_opuc_reflections(xi, eta)
-    data, _ = lambda_reduction(a, lam, branch)
-    src = pencil_recurrence(a, lam)
-    star = scale_map(src, one / g)
-
+    src = pencil_recurrence(jacobi_opuc_reflections(xi, eta), lam)
     return BigM1Parameters(
         alpha=alpha,
         beta=beta,
         c=c,
-        g=g,
-        affine=lambda x: g * x,
-        A_scaled=lambda n: data.A(n) / g,
-        C_scaled=lambda n: data.C(n) / g,
-        star=star,
+        star=scale_map(src, one / g),
         resolved=big_m1_recurrence(alpha, beta, c),
     )
 

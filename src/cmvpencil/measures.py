@@ -36,7 +36,6 @@ import cmath
 import functools
 import inspect
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -51,7 +50,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
 )
-from .recurrences import MonicThreeTerm, eval_monic
+from .recurrences import MonicThreeTerm, _require_count, eval_monic
 
 __all__ = [
     "Measure",
@@ -241,12 +240,14 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     )
 
 
-def gram(m: Measure, rec_p, rec_q, n: int, k: int, tol: float = 1e-10) -> float:
+def gram(m: Measure, rec_p, rec_q, n: int, k: int) -> float:
     """Normalized inner product of the degree-n and degree-k polynomials.
 
     Returns <p_n, q_k> / sqrt(<p_n, p_n> <q_k, q_k>) under the measure, so an
-    orthogonal pair gives ~0 and n = k with the same family gives 1.
+    orthogonal pair gives ~0 and n = k with the same family gives 1.  Each
+    integral is converged to the fixed tolerance 1e-10.
     """
+    tol = 1e-10
     cross = integrate(m, lambda x: eval_monic(rec_p, n, x)[n] * eval_monic(rec_q, k, x)[k], tol)
     nn = integrate(m, lambda x: eval_monic(rec_p, n, x)[n] ** 2, tol)
     kk = integrate(m, lambda x: eval_monic(rec_q, k, x)[k] ** 2, tol)
@@ -257,11 +258,6 @@ def gram(m: Measure, rec_p, rec_q, n: int, k: int, tol: float = 1e-10) -> float:
 
 _STIELTJES_LEVELS = (64, 128, 256, 512)
 _STIELTJES_N_MAX = 30
-
-
-def _require_count(name: str, value, lo: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
-        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _require_tol(tol) -> None:
@@ -766,9 +762,10 @@ def periodic_weight_verbatim(lam: float, t: float) -> float:
     return num / (sign * den)
 
 
-def validate_periodic_density(lam: float, n_grid: int = 20, eps: float = 1e-7) -> float:
+def validate_periodic_density(lam: float) -> float:
     """Max relative deviation between the closed-form band density and the
-    Weyl boundary value 2*Im m_full(t + i*eps) over an interior grid.
+    Weyl boundary value 2*Im m_full(t + i*eps), eps = 1e-7, over 20 interior
+    points of each band.
 
     The factor 2 converts the probability-normalized inversion value
     (1/pi)*Im m_full into the weight normalized to total mass 2*pi.
@@ -776,10 +773,10 @@ def validate_periodic_density(lam: float, n_grid: int = 20, eps: float = 1e-7) -
     Raises
     ------
     InvalidParameterError
-        If n_grid is not an integer >= 1 (an empty grid would pass
-        vacuously), or lam is not finite and positive.
+        If lam is not finite and positive.
     """
-    _require_count("n_grid", n_grid, 1)
+    _require_lam(lam)
+    n_grid, eps = 20, 1e-7
     lo, hi = abs(lam - 1.0), lam + 1.0
     pad = 0.05 * (hi - lo) if hi > lo else 0.05
     worst = 0.0

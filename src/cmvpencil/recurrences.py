@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +43,14 @@ __all__ = [
     "reflections_from_u",
     "chebyshev_closed_form",
 ]
+
+
+def _require_count(name: str, value, lo: int) -> int:
+    """An integer count or degree >= lo, returned as a Python int; numpy
+    integers pass, bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
 
 
 def _zero(n: int) -> int:
@@ -348,8 +357,7 @@ def eval_monic(rec: MonicThreeTerm, n: int, x) -> list:
     Works elementwise when x is a numpy array (each entry is then an array)
     and exactly when x and the coefficients are rational.
     """
-    if n < 0:
-        raise InvalidParameterError("degree must be >= 0")
+    _require_count("degree", n, 0)
     one = x * 0 + 1  # matches the dtype of x
     ladder = [one, x - rec.b(0) * one] if n > 0 else [one]
     for k in range(1, n):
@@ -366,8 +374,7 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
         [(Phi_0(z), Phi_0^*(z)), ..., (Phi_n(z), Phi_n^*(z))] from (1, 1) by one
         sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
     """
-    if n < 0:
-        raise InvalidParameterError("degree must be >= 0")
+    _require_count("degree", n, 0)
     zz = z.z if isinstance(z, CirclePoint) else complex(z)
     ladder = [(1.0 + 0.0j, 1.0 + 0.0j)]
     for k in range(n):
@@ -422,8 +429,7 @@ def chebyshev_closed_form(kind: str, n: int, tau: float) -> float:
     tau : real
         Angle; for third/fourth kind tau must avoid the denominator zeros.
     """
-    if n < 0:
-        raise InvalidParameterError("degree must be >= 0")
+    _require_count("degree", n, 0)
     if kind == "first":
         return 1.0 if n == 0 else 2.0 * math.cos(n * tau)
     if kind == "third":

@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -110,11 +111,65 @@ def test_eigenfunctions_exact():
         assert report.eigenvalue == dunkl_eigenvalue(n, 1, 1)
 
 
-def test_eigenfunctions_float_path():
-    report = verify_eigenfunction(1.0, 1.0, 0.5, 5)
-    assert not report.exact
-    assert report.passed
-    assert report.max_abs_residual < 1e-9
+# floats enter as the Fraction of their exact binary value; -0.0 is 0
+float_inputs = [0.1, 0.5, -0.0, np.float64(0.3)]
+
+
+@pytest.mark.parametrize("x", float_inputs)
+def test_float_inputs_take_the_exact_route(x):
+    exact = Fraction(x)
+    alpha, beta, c = 1 + x, x, x / 2
+    report = verify_eigenfunction(alpha, beta, c, 6)
+    fraction_report = verify_eigenfunction(Fraction(alpha), Fraction(beta), Fraction(c), 6)
+    assert report == fraction_report
+    assert report.exact and report.passed and report.max_abs_residual == 0.0
+    assert (report.alpha, report.beta, report.c) == (Fraction(alpha), exact, Fraction(c))
+    assert all(type(v) is Fraction for v in report.residual.coeffs)
+    assert dunkl_eigenvalue(5, alpha, beta) == -2 * (Fraction(alpha) + exact + 6)
+    assert type(dunkl_eigenvalue(5, alpha, beta)) is Fraction
+    p = PolynomialCoeffs((x, 1.0, -x))
+    image = apply_dunkl(alpha, beta, c, p)
+    assert image == apply_dunkl(
+        Fraction(alpha), Fraction(beta), Fraction(c), PolynomialCoeffs((exact, 1, -exact))
+    )
+    assert all(type(v) is Fraction for v in image.coeffs)
+    rec = MonicThreeTerm.from_arrays([x] * 4, [0, x, 1.0, x])
+    exact_rec = MonicThreeTerm.from_arrays([exact] * 4, [0, exact, 1, exact])
+    monic = PolynomialCoeffs.from_three_term(rec, 4)
+    assert monic == PolynomialCoeffs.from_three_term(exact_rec, 4)
+    assert all(type(v) is Fraction for v in monic.coeffs)
+
+
+bad_values = [math.nan, math.inf, -math.inf, np.float64("nan"), 1j, "1/2", None]
+
+
+@pytest.mark.parametrize("bad", bad_values, ids=repr)
+@pytest.mark.parametrize("slot", range(3))
+def test_non_real_parameters_raise(bad, slot):
+    params = [1, 1, Fraction(1, 2)]
+    params[slot] = bad
+    name = f"^{('alpha', 'beta', 'c')[slot]} must"
+    info = dunkl._ladder.cache_info()
+    with pytest.raises(InvalidParameterError, match=name):
+        verify_eigenfunction(*params, 2)
+    assert dunkl._ladder.cache_info() == info
+    with pytest.raises(InvalidParameterError, match=name):
+        apply_dunkl(*params, PolynomialCoeffs((0, 1)))
+    if slot < 2:
+        with pytest.raises(InvalidParameterError, match=name):
+            dunkl_eigenvalue(1, *params[:2])
+
+
+@pytest.mark.parametrize("bad", bad_values, ids=repr)
+def test_non_real_coefficients_raise(bad):
+    with pytest.raises(InvalidParameterError, match="coefficient"):
+        apply_dunkl(1, 1, Fraction(1, 2), PolynomialCoeffs((1, bad, 2)))
+    rec = MonicThreeTerm.from_arrays([0, bad, 0], [0, 1, bad])
+    with pytest.raises(InvalidParameterError, match="b_1"):
+        PolynomialCoeffs.from_three_term(rec, 2)
+    rec = MonicThreeTerm.from_arrays([0, 0, 0], [0, bad, 1])
+    with pytest.raises(InvalidParameterError, match="u_1"):
+        PolynomialCoeffs.from_three_term(rec, 2)
 
 
 def test_chebyshev_special_case_of_family():
@@ -150,11 +205,10 @@ def test_first_kind_values():
 
 
 # ---------------------------------------------------------------------------
-# Oracle: coefficient-wise arithmetic on Fraction/int/float tuples, one
-# operation at a time.  The module computes the same results on integer
-# numerators over one denominator; these tests hold it to the oracle's values
-# (for floats also their type and bits), and hold every exact result to
-# Fraction coefficients.
+# Oracle: coefficient-wise Fraction/int arithmetic, one operation at a time.
+# The module computes the same results on integer numerators over one
+# denominator; these tests hold it to the oracle's values and every result to
+# Fraction coefficients.  Float inputs reach the oracle as Fraction(v).
 # ---------------------------------------------------------------------------
 
 
@@ -225,11 +279,8 @@ def oracle_verify_eigenfunction(alpha, beta, c, n):
     residual = PolynomialCoeffs(
         _oracle_add(image.coeffs, _oracle_scale(p.coeffs, -eig))
     )
-    exact = all(
-        not isinstance(v, float) for v in (alpha, beta, c, *p.coeffs, *image.coeffs)
-    )
     max_abs = 0.0 if residual.is_zero() else residual.max_abs()
-    return p, image, eig, residual, max_abs, exact
+    return p, image, eig, residual, max_abs
 
 
 def oracle_chebyshev(n, const):
@@ -252,37 +303,20 @@ def oracle_identity_residual(p, edge, n):
     return PolynomialCoeffs(_oracle_add(lhs, _oracle_scale(p.coeffs, -factor)))
 
 
-def _typed(values):
-    """Floats by their type and bits (so -0.0 != 0.0); ints and Fractions as
-    one rational value."""
-    return [
-        (float, v.hex()) if isinstance(v, float) else (Fraction, Fraction(v))
-        for v in values
-    ]
+def assert_same_coeffs(got, expected):
+    """The oracle's values, as Fraction coefficients only."""
+    assert got.coeffs == expected.coeffs
+    assert all(type(v) is Fraction for v in got.coeffs)
 
 
-def _all_exact(values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def assert_same_coeffs(got, expected, exact):
-    """Same values as the oracle; ``exact`` (the inputs are all int/Fraction)
-    also asks for Fraction coefficients only."""
-    assert _typed(got.coeffs) == _typed(expected.coeffs)
-    if exact:
-        assert all(type(v) is Fraction for v in got.coeffs)
-
-
-def assert_same_report(report, alpha, beta, c, n, oracle=None):
-    _, _, eig, residual, max_abs, exact = oracle or oracle_verify_eigenfunction(
-        alpha, beta, c, n
-    )
+def assert_same_report(report, alpha, beta, c, n, oracle):
+    _, _, eig, residual, max_abs = oracle
     assert report.n == n
     assert (report.alpha, report.beta, report.c) == (alpha, beta, c)
-    assert _typed([report.eigenvalue]) == _typed([eig])
-    assert_same_coeffs(report.residual, residual, exact)
-    assert _typed([report.max_abs_residual]) == _typed([max_abs])
-    assert report.exact is exact
+    assert report.eigenvalue == eig
+    assert_same_coeffs(report.residual, residual)
+    assert report.max_abs_residual == max_abs
+    assert report.exact is True
 
 
 def _maybe_int(x):
@@ -310,25 +344,22 @@ def test_exact_arithmetic_matches_oracle(alpha, beta, c, as_int, n):
         alpha, beta, c = _maybe_int(alpha), _maybe_int(beta), _maybe_int(c)
     oracle = oracle_verify_eigenfunction(alpha, beta, c, n)
     p = PolynomialCoeffs.from_three_term(big_m1_recurrence(alpha, beta, c), n)
-    assert_same_coeffs(p, oracle[0], exact=True)
-    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle[1], exact=True)
+    assert_same_coeffs(p, oracle[0])
+    assert_same_coeffs(apply_dunkl(alpha, beta, c, p), oracle[1])
     assert_same_report(verify_eigenfunction(alpha, beta, c, n), alpha, beta, c, n, oracle)
     for coeffs, residual, const in (
         (third_kind_coeffs, third_kind_identity_residual, Fraction(-1)),
         (fourth_kind_coeffs, fourth_kind_identity_residual, Fraction(1)),
     ):
         chebyshev = oracle_chebyshev(n, const)
-        assert_same_coeffs(coeffs(n), chebyshev, exact=True)
-        assert_same_coeffs(
-            residual(n), oracle_identity_residual(chebyshev, 2 * const, n), exact=True
-        )
+        assert_same_coeffs(coeffs(n), chebyshev)
+        assert_same_coeffs(residual(n), oracle_identity_residual(chebyshev, 2 * const, n))
 
 
 rationals = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
-# at most one float, placed at a drawn index: floats take the values path,
-# ints and Fractions the integer-numerator path
+# at most one float, placed at a drawn index; it enters as Fraction(v)
 float_at = st.one_of(
     st.none(), st.tuples(st.integers(0, 19), st.sampled_from([0.0, -0.0, 0.5, -1.25]))
 )
@@ -351,11 +382,11 @@ def _with_float(values, at):
 )
 @example(coeffs=[Fraction(3, 4)], at=None, alpha=-1, beta=0, c=0)
 def test_apply_dunkl_mixed_types_match_oracle(coeffs, at, alpha, beta, c):
-    p = PolynomialCoeffs(tuple(_with_float(coeffs, at)))
+    values = _with_float(coeffs, at)
+    exact = PolynomialCoeffs(tuple(Fraction(v) for v in values))
     assert_same_coeffs(
-        apply_dunkl(alpha, beta, c, p),
-        oracle_apply_dunkl(alpha, beta, c, p),
-        exact=_all_exact((alpha, beta, c, *p.coeffs)),
+        apply_dunkl(alpha, beta, c, PolynomialCoeffs(tuple(values))),
+        oracle_apply_dunkl(Fraction(alpha), Fraction(beta), Fraction(c), exact),
     )
 
 
@@ -370,24 +401,14 @@ def test_apply_dunkl_mixed_types_match_oracle(coeffs, at, alpha, beta, c):
 @example(b_values=[1] * 10, u_values=[Fraction(1, 2)] * 10, at=None, n=4)
 @example(b_values=[Fraction(1, 2)] * 10, u_values=[1] * 10, at=None, n=4)
 def test_from_three_term_mixed_types_match_oracle(b_values, u_values, at, n):
-    # a float in the recurrence switches the rest of the ladder to the values
-    # themselves; -0.0 + -0.0 at the x^(n-1) slot of P_2 must still give 0.0
+    # a float anywhere in the recurrence (-0.0 included) enters as Fraction(v)
     coeffs = _with_float([*b_values, *u_values], at)
     rec = MonicThreeTerm.from_arrays(coeffs[:10], [0, *coeffs[11:]])
-    used = [*(rec.b(k) for k in range(n)), *(rec.u(k) for k in range(1, n))]
+    exact = [Fraction(v) for v in coeffs]
+    exact_rec = MonicThreeTerm.from_arrays(exact[:10], [0, *exact[11:]])
     assert_same_coeffs(
-        PolynomialCoeffs.from_three_term(rec, n),
-        oracle_from_three_term(rec, n),
-        exact=_all_exact(used),
+        PolynomialCoeffs.from_three_term(rec, n), oracle_from_three_term(exact_rec, n)
     )
-
-
-@pytest.mark.parametrize("triple", [(1.0, 1.0, 0.5), (0.5, 0.25, 0.125), (2.0, 0.0, 0.0)])
-def test_float_path_bit_identical(triple):
-    for n in range(13):
-        report = verify_eigenfunction(*triple, n)
-        assert_same_report(report, *triple, n)
-        assert not report.exact
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +420,12 @@ def test_ladder_cache_is_bounded():
     assert dunkl._ladder.cache_info().maxsize is not None
 
 
-def test_ladder_cache_keys_are_typed():
+def test_equal_parameters_share_one_ladder():
     dunkl._ladder.cache_clear()
-    assert verify_eigenfunction(1, 1, Fraction(1, 2), 4).exact
-    report = verify_eigenfunction(1.0, 1.0, 0.5, 4)
-    assert not report.exact
-    assert report.passed
+    for one in (1, 1.0, Fraction(1), np.int64(1), np.float64(1.0)):
+        assert verify_eigenfunction(one, one, 0.5, 4).passed
+    info = dunkl._ladder.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
 
 
 def test_ladder_entries_are_reduced():
@@ -422,8 +443,9 @@ def test_rejected_degree_leaves_the_ladder_cache_alone():
     # ladders, evicting valid ones
     info = dunkl._ladder.cache_info()
     for triple in ((Fraction(1, 7), 0, 0), (2, 1, Fraction(1, 9)), (0.25, 0.5, 0.125)):
-        with pytest.raises(InvalidParameterError):
-            verify_eigenfunction(*triple, -1)
+        for n in (-1, 2.0, True):
+            with pytest.raises(InvalidParameterError, match="degree"):
+                verify_eigenfunction(*triple, n)
     assert dunkl._ladder.cache_info() == info
 
 

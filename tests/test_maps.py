@@ -246,13 +246,15 @@ def test_chihara_split_warns_on_sign_violation():
 
 
 def test_big_m1_parameters_frozen_example():
-    # (xi, eta, lam) = (0, 0, 3): c = 1/2, g = -4, A(0) = -1, A(0)/g = 1/4
+    # (xi, eta, lam) = (0, 0, 3): c = 1/2 and g = -2/(1 - c) = -4
     params = big_m1_parameters(0.0, 0.0, 3.0)
     assert params.alpha == 1.0 and params.beta == 1.0
     assert params.c == pytest.approx(0.5)
-    assert params.g == pytest.approx(-4.0)
-    assert params.A_scaled(0) == pytest.approx(0.25)
-    assert params.affine(1.5) == pytest.approx(-6.0)
+    src = pencil_recurrence(jacobi_opuc_reflections(0.0, 0.0), 3.0)
+    for n in range(6):
+        assert params.star.b(n) == pytest.approx(src.b(n) / -4.0)
+        assert params.star.u(n) == pytest.approx(src.u(n) / 16.0)
+    assert params.resolved.b(0) == big_m1_recurrence(1.0, 1.0, params.c).b(0)
 
 
 def test_big_m1_star_really_differs_from_resolved():

@@ -594,10 +594,8 @@ def test_lam_must_be_finite_and_grids_nonempty():
                 named_weight(**params, lam=lam)
         with pytest.raises(InvalidParameterError):
             stieltjes_perron_density(lam, 1.0)
-    for n_grid in (0, -2, 2.5, True):
-        with pytest.raises(InvalidParameterError, match="n_grid"):
-            validate_periodic_density(2.0, n_grid=n_grid)
-    assert validate_periodic_density(2.0, n_grid=1) < 1e-4
+        with pytest.raises(InvalidParameterError, match="need lam > 0"):
+            validate_periodic_density(lam)
 
 
 def test_quadrature_arguments_are_validated():

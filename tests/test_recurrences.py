@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cmvpencil.dunkl import (
+    PolynomialCoeffs,
+    dunkl_eigenvalue,
+    third_kind_coeffs,
+    verify_eigenfunction,
+)
 from cmvpencil.errors import InvalidParameterError, ReflectionBoundError
-from cmvpencil.maps import big_m1_recurrence
+from cmvpencil.maps import big_m1_recurrence, christoffel, dg_eval_from_circle
 from cmvpencil.recurrences import (
     CirclePoint,
     MonicThreeTerm,
@@ -221,6 +227,39 @@ def test_eval_degree_validation():
     rec = sdg_recurrence(ReflectionSequence.constant(0.0))
     with pytest.raises(InvalidParameterError):
         eval_monic(rec, -1, 0.5)
+
+
+_SDG = sdg_recurrence(ReflectionSequence.constant(0.0))
+_JACOBI = jacobi_opuc_reflections(0.3, 0.7)
+# entry points of recurrences, maps and dunkl that take a degree (or a
+# largest index), each called with degree n
+DEGREE_CALLS = {
+    "dunkl_eigenvalue": lambda n: dunkl_eigenvalue(n, 1, 1),
+    "verify_eigenfunction": lambda n: verify_eigenfunction(1, 1, Fraction(1, 2), n),
+    "from_three_term": lambda n: PolynomialCoeffs.from_three_term(
+        big_m1_recurrence(1, 1, Fraction(1, 2)), n
+    ),
+    "third_kind_coeffs": third_kind_coeffs,
+    "eval_monic": lambda n: eval_monic(_SDG, n, 0.5),
+    "szego_eval": lambda n: szego_eval(_JACOBI, n, CirclePoint(1.0)),
+    "dg_eval_from_circle": lambda n: dg_eval_from_circle(_JACOBI, n, CirclePoint(1.0)),
+    "christoffel": lambda n: christoffel(_SDG, 3.0, n),
+    "chebyshev_closed_form": lambda n: chebyshev_closed_form("third", n, 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, -1, True, "2", None], ids=repr)
+@pytest.mark.parametrize("name", list(DEGREE_CALLS))
+def test_degrees_must_be_nonnegative_integers(name, n):
+    with pytest.raises(InvalidParameterError, match="must be an integer >= 0"):
+        DEGREE_CALLS[name](n)
+
+
+@pytest.mark.parametrize("name", list(DEGREE_CALLS))
+def test_numpy_integer_degrees_are_accepted(name):
+    got = DEGREE_CALLS[name](np.int64(25))
+    if name != "christoffel":  # its result holds closures, equal only to itself
+        assert got == DEGREE_CALLS[name](25)
 
 
 def test_szego_free_case_is_power():
