@@ -9,6 +9,12 @@ the even/odd split of a recurrence with alternating diagonal
 pencil family with a classical family on two symmetric intervals
 (``big_m1_parameters`` / ``big_m1_recurrence``).  The circle evaluators
 return every degree 0..n of an interval family from one Szego sweep per point.
+Their per-degree formulas (symmetric, shifted and companion) live in one
+helper, ``_circle_family``, which takes a sweep and the point's ladder of
+z^{-k/2}; the maps suite feeds one sweep per (sequence, point) to both the
+symmetric and the shifted family through it.  The formulas stay scalar Python
+because numpy's complex multiply and complex ``abs`` round differently from
+CPython's on a large share of inputs.
 
 Every transform takes and returns ``MonicThreeTerm``; symmetric families are
 the zero-diagonal case and go through the same calls.  The companion of the
@@ -482,30 +488,64 @@ def big_m1_parameters(xi, eta, lam) -> BigM1Parameters:
     )
 
 
+def _half_powers(point: CirclePoint, n: int) -> list:
+    """z^{-k/2} for k = 0 .. n at a circle point.
+
+    Each entry is ``half ** (-k)``: a running product would round differently.
+    The ladder depends only on the point, so one serves every sequence.
+    """
+    half = point.half
+    return [half ** (-k) for k in range(n + 1)]
+
+
+def _circle_family(
+    family: str, a: ReflectionSequence, point: CirclePoint, sweep: list, powers: list
+) -> list:
+    """Degrees 0 .. n of one interval family from a Szego sweep and its z^{-k/2}.
+
+    ``sweep`` is ``szego_eval(a, n, point)`` and ``powers`` is
+    ``_half_powers(point, n)``; ``family`` is "symmetric", "shifted" or
+    "companion".  One sweep can feed all three families.  The per-degree
+    formulas stay scalar Python on purpose: numpy's complex multiply and
+    complex ``abs`` round differently from CPython's on a large share of
+    inputs, so an array version would move the last bits of every value.
+    """
+    half = point.half
+    pairs = zip(powers, sweep)
+    if family == "symmetric":
+        return [p * (phi + phis) / (1 - a(k - 1)) for k, (p, (phi, phis)) in enumerate(pairs)]
+    if family == "shifted":
+        den = 1 + half
+        return [p * (phis + half * phi) / den for p, (phi, phis) in pairs]
+    z = half * half
+    return [p * (z * phi - phis) / (z - 1) for p, (phi, phis) in pairs]
+
+
 def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
     """Symmetric interval polynomials S_0 .. S_n through their circle representation.
 
     S_k(x) = z^{-k/2} (Phi_k(z) + Phi_k^*(z)) / (1 - a_{k-1}) at
-    x = 2*cos(phi/2), from one Szego sweep.  Real up to roundoff.
+    x = 2*cos(phi/2), from one Szego sweep.  Real up to roundoff.  The
+    per-degree formula is ``_circle_family``'s, shared with the shifted and
+    companion evaluators, and stays scalar Python because numpy's complex
+    arithmetic rounds differently.
     """
-    half = point.half
-    # half ** (-k) for each degree: a running product would round differently
-    ladder = enumerate(szego_eval(a, n, point))
-    return [half ** (-k) * (phi + phis) / (1 - a(k - 1)) for k, (phi, phis) in ladder]
+    return _circle_family("symmetric", a, point, szego_eval(a, n, point), _half_powers(point, n))
 
 
 def sdg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
     """lam = 1 pencil polynomials Q_0 .. Q_n through their circle representation.
 
     Q_k(x) = z^{-k/2} (Phi_k^*(z) + z^{1/2} Phi_k(z)) / (1 + z^{1/2}), from one
-    Szego sweep.  The x = -2 pole (phi = 2*pi) is excluded by the branch.
+    Szego sweep, by the scalar per-degree formula of ``_circle_family``
+    (shared with the symmetric and companion evaluators).  The x = -2 pole
+    (phi = 2*pi) is outside the branch: for phi in [0, 2*pi) the
+    floating-point z^{1/2} is never exactly -1 (at the largest phi below
+    2*pi, 1 + z^{1/2} is 5.7e-16j).  Near it the division by 1 + z^{1/2}
+    costs accuracy like eps / (2*pi - phi): 5e-9 to 1e-8 relative to
+    ``eval_monic`` at phi = 2*pi - 1e-8.
     """
-    half = point.half
-    den = 1 + half
-    if den == 0:
-        raise InvalidParameterError("evaluation point hits the x = -2 pole")
-    ladder = enumerate(szego_eval(a, n, point))
-    return [half ** (-k) * (phis + half * phi) / den for k, (phi, phis) in ladder]
+    return _circle_family("shifted", a, point, szego_eval(a, n, point), _half_powers(point, n))
 
 
 def companion_eval_from_circle(
@@ -514,11 +554,11 @@ def companion_eval_from_circle(
     """Companion interval polynomials T_0 .. T_n through their circle representation.
 
     T_k(x) = z^{-k/2} (z*Phi_k(z) - Phi_k^*(z)) / (z - 1), from one Szego
-    sweep.  Requires phi != 0 (x = 2 is a pole of the representation).
+    sweep, by the scalar per-degree formula of ``_circle_family`` (shared
+    with the symmetric and shifted evaluators).  Requires phi != 0 (x = 2 is
+    a pole of the representation).
     """
     half = point.half
-    z = half * half
-    if z == 1:
+    if half * half == 1:
         raise InvalidParameterError("evaluation point hits the x = 2 pole")
-    ladder = enumerate(szego_eval(a, n, point))
-    return [half ** (-k) * (z * phi - phis) / (z - 1) for k, (phi, phis) in ladder]
+    return _circle_family("companion", a, point, szego_eval(a, n, point), _half_powers(point, n))

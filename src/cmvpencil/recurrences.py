@@ -229,7 +229,10 @@ class CirclePoint:
         if not math.isfinite(self.phi):
             raise InvalidParameterError(f"circle angle must be finite, got {self.phi!r}")
         if not (0 <= self.phi < 2 * math.pi):
-            object.__setattr__(self, "phi", self.phi % (2 * math.pi))
+            # a tiny negative angle reduces to exactly 2*pi after rounding; the
+            # largest float below 2*pi keeps it on the x = -2 side of the branch
+            phi = self.phi % (2 * math.pi)
+            object.__setattr__(self, "phi", min(phi, math.nextafter(2 * math.pi, 0)))
 
     @property
     def z(self) -> complex:

@@ -30,14 +30,14 @@ from .dunkl import (
 )
 from .errors import InvalidParameterError
 from .maps import (
+    _circle_family,
+    _half_powers,
     big_m1_parameters,
     chihara_split,
     christoffel,
-    dg_eval_from_circle,
     lambda_reduction,
     reflect_map,
     scale_map,
-    sdg_eval_from_circle,
 )
 from .measures import (
     discretize,
@@ -58,6 +58,7 @@ from .recurrences import (
     jacobi_opuc_reflections,
     pencil_recurrence,
     sdg_recurrence,
+    szego_eval,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_all"]
@@ -126,25 +127,38 @@ def suite_matrix_identities(dim: int = 64) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _worst_relative(via: np.ndarray, direct: np.ndarray) -> float:
+    """Largest |via - direct| / max(1, |direct|) over two equal-shape arrays.
+
+    The modulus of the complex difference is ``np.hypot`` of its parts, which
+    equals CPython's ``abs(complex)``; ``np.abs`` of a complex array does not.
+    """
+    diff = via - direct
+    return float(np.max(np.hypot(diff.real, diff.imag) / np.maximum(1.0, np.abs(direct))))
+
+
 def suite_maps() -> list:
     degree, tol = 20, 1e-10
     pairs = [(0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)]
     points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
     xs = np.array([point.x for point in points])
+    # z^{-k/2} depends only on the point: one ladder per point serves every sequence
+    powers = [_half_powers(point, degree) for point in points]
     results = []
     for xi, eta in pairs:
         a = jacobi_opuc_reflections(xi, eta)
         # the direct route: one ladder per family on all points; elementwise
         # float64 arithmetic gives the per-point values bit for bit
-        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), degree, xs)).T.tolist()
-        direct_mono = np.array(eval_monic(sdg_recurrence(a), degree, xs)).T.tolist()
-        worst_sym = 0.0
-        worst_mono = 0.0
-        for point, col_sym, col_mono in zip(points, direct_sym, direct_mono):
-            for via_circle, d_sym in zip(dg_eval_from_circle(a, degree, point), col_sym):
-                worst_sym = max(worst_sym, abs(via_circle - d_sym) / max(1.0, abs(d_sym)))
-            for via_circle, d_mono in zip(sdg_eval_from_circle(a, degree, point), col_mono):
-                worst_mono = max(worst_mono, abs(via_circle - d_mono) / max(1.0, abs(d_mono)))
+        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), degree, xs)).T
+        direct_mono = np.array(eval_monic(sdg_recurrence(a), degree, xs)).T
+        via_sym, via_mono = [], []
+        for point, ladder in zip(points, powers):
+            # one Szego sweep per (sequence, point) feeds both families
+            sweep = szego_eval(a, degree, point)
+            via_sym.append(_circle_family("symmetric", a, point, sweep, ladder))
+            via_mono.append(_circle_family("shifted", a, point, sweep, ladder))
+        worst_sym = _worst_relative(np.array(via_sym), direct_sym)
+        worst_mono = _worst_relative(np.array(via_mono), direct_mono)
         pair = f"(xi,eta)=({xi},{eta})"
         results.append(_within(f"symmetric family via circle pair, {pair}", worst_sym, tol))
         results.append(_within(f"shifted family via circle pair, {pair}", worst_mono, tol))

@@ -1,7 +1,9 @@
 """Transform calculus: rank-one shifts, splits, rescalings, identifications."""
 
+import cmath
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -416,6 +418,25 @@ def test_circle_map_is_exact_at_rational_circle_points():
                 phi, phis = z * phi - a(k) * phis, phis - a(k) * z * phi
                 w_pow = w_pow * w_inv
     assert checks == 672
+
+
+@pytest.mark.parametrize("xi,eta", [(0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.5, -0.5)])
+def test_shifted_circle_evaluator_near_the_x_minus_2_pole(xi, eta):
+    # 1 + z^{1/2} -> 0 as phi -> 2*pi, so the division costs accuracy like
+    # eps / (2*pi - phi), and no angle in [0, 2*pi) reaches the pole itself
+    a = jacobi_opuc_reflections(xi, eta)
+    rec = sdg_recurrence(a)
+    eps = sys.float_info.epsilon
+    for gap in (1e-2, 1e-4, 1e-6, 1e-8):
+        point = CirclePoint(2 * math.pi - gap)
+        via_circle = sdg_eval_from_circle(a, 20, point)
+        direct = eval_monic(rec, 20, point.x)
+        worst = max(abs(v - d) / max(1.0, abs(d)) for v, d in zip(via_circle, direct))
+        assert worst <= 10 * eps / gap
+    last = CirclePoint(math.nextafter(2 * math.pi, 0))
+    assert 1 + last.half != 0
+    values = sdg_eval_from_circle(a, 20, last)
+    assert all(cmath.isfinite(v) for v in values)
 
 
 def test_companion_eval_pole_guard():

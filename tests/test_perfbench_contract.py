@@ -37,8 +37,8 @@ def test_tracer_installs_and_removes_its_wrappers():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_traced_maps_suite_runs_one_szego_sweep_per_point_and_family():
-    # 5 (xi, eta) pairs x 25 points x 2 families x 20 steps
+def test_traced_maps_suite_runs_one_szego_sweep_per_point():
+    # 5 (xi, eta) pairs x 25 points x 20 steps: one sweep feeds both families
     code = (
         "import contextlib, io, sys\n"
         f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'perfbench')!r}]\n"
@@ -53,7 +53,7 @@ def test_traced_maps_suite_runs_one_szego_sweep_per_point_and_family():
     )
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split() == ["0", "5000"]
+    assert proc.stdout.split() == ["0", "2500"]
 
 
 def test_traced_measures_calls_run_and_the_tracer_restores_them():

@@ -327,6 +327,16 @@ def test_circle_point_normalization_and_branch():
     assert p.z == pytest.approx(p.half**2)
 
 
+@pytest.mark.parametrize("phi", [-1e-20, -1e-16, -5e-324])
+def test_circle_point_tiny_negative_angle_stays_below_two_pi(phi):
+    # phi % (2*pi) rounds these up to 2*pi, outside the documented [0, 2*pi)
+    p = CirclePoint(phi)
+    assert 0 <= p.phi < 2 * math.pi
+    assert p.phi == math.nextafter(2 * math.pi, 0)
+    # the x = -2 end of the branch: z^{1/2} just above -1 in the upper half plane
+    assert p.x == -2.0 and p.half.imag > 0
+
+
 def test_free_symmetric_family_is_first_kind():
     # a == 0 gives v_1 = 2, v_n = 1: the family 2*cos(n*tau) at x = 2*cos(tau)
     rec = dg_symmetric_recurrence(ReflectionSequence.constant(0.0))

@@ -1,11 +1,21 @@
 """The verification-suite layer shared by the CLI and the acceptance tests."""
 
+import math
+
+import numpy as np
 import pytest
 
 from cmvpencil import measures, verify
 from cmvpencil.errors import InvalidParameterError
-from cmvpencil.recurrences import jacobi_opuc_reflections, sdg_recurrence
-from cmvpencil.verify import SUITES, CheckResult, _gram_offdiag_worst, run_all, run_suite
+from cmvpencil.maps import dg_eval_from_circle, sdg_eval_from_circle
+from cmvpencil.recurrences import (
+    CirclePoint,
+    dg_symmetric_recurrence,
+    eval_monic,
+    jacobi_opuc_reflections,
+    sdg_recurrence,
+)
+from cmvpencil.verify import SUITES, CheckResult, _gram_offdiag_worst, _within, run_all, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -74,3 +84,57 @@ def test_gram_helper_same_bits_cold_and_warm_cache():
     warm = _gram_offdiag_worst(measure, rec, 12)
     assert cold == warm
     assert cold <= 1e-7
+
+
+def _reference_suite_maps():
+    # the maps suite as it was with one sweep per family and a scalar
+    # reduction: two evaluator calls and a Python max per (sequence, point)
+    degree, tol = 20, 1e-10
+    pairs = [(0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)]
+    points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
+    xs = np.array([point.x for point in points])
+    results = []
+    for xi, eta in pairs:
+        a = jacobi_opuc_reflections(xi, eta)
+        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), degree, xs)).T.tolist()
+        direct_mono = np.array(eval_monic(sdg_recurrence(a), degree, xs)).T.tolist()
+        worst_sym = 0.0
+        worst_mono = 0.0
+        for point, col_sym, col_mono in zip(points, direct_sym, direct_mono):
+            for via_circle, d_sym in zip(dg_eval_from_circle(a, degree, point), col_sym):
+                worst_sym = max(worst_sym, abs(via_circle - d_sym) / max(1.0, abs(d_sym)))
+            for via_circle, d_mono in zip(sdg_eval_from_circle(a, degree, point), col_mono):
+                worst_mono = max(worst_mono, abs(via_circle - d_mono) / max(1.0, abs(d_mono)))
+        pair = f"(xi,eta)=({xi},{eta})"
+        results.append(_within(f"symmetric family via circle pair, {pair}", worst_sym, tol))
+        results.append(_within(f"shifted family via circle pair, {pair}", worst_mono, tol))
+    return results
+
+
+def test_maps_suite_is_bit_identical_to_the_scalar_reference():
+    new, old = run_suite("maps"), _reference_suite_maps()
+    assert len(new) == len(old) == 10
+    for r, ref in zip(new, old):
+        assert (r.label, r.passed, r.tol, r.details) == (ref.label, ref.passed, ref.tol, ref.details)
+        assert type(r.value) is float and type(r.passed) is bool
+        assert r.value.hex() == ref.value.hex()
+
+
+def test_hypot_of_parts_is_complex_abs_on_the_maps_suite_values():
+    # the suite reduces |via - direct| with np.hypot of the parts; a platform
+    # where that differs from abs(complex) would move the reported values
+    points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
+    xs = np.array([point.x for point in points])
+    for xi, eta in ((0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)):
+        a = jacobi_opuc_reflections(xi, eta)
+        for evaluate, rec in (
+            (dg_eval_from_circle, dg_symmetric_recurrence(a)),
+            (sdg_eval_from_circle, sdg_recurrence(a)),
+        ):
+            direct = np.array(eval_monic(rec, 20, xs)).T
+            via = np.array([evaluate(a, 20, point) for point in points])
+            for values in (via, via - direct):
+                moduli = np.hypot(values.real, values.imag)
+                assert [m.hex() for m in moduli.ravel().tolist()] == [
+                    abs(z).hex() for z in values.ravel().tolist()
+                ]
