@@ -9,173 +9,25 @@ reflection-differential operator whose eigenfunctions the two-interval
 family provides.
 """
 
-from .cmv import (
-    BandedMatrix,
-    BandedSymmetricMatrix,
-    TruncationSpec,
-    band_census,
-    banded_product,
-    build_H,
-    build_J,
-    build_K,
-    build_L,
-    build_M,
-    eigenvalue_counts,
-    tridiagonal_eigenvalues,
-    verify_identities,
-)
-from .dunkl import (
-    DunklReport,
-    PolynomialCoeffs,
-    apply_dunkl,
-    dunkl_eigenvalue,
-    fourth_kind_coeffs,
-    fourth_kind_identity_residual,
-    third_kind_coeffs,
-    third_kind_identity_residual,
-    verify_eigenfunction,
-)
-from .errors import (
-    BandEdgeError,
-    CmvPencilError,
-    InstabilityError,
-    InternalConsistencyError,
-    InvalidParameterError,
-    NonConvergenceError,
-    OperatorImageError,
-    PolePointError,
-    ReflectionBoundError,
-    TruncationError,
-)
-from .maps import (
-    BigM1Parameters,
-    ChiharaSplit,
-    ChristoffelData,
-    big_m1_parameters,
-    big_m1_recurrence,
-    chihara_split,
-    christoffel,
-    companion_eval_from_circle,
-    dg_eval_from_circle,
-    lambda_reduction,
-    little_m1_recurrence,
-    reflect_map,
-    scale_map,
-    sdg_eval_from_circle,
-)
-from .measures import (
-    Measure,
-    discretize,
-    essential_spectrum_periodic,
-    gram,
-    integrate,
-    m_full,
-    m_per,
-    named_weight,
-    periodic_weight_verbatim,
-    stieltjes_perron_density,
-    stieltjes_recurrence,
-    validate_periodic_density,
-)
-from .recurrences import (
-    CirclePoint,
-    MonicThreeTerm,
-    ReflectionSequence,
-    chebyshev_closed_form,
-    companion_symmetric_recurrence,
-    dg_symmetric_recurrence,
-    eval_monic,
-    jacobi_opuc_reflections,
-    pencil_recurrence,
-    reflections_from_u,
-    sdg_recurrence,
-    szego_eval,
-)
-from .verify import SUITES, CheckResult, run_all, run_suite
+# each module's __all__ is its public API; the package re-exports all of them
+from . import cmv, dunkl, errors, maps, measures, recurrences, verify
+from .cmv import *  # noqa: F403
+from .dunkl import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .recurrences import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # recurrences
-    "ReflectionSequence",
-    "MonicThreeTerm",
-    "CirclePoint",
-    "jacobi_opuc_reflections",
-    "pencil_recurrence",
-    "sdg_recurrence",
-    "dg_symmetric_recurrence",
-    "companion_symmetric_recurrence",
-    "eval_monic",
-    "szego_eval",
-    "reflections_from_u",
-    "chebyshev_closed_form",
-    # pencil matrices
-    "TruncationSpec",
-    "BandedMatrix",
-    "BandedSymmetricMatrix",
-    "banded_product",
-    "build_L",
-    "build_M",
-    "build_J",
-    "build_K",
-    "build_H",
-    "verify_identities",
-    "tridiagonal_eigenvalues",
-    "eigenvalue_counts",
-    "band_census",
-    # transform calculus
-    "ChristoffelData",
-    "ChiharaSplit",
-    "BigM1Parameters",
-    "christoffel",
-    "lambda_reduction",
-    "chihara_split",
-    "scale_map",
-    "reflect_map",
-    "big_m1_recurrence",
-    "little_m1_recurrence",
-    "big_m1_parameters",
-    "dg_eval_from_circle",
-    "sdg_eval_from_circle",
-    "companion_eval_from_circle",
-    # measures and Weyl functions
-    "Measure",
-    "named_weight",
-    "discretize",
-    "integrate",
-    "gram",
-    "stieltjes_recurrence",
-    "essential_spectrum_periodic",
-    "m_per",
-    "m_full",
-    "stieltjes_perron_density",
-    "periodic_weight_verbatim",
-    "validate_periodic_density",
-    # reflection-differential operator
-    "PolynomialCoeffs",
-    "DunklReport",
-    "apply_dunkl",
-    "dunkl_eigenvalue",
-    "verify_eigenfunction",
-    "third_kind_coeffs",
-    "fourth_kind_coeffs",
-    "third_kind_identity_residual",
-    "fourth_kind_identity_residual",
-    # verification
-    "CheckResult",
-    "SUITES",
-    "run_suite",
-    "run_all",
-    # errors
-    "CmvPencilError",
-    "InvalidParameterError",
-    "ReflectionBoundError",
-    "TruncationError",
-    "PolePointError",
-    "InstabilityError",
-    "NonConvergenceError",
-    "InternalConsistencyError",
-    "OperatorImageError",
-    "BandEdgeError",
+    *recurrences.__all__,
+    *cmv.__all__,
+    *maps.__all__,
+    *measures.__all__,
+    *dunkl.__all__,
+    *verify.__all__,
+    *(name for name in vars(errors) if not name.startswith("_")),
 ]

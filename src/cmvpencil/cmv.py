@@ -11,13 +11,17 @@ algebraic identities are verified on rows 0 .. dim-3.
 ``TruncationSpec.from_dim`` is the one check that a requested dimension is
 even and at least 4.
 
-Everything here is O(dim): the builders read the coefficients as arrays
-(``ReflectionSequence.take``), H and the identity residuals take each product
-of two tridiagonals in closed form, ``eigenvalue_counts`` answers "how many
-eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and ``band_census``
-uses one such call to count (and bisection to locate) the eigenvalues outside
-predicted bands.  Only ``tridiagonal_eigenvalues`` (all eigenvalues, about
-O(dim^2) in LAPACK) and the ``to_dense`` test oracles cost more.
+Everything here is O(dim).  The builders read the coefficients as arrays
+from a private coefficient table (``recurrences._table``: one
+``ReflectionSequence.take`` and its r column), and each also takes a table in
+place of the sequence, so H and the identity residuals make one table per
+sequence for all their builders.  H and the identity residuals take each
+product of two tridiagonals in closed form, ``eigenvalue_counts`` answers
+"how many eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and
+``band_census`` uses one such call to count (and bisection to locate) the
+eigenvalues outside predicted bands.  Only ``tridiagonal_eigenvalues`` (all
+eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test oracles
+cost more.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .errors import InvalidParameterError, TruncationError
-from .recurrences import ReflectionSequence
+from .recurrences import ReflectionSequence, _table
 
 __all__ = [
     "TruncationSpec",
@@ -200,17 +204,6 @@ def banded_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     return BandedMatrix(dim, {k: v for k, v in out.items() if np.any(v != 0.0)})
 
 
-def _complement(values) -> np.ndarray:
-    """r_n = sqrt(1 - a_n^2) elementwise, rounded exactly as ReflectionSequence.r.
-
-    The squares go through Python's float power, as in ``r``: libm ``pow``
-    and numpy's ``x * x`` can differ in the last bit, and the bands must
-    stay bit-identical to the per-index construction.
-    """
-    squares = [v**2 for v in np.asarray(values, dtype=float).tolist()]
-    return np.sqrt(1.0 - np.array(squares, dtype=float))
-
-
 def _shifted(values) -> np.ndarray:
     """a_{n-1} aligned with a_n: the values with a_{-1} = -1 in front, last dropped."""
     return np.concatenate(([-1], values[:-1]))
@@ -222,12 +215,13 @@ def build_L(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     Each block is [[a, r], [r, -a]]; the blocks start at row 0.
     """
     dim = trunc.dim
-    even = a.take(dim - 1)[0::2]
+    table = _table(a, dim - 1)
+    even = table.a[0 : dim - 1 : 2]
     diag = np.empty(dim)
     diag[0::2] = even
     diag[1::2] = -even
     off = np.zeros(dim - 1)
-    off[0::2] = _complement(even)
+    off[0::2] = table.r[0 : dim - 1 : 2]
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
@@ -238,13 +232,14 @@ def build_M(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     a_{dim-1}; this is what confines identity violations to the last two rows.
     """
     dim = trunc.dim
-    odd = a.take(dim)[1::2]
+    table = _table(a, dim)
+    odd = table.a[1:dim:2]
     diag = np.empty(dim)
     diag[0] = 1.0
     diag[1::2] = odd
     diag[2::2] = -odd[:-1]
     off = np.zeros(dim - 1)
-    off[1::2] = _complement(odd[:-1])
+    off[1::2] = table.r[1 : dim - 1 : 2]
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
@@ -253,10 +248,12 @@ def build_J(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
 
     Diagonal a_n - a_{n-1} (so the top entry is a_0 + 1), off-diagonal r_n.
     """
-    values = a.take(trunc.dim)
+    dim = trunc.dim
+    table = _table(a, dim)
+    values = table.a[:dim]
     diag = np.asarray(values - _shifted(values), dtype=float)
-    off = _complement(values[:-1])
-    return BandedSymmetricMatrix(dim=trunc.dim, bandwidth=1, bands=(diag, off))
+    off = table.r[: dim - 1].copy()
+    return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
 
 def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -271,12 +268,13 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     if not abs(lam) <= sys.float_info.max:
         raise InvalidParameterError(f"need a finite lam, got {lam}")
     dim = trunc.dim
-    values = a.take(dim)
+    table = _table(a, dim)
+    values = table.a[:dim]
     prev = _shifted(values)
     diag = np.empty(dim)
     diag[0::2] = values[0::2] - lam * prev[0::2]
     diag[1::2] = lam * values[1::2] - prev[1::2]
-    off = _complement(values[:-1])
+    off = table.r[: dim - 1].copy()
     off[1::2] = lam * off[1::2]
     return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
 
@@ -309,7 +307,8 @@ def _anticommutator(L: tuple, M: tuple) -> tuple:
 def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
     """Five-diagonal symmetric truncation of the anticommutator L M + M L."""
     # the off-diagonals of L and M are >= +0.0, so no entry here is -0.0
-    bands = _anticommutator(build_L(a, trunc).bands, build_M(a, trunc).bands)
+    table = _table(a, trunc.dim)
+    bands = _anticommutator(build_L(table, trunc).bands, build_M(table, trunc).bands)
     return BandedSymmetricMatrix(dim=trunc.dim, bandwidth=2, bands=bands)
 
 
@@ -331,10 +330,10 @@ _IDENTITY_LAM_MAX = math.sqrt(sys.float_info.max) / 4
 def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> list:
     """``verify_identities`` at each lam, with the lam-free work done once.
 
-    L, M and J come from their builders once, and so do H, L^2, M^2, J^2
-    and the four residuals that do not involve lam; per lam only K, K^2
-    and the two residuals of the pencil are formed.  Every lam is checked
-    before any arithmetic.
+    One coefficient table feeds every builder.  L, M and J come from their
+    builders once, and so do H, L^2, M^2, J^2 and the four residuals that do
+    not involve lam; per lam only K, K^2 and the two residuals of the pencil
+    are formed.  Every lam is checked before any arithmetic.
     """
     for lam in lams:
         # compared exactly, so a huge int or Fraction fails here and not in float()
@@ -343,7 +342,8 @@ def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> l
                 f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
                 f"so that lam^2 and K^2 stay finite, got {lam}"
             )
-    L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
+    table = _table(a, trunc.dim)
+    L, M, J = (build(table, trunc).bands for build in (build_L, build_M, build_J))
     H = _anticommutator(L, M)
     L2, M2, J2 = (_tri_product(*X, *X) for X in (L, M, J))
     n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
@@ -353,7 +353,7 @@ def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> l
     H_from_J = _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n)
     out = []
     for lam in lams:
-        K = build_K(a, lam, trunc).bands
+        K = build_K(table, lam, trunc).bands
         K2 = _tri_product(*K, *K)
         # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
         scale, shift = float(lam), 1.0 + lam * lam
@@ -442,10 +442,12 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
         count, d = 0, 1.0
         for a_ii, b2 in steps:
             d = (a_ii - t) - b2 / d
-            if -pivmin < d < pivmin:
-                d = -pivmin
-            if d < 0:
+            # every pivot below pivmin counts: a negative one, or one that is
+            # replaced by -pivmin; a nan pivot neither counts nor is replaced
+            if d < pivmin:
                 count += 1
+                if d > -pivmin:
+                    d = -pivmin
         counts.append(count)
     return np.array(counts, dtype=int)
 

@@ -10,11 +10,12 @@ pencil family with a classical family on two symmetric intervals
 (``big_m1_parameters`` / ``big_m1_recurrence``).  The circle evaluators
 return every degree 0..n of an interval family from one Szego sweep per point.
 Their per-degree formulas (symmetric, shifted and companion) live in one
-helper, ``_circle_family``, which takes a sweep and the point's ladder of
-z^{-k/2}; the maps suite feeds one sweep per (sequence, point) to both the
-symmetric and the shifted family through it.  The formulas stay scalar Python
-because numpy's complex multiply and complex ``abs`` round differently from
-CPython's on a large share of inputs.
+helper, ``_circle_family``, which takes a sweep, the point's ladder of
+z^{-k/2} and the private coefficient table of ``recurrences`` that fed the
+sweep; the maps suite makes one table per sequence and feeds one sweep per
+(sequence, point) to both the symmetric and the shifted family through it.
+The formulas stay scalar Python because numpy's complex multiply and complex
+``abs`` round differently from CPython's on a large share of inputs.
 
 Every transform takes and returns ``MonicThreeTerm``; symmetric families are
 the zero-diagonal case and go through the same calls.  The companion of the
@@ -43,6 +44,7 @@ from .recurrences import (
     MonicThreeTerm,
     ReflectionSequence,
     _require_count,
+    _table,
     jacobi_opuc_reflections,
     pencil_recurrence,
     szego_eval,
@@ -498,12 +500,11 @@ def _half_powers(point: CirclePoint, n: int) -> list:
     return [half ** (-k) for k in range(n + 1)]
 
 
-def _circle_family(
-    family: str, a: ReflectionSequence, point: CirclePoint, sweep: list, powers: list
-) -> list:
+def _circle_family(family: str, table, point: CirclePoint, sweep: list, powers: list) -> list:
     """Degrees 0 .. n of one interval family from a Szego sweep and its z^{-k/2}.
 
-    ``sweep`` is ``szego_eval(a, n, point)`` and ``powers`` is
+    ``table`` is the coefficient table (``recurrences._table(a, n)``) that fed
+    the sweep ``szego_eval(table, n, point)``, and ``powers`` is
     ``_half_powers(point, n)``; ``family`` is "symmetric", "shifted" or
     "companion".  One sweep can feed all three families.  The per-degree
     formulas stay scalar Python on purpose: numpy's complex multiply and
@@ -513,12 +514,20 @@ def _circle_family(
     half = point.half
     pairs = zip(powers, sweep)
     if family == "symmetric":
-        return [p * (phi + phis) / (1 - a(k - 1)) for k, (p, (phi, phis)) in enumerate(pairs)]
+        # a_{k-1} for k = 0 .. n, with a_{-1} = -1
+        prev = [-1, *table.scalars]
+        return [p * (phi + phis) / (1 - ak) for ak, (p, (phi, phis)) in zip(prev, pairs)]
     if family == "shifted":
         den = 1 + half
         return [p * (phis + half * phi) / den for p, (phi, phis) in pairs]
     z = half * half
     return [p * (z * phi - phis) / (z - 1) for p, (phi, phis) in pairs]
+
+
+def _circle_eval(family: str, a: ReflectionSequence, n: int, point: CirclePoint) -> list:
+    """``_circle_family`` of one fresh sweep: the three evaluators below."""
+    table = _table(a, _require_count("degree", n, 0))
+    return _circle_family(family, table, point, szego_eval(table, n, point), _half_powers(point, n))
 
 
 def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
@@ -530,7 +539,7 @@ def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> li
     companion evaluators, and stays scalar Python because numpy's complex
     arithmetic rounds differently.
     """
-    return _circle_family("symmetric", a, point, szego_eval(a, n, point), _half_powers(point, n))
+    return _circle_eval("symmetric", a, n, point)
 
 
 def sdg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
@@ -545,7 +554,7 @@ def sdg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> l
     costs accuracy like eps / (2*pi - phi): 5e-9 to 1e-8 relative to
     ``eval_monic`` at phi = 2*pi - 1e-8.
     """
-    return _circle_family("shifted", a, point, szego_eval(a, n, point), _half_powers(point, n))
+    return _circle_eval("shifted", a, n, point)
 
 
 def companion_eval_from_circle(
@@ -561,4 +570,4 @@ def companion_eval_from_circle(
     half = point.half
     if half * half == 1:
         raise InvalidParameterError("evaluation point hits the x = 2 pole")
-    return _circle_family("companion", a, point, szego_eval(a, n, point), _half_powers(point, n))
+    return _circle_eval("companion", a, n, point)

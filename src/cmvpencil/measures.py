@@ -50,7 +50,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
 )
-from .recurrences import MonicThreeTerm, _require_count, eval_monic
+from .recurrences import MonicThreeTerm, _require_count, _worst, eval_monic
 
 __all__ = [
     "Measure",
@@ -785,5 +785,5 @@ def validate_periodic_density(lam: float) -> float:
         for t in grid:
             w_closed = stieltjes_perron_density(lam, float(t))
             w_weyl = 2.0 * m_full(complex(t, eps), lam).imag
-            worst = max(worst, abs(w_closed - w_weyl) / max(abs(w_weyl), 1e-300))
+            worst = _worst(worst, abs(w_closed - w_weyl) / max(abs(w_weyl), 1e-300))
     return worst

@@ -12,14 +12,22 @@ circle recursion once each and return every degree up to the one asked for.
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
 the operator-eigenfunction checks rely on.  ``ReflectionSequence.take`` reads
-a whole prefix as an array for the banded matrix builders; float lists,
-float constants and the float-parameter Jacobi family fill it vectorized,
-every other sequence reads index by index.
+a whole prefix as an array; float lists, float constants and the
+float-parameter Jacobi family fill it vectorized, every other sequence reads
+index by index.  The banded matrix builders, ``szego_eval`` and the circle
+evaluators read their coefficients from a private table made from one
+``take``: a caller that reuses one prefix (the identity residuals, the maps
+suite) makes the table once and hands it to each of them in place of the
+sequence.  The table holds the a column, the r column and, for scalar loops,
+the a column as Python scalars, so a sequence with ``numpy.float64``
+parameters runs the circle recursion in the same arithmetic as one with
+Python floats.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -56,6 +64,15 @@ def _require_count(name: str, value, lo: int) -> int:
 def _zero(n: int) -> int:
     # the int 0 leaves x - b_n bit-identical to x and keeps exact inputs exact
     return 0
+
+
+def _worst(worst, value):
+    """``max(worst, value)``, except that the first nan is the result.
+
+    Python's ``max`` keeps its first argument when the comparison is false,
+    so ``max(0.0, nan)`` is 0.0 and a nan residual would pass its check.
+    """
+    return value if value > worst or (value != value and worst == worst) else worst
 
 
 def _memoized(fn: Callable[[int], object]) -> Callable[[int], object]:
@@ -166,6 +183,51 @@ class ReflectionSequence:
             return None if arr is None else arr[:n]
 
         return ReflectionSequence(at, batch)
+
+
+def _complement(values) -> np.ndarray:
+    """r_n = sqrt(1 - a_n^2) elementwise, rounded exactly as ReflectionSequence.r.
+
+    The squares go through Python's float power, as in ``r``: libm ``pow``
+    and numpy's ``x * x`` can differ in the last bit, and the bands must
+    stay bit-identical to the per-index construction.
+    """
+    squares = [v**2 for v in np.asarray(values, dtype=float).tolist()]
+    return np.sqrt(1.0 - np.array(squares, dtype=float))
+
+
+class _CoefficientTable:
+    """a_0 .. a_{n-1} of one sequence, read once by ``take`` and then shared.
+
+    ``a`` is the take (float64, or object for ``Fraction`` coefficients),
+    ``r`` its r_n from ``_complement`` and ``scalars`` its entries as Python
+    scalars; the last two are made on first use.  The table is read-only and
+    refers to neither the sequence nor itself, so it is freed as soon as the
+    call that made it returns.
+    """
+
+    def __init__(self, a: ReflectionSequence, n: int):
+        self.a = a.take(n)
+        self.a.flags.writeable = False
+
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        r = _complement(self.a)
+        r.flags.writeable = False
+        return r
+
+    @functools.cached_property
+    def scalars(self) -> list:
+        return self.a.tolist()
+
+
+def _table(a, n: int) -> _CoefficientTable:
+    """``a`` if it is already a table (of at least n entries), else a new table of a_0 .. a_{n-1}."""
+    if not isinstance(a, _CoefficientTable):
+        return _CoefficientTable(a, n)
+    if len(a.a) < n:
+        raise InvalidParameterError(f"a table of {len(a.a)} coefficients cannot serve {n}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -371,19 +433,23 @@ def eval_monic(rec: MonicThreeTerm, n: int, x) -> list:
 def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
     """Joint evaluation of the circle polynomial pairs at a circle point.
 
+    ``a`` is a ReflectionSequence (or the private coefficient table of one);
+    a_0 .. a_{n-1} are read once, by ``take``.
+
     Returns
     -------
     list of (complex, complex)
         [(Phi_0(z), Phi_0^*(z)), ..., (Phi_n(z), Phi_n^*(z))] from (1, 1) by one
         sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
     """
-    _require_count("degree", n, 0)
+    n = _require_count("degree", n, 0)
     zz = z.z if isinstance(z, CirclePoint) else complex(z)
-    ladder = [(1.0 + 0.0j, 1.0 + 0.0j)]
-    for k in range(n):
-        phi, phis = ladder[k]
-        ak = a(k)
-        ladder.append((zz * phi - ak * phis, phis - ak * zz * phi))
+    phi = phis = 1.0 + 0.0j
+    ladder = [(phi, phis)]
+    # Python scalars keep every step in CPython's complex arithmetic
+    for ak in _table(a, n).scalars[:n]:
+        phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
+        ladder.append((phi, phis))
     return ladder
 
 

@@ -1,7 +1,9 @@
 """Banded pencil matrices: structure, products, and defining identities."""
 
+import gc
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +26,9 @@ from cmvpencil.cmv import (
     tridiagonal_eigenvalues,
     verify_identities,
 )
-from cmvpencil.errors import InvalidParameterError, TruncationError
+from cmvpencil.errors import InvalidParameterError, ReflectionBoundError, TruncationError
 from cmvpencil.measures import essential_spectrum_periodic
-from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
+from cmvpencil.recurrences import ReflectionSequence, _table, jacobi_opuc_reflections, szego_eval
 from cmvpencil.verify import run_suite
 
 TRUNC8 = TruncationSpec(n_blocks=4)
@@ -538,3 +540,108 @@ def test_eigenvalue_counts_rejects_nan_keeps_inf():
     assert eigenvalue_counts(K, [-np.inf, np.inf]).tolist() == [0, K.dim]
     with pytest.raises(InvalidParameterError):
         eigenvalue_counts(K, [0.0, np.nan])
+
+
+def sturm_reference(m, shifts):
+    """``eigenvalue_counts`` as it was written first: per pivot, the pivmin
+    clamp and then a separate sign test."""
+    diag, off = m.bands[0].tolist(), m.bands[1]
+    off2 = off**2
+    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
+    steps = list(zip(diag, [0.0, *off2.tolist()]))
+    counts = []
+    for t in shifts:
+        count, d = 0, 1.0
+        for a_ii, b2 in steps:
+            d = (a_ii - t) - b2 / d
+            if -pivmin < d < pivmin:
+                d = -pivmin
+            if d < 0:
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def test_sturm_counts_equal_the_reference_loop():
+    rng = np.random.default_rng(20261019)
+    for trial in range(60):
+        dim = int(rng.integers(2, 301)) * 2
+        values = rng.uniform(-0.99, 0.99, size=dim).tolist()
+        # lam = 0 zeroes every other off-diagonal entry, so pivots hit zero exactly
+        lam = (0.0, 1.0, float(rng.uniform(0.1, 3.0)))[trial % 3]
+        K = build_K(ReflectionSequence.from_list(values), lam, TruncationSpec.from_dim(dim))
+        eigs = eigh_tridiagonal(*K.bands, eigvals_only=True)
+        # shifts at (ties with) eigenvalues and diagonal entries, zero and the infinities
+        ties = [*rng.choice(eigs, size=6).tolist(), *K.bands[0][:4].tolist()]
+        shifts = [*ties, 0.0, -0.0, -math.inf, math.inf]
+        if trial % 10 == 9:  # a nan pivot neither counts nor is clamped
+            diag = K.bands[0].copy()
+            diag[dim // 2] = np.nan
+            K = BandedSymmetricMatrix(dim, 1, (diag, K.bands[1]))
+        assert eigenvalue_counts(K, shifts).tolist() == sturm_reference(K, shifts), trial
+
+
+TABLE_SEQUENCES = {
+    "float list": lambda: ReflectionSequence.from_list(np.random.default_rng(3).uniform(-0.95, 0.95, 70).tolist()),
+    "constant": lambda: ReflectionSequence.constant(-0.3),
+    "jacobi floats": lambda: jacobi_opuc_reflections(0.3, 0.7),
+    "fractions": lambda: jacobi_opuc_reflections(Fraction(1, 3), Fraction(2, 5)),
+}
+
+
+@pytest.mark.parametrize("dim", [4, 10, 64])
+@pytest.mark.parametrize("name", list(TABLE_SEQUENCES))
+def test_builders_from_a_shared_table_equal_the_standalone_builders(name, dim):
+    make, trunc = TABLE_SEQUENCES[name], TruncationSpec.from_dim(dim)
+    table = _table(make(), dim)
+    pairs = [(build(table, trunc), build(make(), trunc)) for build in (build_L, build_M, build_J, build_H)]
+    pairs += [(build_K(table, lam, trunc), build_K(make(), lam, trunc)) for lam in (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)]
+    for shared, alone in pairs:
+        assert [band.tobytes() for band in shared.bands] == [band.tobytes() for band in alone.bands]
+        assert all(band.flags.writeable for band in shared.bands)
+
+
+def test_build_L_reads_dim_minus_one_coefficients():
+    values = [0.1 * k for k in range(TRUNC8.dim - 1)]
+    L = build_L(ReflectionSequence.from_list(values), TRUNC8)
+    assert L.bands[0].tolist() == [v for v in values[0::2] for v in (v, -v)]
+    with pytest.raises(InvalidParameterError, match="beyond provided list"):
+        build_M(ReflectionSequence.from_list(values), TRUNC8)
+
+
+@pytest.mark.parametrize("first_bad", [0, 3, 6])
+def test_a_bad_coefficient_raises_at_its_index(first_bad):
+    values = [0.25] * 10
+    values[first_bad], values[first_bad + 1] = 1.5, -2.0
+    calls = {
+        "build_L": lambda a: build_L(a, TRUNC8),
+        "build_M": lambda a: build_M(a, TRUNC8),
+        "build_J": lambda a: build_J(a, TRUNC8),
+        "build_K": lambda a: build_K(a, 0.5, TRUNC8),
+        "build_H": lambda a: build_H(a, TRUNC8),
+        "identity residuals": lambda a: cmv._identity_residuals(a, (0.5, 2.0), TRUNC8),
+        "szego_eval": lambda a: szego_eval(a, 8, 0.5),
+        "table": lambda a: _table(a, 8),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ReflectionBoundError) as info:
+            call(ReflectionSequence.from_list(values))
+        assert (info.value.index, info.value.value) == (first_bad, 1.5), name
+
+
+def test_the_table_is_freed_by_reference_counting():
+    a = jacobi_opuc_reflections(0.3, 0.7)
+    before = dict(vars(a))
+    gc.disable()
+    try:
+        table = _table(a, 64)
+        build_H(table, TruncationSpec.from_dim(64))
+        szego_eval(table, 64, 0.5)
+        alive = weakref.ref(table)
+        del table
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert vars(a) == before  # nothing was cached on the sequence
+    with pytest.raises(InvalidParameterError, match="cannot serve"):
+        build_K(_table(a, 7), 1.0, TRUNC8)

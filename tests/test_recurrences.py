@@ -298,6 +298,20 @@ def test_szego_frozen_values():
     )
 
 
+def test_numpy_float_parameters_give_the_python_float_sweep():
+    # numpy.float64 coefficients once ran the sweep in numpy's complex scalar
+    # arithmetic, which rounds differently from CPython's
+    def hexed(ladder):
+        assert all(type(p) is complex and type(ps) is complex for p, ps in ladder)
+        return [(p.real.hex(), p.imag.hex(), ps.real.hex(), ps.imag.hex()) for p, ps in ladder]
+
+    numpy_params = jacobi_opuc_reflections(np.float64(0.3), np.float64(0.7))
+    python_params = jacobi_opuc_reflections(0.3, 0.7)
+    for phi in (0.7, 1.1, 2.0, 4.5):
+        p = CirclePoint(phi)
+        assert hexed(szego_eval(numpy_params, 20, p)) == hexed(szego_eval(python_params, 20, p))
+
+
 @given(reflection_lists, st.floats(min_value=0.0, max_value=6.28))
 def test_szego_moduli_agree_on_circle(values, phi):
     a = ReflectionSequence.from_list(values)

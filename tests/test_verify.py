@@ -5,17 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from cmvpencil import measures, verify
+from cmvpencil import cmv, measures, verify
+from cmvpencil.cmv import BandedSymmetricMatrix
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.maps import dg_eval_from_circle, sdg_eval_from_circle
 from cmvpencil.recurrences import (
     CirclePoint,
+    MonicThreeTerm,
     dg_symmetric_recurrence,
     eval_monic,
     jacobi_opuc_reflections,
     sdg_recurrence,
 )
-from cmvpencil.verify import SUITES, CheckResult, _gram_offdiag_worst, _within, run_all, run_suite
+from cmvpencil.verify import (
+    SUITES,
+    CheckResult,
+    _coeff_mismatch,
+    _gram_offdiag_worst,
+    _within,
+    run_all,
+    run_suite,
+)
 
 
 def test_unknown_suite_rejected():
@@ -138,3 +148,33 @@ def test_hypot_of_parts_is_complex_abs_on_the_maps_suite_values():
                 assert [m.hex() for m in moduli.ravel().tolist()] == [
                     abs(z).hex() for z in values.ravel().tolist()
                 ]
+
+
+def test_coeff_mismatch_reports_a_nan_coefficient():
+    good = sdg_recurrence(jacobi_opuc_reflections(0.3, 0.7))
+    for bad in (
+        MonicThreeTerm(b=lambda n: math.nan, u=good.u),
+        MonicThreeTerm(b=lambda n: math.nan if n == 3 else good.b(n), u=good.u),
+        MonicThreeTerm(b=good.b, u=lambda n: math.nan if n == 5 else good.u(n)),
+    ):
+        assert math.isnan(_coeff_mismatch(bad, good, 5))
+        assert math.isnan(_coeff_mismatch(good, bad, 5))
+    assert _coeff_mismatch(good, good, 5) == 0.0
+
+
+def test_a_nan_band_fails_the_matrix_identities_check(monkeypatch):
+    build = cmv.build_J
+
+    def with_nan(a, trunc):
+        J = build(a, trunc)
+        off = J.bands[1].copy()
+        off[3] = np.nan
+        return BandedSymmetricMatrix(J.dim, 1, (J.bands[0], off))
+
+    monkeypatch.setattr(cmv, "build_J", with_nan)
+    results = run_suite("matrix-identities", dim=16)
+    assert len(results) == 6
+    for result in results:
+        assert not result.passed and math.isnan(result.value)
+        # the first nan residual is the one reported
+        assert result.details == {"worst_case": "J_equals_L_plus_M at lam=-2.0"}
