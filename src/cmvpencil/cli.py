@@ -15,6 +15,9 @@ Output is deterministic: fixed float formatting, no timestamps, sorted JSON
 keys, and LF newlines, so repeated ``--reproducible`` runs are byte-identical.
 If ``--output`` is a relative path and ``CMVPENCIL_OUTDIR`` is set, the file
 goes under that directory; without ``--output`` the table goes to stdout.
+The output options (``--format``, ``--output``, ``--reproducible``) are read
+from the parsed arguments; argparse's ``choices`` is the one check of
+``--format``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cmv import TruncationSpec, build_K, tridiagonal_eigenvalues
@@ -33,31 +35,7 @@ from .measures import essential_spectrum_periodic
 from .recurrences import jacobi_opuc_reflections, pencil_recurrence
 from .verify import SUITES, run_suite
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide options shared by all subcommands.
-
-    Parameters
-    ----------
-    fmt : str
-        "csv" or "json".
-    output : str or None
-        Output path; None writes to stdout.
-    reproducible : bool
-        Assert byte-identical reruns (the output is deterministic either
-        way; the flag records the intent in the output metadata).
-    """
-
-    fmt: str = "csv"
-    output: str | None = None
-    reproducible: bool = False
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise InvalidParameterError(f"format must be csv or json, got {self.fmt!r}")
+__all__ = ["main"]
 
 
 def _format_cell(value) -> str:
@@ -71,18 +49,19 @@ def _format_cell(value) -> str:
     return text
 
 
-def _resolve_output(config: RunConfig):
-    if config.output is None:
+def _resolve_output(args):
+    if args.output is None:
         return None
-    path = config.output
+    path = args.output
     outdir = os.environ.get("CMVPENCIL_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
     return path
 
 
-def _emit(config: RunConfig, command: str, params: dict, columns, rows, extra=None) -> None:
-    if config.fmt == "csv":
+def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
+    """Write the table in ``args.format`` to ``args.output`` (stdout if None)."""
+    if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_format_cell(v) for v in row))
@@ -91,7 +70,7 @@ def _emit(config: RunConfig, command: str, params: dict, columns, rows, extra=No
         payload = {
             "command": command,
             "params": params,
-            "reproducible": config.reproducible,
+            "reproducible": args.reproducible,
             "columns": list(columns),
             "rows": [
                 [(_format_cell(v) if isinstance(v, float) else v) for v in row]
@@ -101,7 +80,7 @@ def _emit(config: RunConfig, command: str, params: dict, columns, rows, extra=No
         if extra:
             payload.update(extra)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    path = _resolve_output(config)
+    path = _resolve_output(args)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -112,16 +91,7 @@ def _emit(config: RunConfig, command: str, params: dict, columns, rows, extra=No
             handle.write(text)
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        fmt=args.format,
-        output=args.output,
-        reproducible=args.reproducible,
-    )
-
-
 def cmd_recurrence(args) -> int:
-    config = _config_from(args)
     if args.n < 0:
         raise InvalidParameterError(f"need n >= 0, got {args.n}")
     a = jacobi_opuc_reflections(args.xi, args.eta)
@@ -130,7 +100,7 @@ def cmd_recurrence(args) -> int:
     for n in range(args.n + 1):
         rows.append((n, float(a(n)), float(rec.b(n)), float(rec.u(n))))
     _emit(
-        config,
+        args,
         "recurrence",
         {"xi": args.xi, "eta": args.eta, "lam": args.lam, "n": args.n},
         ("n", "a_n", "b_n", "u_n"),
@@ -140,7 +110,6 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = _config_from(args)
     trunc = TruncationSpec.from_dim(args.dim)
     bands = essential_spectrum_periodic(args.lam)
     a = jacobi_opuc_reflections(args.xi, args.eta)
@@ -152,7 +121,7 @@ def cmd_spectrum(args) -> int:
         inside = nearest[0] <= e <= nearest[1]
         rows.append((k, e, inside, float(nearest[0]), float(nearest[1])))
     _emit(
-        config,
+        args,
         "spectrum",
         {"xi": args.xi, "eta": args.eta, "lam": args.lam, "dim": args.dim},
         ("k", "eigenvalue", "inside", "band_lo", "band_hi"),
@@ -197,15 +166,8 @@ def _suite_kwargs(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    config = _config_from(args)
-    if args.suite is None:
-        names = list(SUITES)
-    else:
-        if args.suite not in SUITES:
-            raise InvalidParameterError(
-                f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
-            )
-        names = [args.suite]
+    # run_suite is the one check of the suite name
+    names = list(SUITES) if args.suite is None else [args.suite]
     kwargs = _suite_kwargs(args)
     rows = []
     details = []
@@ -224,7 +186,7 @@ def cmd_verify(args) -> int:
             )
             details.append({"suite": name, **result.to_dict()})
     _emit(
-        config,
+        args,
         "verify",
         {"suite": args.suite or "all"},
         ("suite", "check", "passed", "value", "tol"),

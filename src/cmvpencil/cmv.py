@@ -9,7 +9,7 @@ block chopped in half at the boundary pollutes only the last two rows, so the
 algebraic identities are verified on rows 0 .. dim-3.
 
 ``TruncationSpec.from_dim`` is the one check that a requested dimension is
-even and at least 4.
+even and at least 4, and ``build_J`` is ``build_K`` at the int lam = 1.
 
 Everything here is O(dim).  The builders read the coefficients as arrays
 from a private coefficient table (``recurrences._table``: one
@@ -204,11 +204,6 @@ def banded_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     return BandedMatrix(dim, {k: v for k, v in out.items() if np.any(v != 0.0)})
 
 
-def _shifted(values) -> np.ndarray:
-    """a_{n-1} aligned with a_n: the values with a_{-1} = -1 in front, last dropped."""
-    return np.concatenate(([-1], values[:-1]))
-
-
 def build_L(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
     """Truncation of the even involution: blocks with a_0, a_2, a_4, ...
 
@@ -244,16 +239,12 @@ def build_M(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
 
 
 def build_J(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
-    """Tridiagonal truncation of L + M built directly from the coefficients.
+    """Tridiagonal truncation of L + M: ``build_K(a, 1, trunc)``.
 
     Diagonal a_n - a_{n-1} (so the top entry is a_0 + 1), off-diagonal r_n.
+    The int 1 keeps these bit for bit, ``Fraction`` sequences included.
     """
-    dim = trunc.dim
-    table = _table(a, dim)
-    values = table.a[:dim]
-    diag = np.asarray(values - _shifted(values), dtype=float)
-    off = table.r[: dim - 1].copy()
-    return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
+    return build_K(a, 1, trunc)
 
 
 def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -270,7 +261,7 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     dim = trunc.dim
     table = _table(a, dim)
     values = table.a[:dim]
-    prev = _shifted(values)
+    prev = np.concatenate(([-1], values[:-1]))  # a_{n-1}, with a_{-1} = -1
     diag = np.empty(dim)
     diag[0::2] = values[0::2] - lam * prev[0::2]
     diag[1::2] = lam * values[1::2] - prev[1::2]
@@ -470,7 +461,8 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     m : BandedSymmetricMatrix
         A tridiagonal matrix (InvalidParameterError otherwise).
     bands : sequence of (lo, hi)
-        The predicted bands, ascending and not overlapping.
+        The predicted bands, finite, ascending and not overlapping
+        (InvalidParameterError otherwise).
     inflate : float
         How far each band is widened on both sides, and the half width of
         the window around zero; InvalidParameterError unless >= 0.
@@ -485,6 +477,9 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     if not inflate >= 0:
         # a negative width would count a window "around zero" as -1 eigenvalues
         raise InvalidParameterError(f"need inflate >= 0, got {inflate}")
+    edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
+    if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
+        raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {bands!r}")
     bound = 1.0 + float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
     starts = [-bound, *(q + inflate for _, q in bands)]
     ends = [*(p - inflate for p, _ in bands), bound]

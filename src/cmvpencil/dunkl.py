@@ -329,12 +329,12 @@ def third_kind_coeffs(n: int) -> PolynomialCoeffs:
 
     V_0 = 1, V_1 = 2x - 1, V_{n+1} = 2x V_n - V_{n-1}.
     """
-    return _chebyshev(n, -1)
+    return PolynomialCoeffs(_values(_chebyshev_nums(n, -1), 1))
 
 
 def fourth_kind_coeffs(n: int) -> PolynomialCoeffs:
     """Fourth-kind Chebyshev polynomial on [-1, 1]: W_1 = 2x + 1."""
-    return _chebyshev(n, 1)
+    return PolynomialCoeffs(_values(_chebyshev_nums(n, 1), 1))
 
 
 def _chebyshev_nums(n: int, const) -> tuple:
@@ -347,10 +347,6 @@ def _chebyshev_nums(n: int, const) -> tuple:
     for _ in range(1, n):
         prev, cur = cur, _three_term(cur, prev, 2, 0, -1)
     return tuple(cur)
-
-
-def _chebyshev(n: int, const) -> PolynomialCoeffs:
-    return PolynomialCoeffs(_values(_chebyshev_nums(n, const), 1))
 
 
 def _first_order_identity_residual(nums, edge, n: int) -> PolynomialCoeffs:

@@ -27,8 +27,7 @@ All coefficient formulas are dtype-generic: Fraction inputs stay exact.
 
 from __future__ import annotations
 
-import math
-import sys
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +43,9 @@ from .recurrences import (
     MonicThreeTerm,
     ReflectionSequence,
     _require_count,
+    _require_lam,
     _table,
+    _worst,
     jacobi_opuc_reflections,
     pencil_recurrence,
     szego_eval,
@@ -226,12 +227,6 @@ _BRANCH_LOW = "lambda-1"
 _BRANCH_HIGH = "lambda+1"
 
 
-def _require_lam(lam) -> None:
-    # compared exactly, so an int or Fraction too large for a float fails too
-    if not 0 < lam <= sys.float_info.max:
-        raise InvalidParameterError(f"lam must be > 0 and finite, got {lam!r}")
-
-
 def lambda_reduction(
     a: ReflectionSequence, lam, branch: str
 ) -> tuple[ChristoffelData, MonicThreeTerm]:
@@ -274,55 +269,41 @@ def lambda_reduction(
         C_n = lam*(1 + a_{n-1})     /  1 + a_{n-1}
         transformed: b_n = (-1)^n*(lam - 1),
                      u_n = lam*(1 + a_{n-1})(1 - a_n)
+
+    With s = -1 (theta = lam - 1) or s = 1 (theta = lam + 1) both branches
+    are theta = lam + s, A_n = s - a_n and C_n = s + a_{n-1} at the first
+    listed parity, and b_n = (-1)^n*(lam - s); only u_n differs in shape.
     """
     _require_lam(lam)
-    if branch == _BRANCH_LOW:
-        theta = lam - 1
-
-        def A(n: int):
-            if n % 2 == 0:
-                return -(1 + a(n))
-            return lam * (1 - a(n))
-
-        def C(n: int):
-            if n % 2 == 0:
-                return lam * (1 + a(n - 1))
-            return a(n - 1) - 1
-
-        def b(n: int):
-            return (lam + 1) if n % 2 == 0 else -(lam + 1)
-
-        def u(n: int):
-            if n == 0:
-                return 0
-            s = 1 if n % 2 == 0 else -1
-            return -lam * (1 + s * a(n)) * (1 + s * a(n - 1))
-
-    elif branch == _BRANCH_HIGH:
-        theta = lam + 1
-
-        def A(n: int):
-            if n % 2 == 0:
-                return 1 - a(n)
-            return lam * (1 - a(n))
-
-        def C(n: int):
-            if n % 2 == 0:
-                return lam * (1 + a(n - 1))
-            return 1 + a(n - 1)
-
-        def b(n: int):
-            return (lam - 1) if n % 2 == 0 else -(lam - 1)
-
-        def u(n: int):
-            if n == 0:
-                return 0
-            return lam * (1 + a(n - 1)) * (1 - a(n))
-
-    else:
+    if branch not in (_BRANCH_LOW, _BRANCH_HIGH):
         raise InvalidParameterError(
             f"branch must be {_BRANCH_LOW!r} or {_BRANCH_HIGH!r}, got {branch!r}"
         )
+    # each s-form rounds exactly as the closed form it stands for
+    s = -1 if branch == _BRANCH_LOW else 1
+    theta = lam + s
+    b_even = lam - s
+
+    def A(n: int):
+        if n % 2 == 0:
+            return s - a(n)
+        return lam * (1 - a(n))
+
+    def C(n: int):
+        if n % 2 == 0:
+            return lam * (1 + a(n - 1))
+        return s + a(n - 1)
+
+    def b(n: int):
+        return b_even if n % 2 == 0 else -b_even
+
+    def u(n: int):
+        if n == 0:
+            return 0
+        if s > 0:
+            return lam * (1 + a(n - 1)) * (1 - a(n))
+        sign = 1 if n % 2 == 0 else -1
+        return -lam * (1 + sign * a(n)) * (1 + sign * a(n - 1))
 
     data = ChristoffelData(
         theta=theta, A=A, C=C, transformed=MonicThreeTerm(b=b, u=u)
@@ -331,11 +312,10 @@ def lambda_reduction(
     n_check = 20
     generic = christoffel(pencil_recurrence(a, lam), theta, n_check + 1)
     pairs = ((A, generic.A), (C, generic.C), (b, generic.transformed.b), (u, generic.transformed.u))
-    diffs = [
+    diffs = (
         abs(float(mine(n)) - float(theirs(n))) for n in range(n_check + 1) for mine, theirs in pairs
-    ]
-    # nan ranks above every number, so a nan residual is the one reported
-    worst = max(diffs, key=lambda d: math.inf if math.isnan(d) else d, default=0.0)
+    )
+    worst = functools.reduce(_worst, diffs, 0.0)  # the first nan residual is the one reported
     if not worst <= 1e-10:
         raise InternalConsistencyError(
             f"closed-form reduction disagrees with the generic transform by "

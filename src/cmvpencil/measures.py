@@ -36,6 +36,7 @@ import cmath
 import functools
 import inspect
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -50,7 +51,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
 )
-from .recurrences import MonicThreeTerm, _require_count, _worst, eval_monic
+from .recurrences import MonicThreeTerm, _require_count, _require_lam, _worst, eval_monic
 
 __all__ = [
     "Measure",
@@ -82,8 +83,10 @@ class Measure:
         Vectorized map x -> w(x), finite and positive a.e. on the support
         away from the declared points.
     endpoint_exponents : tuple of (point, gamma) pairs
-        Declares density ~ const * |x - s|^gamma near s, with gamma > -1.
-        Points may be interval endpoints or interior points.
+        Declares density ~ const * |x - s|^gamma near s, with gamma > -1 and
+        finite (InvalidParameterError otherwise; the named weights rely on
+        this check for their exponent parameters).  Points may be interval
+        endpoints or interior points.
     name : str
         Family tag for reporting.
     """
@@ -98,9 +101,10 @@ class Measure:
             if not q >= p:
                 raise InvalidParameterError(f"empty support interval ({p}, {q})")
         for s, gamma in self.endpoint_exponents:
-            if not gamma > -1:
+            # compared exactly, so an int or Fraction too large for a float fails here
+            if not -1 < gamma <= sys.float_info.max:
                 raise InvalidParameterError(
-                    f"declared exponent {gamma} at {s} is not integrable (need > -1)"
+                    f"declared exponent {gamma} at {s} must be > -1 (integrable) and finite"
                 )
 
     def exponent_at(self, s: float) -> float:
@@ -133,8 +137,18 @@ def _jacobi_rule(n_nodes: int, gr: float, gl: float):
     """Gauss-Jacobi nodes and weights on [-1, 1] for (1-t)^gr (1+t)^gl.
 
     Cached, so the arrays are shared between callers and made read-only.
+    Exponents too large for a finite rule raise InvalidParameterError.
     """
-    t, w = roots_jacobi(n_nodes, gr, gl)
+    try:
+        # scipy's overflow warnings are redundant with the finiteness check
+        with np.errstate(all="ignore"):
+            t, w = roots_jacobi(n_nodes, gr, gl)
+    except ValueError:  # scipy's eigensolver refuses the nan it built
+        t = w = np.array([math.nan])
+    if not np.isfinite([t, w]).all():
+        raise InvalidParameterError(
+            f"no finite {n_nodes}-node Gauss-Jacobi rule for (1-t)^{gr} (1+t)^{gl}"
+        )
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -389,16 +403,6 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
 # ---------------------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidParameterError(msg)
-
-
-def _require_lam(lam) -> None:
-    if not 0 < lam < math.inf:
-        raise InvalidParameterError(f"need lam > 0 and finite, got {lam}")
-
-
 # family -> (linear factor or None, whether the factor raises the exponent
 # at x = -2 by 1, and at x = +2)
 _INTERVAL_SHAPES = {
@@ -413,7 +417,8 @@ _INTERVAL_SHAPES = {
 def _interval_weight(family: str, *, xi, eta) -> Measure:
     """A family on [-2, 2]: (4 - x^2)^xi |x|^(2 eta + 1) times its linear
     factor, or, for dg_from_circle, the circle weight carried over."""
-    _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
+    if not xi > -1:  # companion declares 1 + xi at both ends, which xi in (-2, -1] passes
+        raise InvalidParameterError(f"need xi > -1, got {xi}")
     factor, shift_lo, shift_hi = _INTERVAL_SHAPES[family]
 
     def density(x):
@@ -433,7 +438,6 @@ def _interval_weight(family: str, *, xi, eta) -> Measure:
 
 
 def _pencil_weight(family: str, *, xi, eta, lam) -> Measure:
-    _require(xi > -1 and eta > -1, f"need xi, eta > -1, got ({xi}, {eta})")
     _require_lam(lam)
     if lam == 1.0:
         return _interval_weight("sdg", xi=xi, eta=eta)
@@ -453,8 +457,8 @@ def _pencil_weight(family: str, *, xi, eta, lam) -> Measure:
 
 
 def _big_m1_weight(family: str, *, alpha, beta, c) -> Measure:
-    _require(alpha > -1 and beta > -1, f"need alpha, beta > -1, got ({alpha}, {beta})")
-    _require(0 <= c < 1, f"need 0 <= c < 1, got {c}")
+    if not 0 <= c < 1:
+        raise InvalidParameterError(f"need 0 <= c < 1, got {c}")
     xi = 0.5 * (alpha - 1.0)
     eta = 0.5 * (beta - 1.0)
 
@@ -716,9 +720,13 @@ def m_full(z: complex, lam: float) -> complex:
     return mp / den
 
 
-def _inside_band(lam: float, t: float) -> bool:
-    lo, hi = abs(lam - 1.0), lam + 1.0
-    return lo < abs(t) < hi
+def _require_inside_band(lam: float, t: float) -> None:
+    """InvalidParameterError unless lam > 0 is finite and t lies strictly inside a band."""
+    _require_lam(lam)
+    if not abs(lam - 1.0) < abs(t) < lam + 1.0:
+        raise InvalidParameterError(
+            f"t = {t!r} is not strictly inside the essential spectrum bands"
+        )
 
 
 def stieltjes_perron_density(lam: float, t: float) -> float:
@@ -730,13 +738,9 @@ def stieltjes_perron_density(lam: float, t: float) -> float:
     Raises
     ------
     InvalidParameterError
-        If t is not strictly inside a band.
+        If lam is not finite and positive, or t is not strictly inside a band.
     """
-    _require_lam(lam)
-    if not _inside_band(lam, t):
-        raise InvalidParameterError(
-            f"t = {t!r} is not strictly inside the essential spectrum bands"
-        )
+    _require_inside_band(lam, t)
     s2 = ((lam + 1.0) ** 2 - t * t) * (t * t - (lam - 1.0) ** 2)
     return math.sqrt(s2) / (lam * abs((t - lam) ** 2 - 1.0))
 
@@ -750,10 +754,7 @@ def periodic_weight_verbatim(lam: float, t: float) -> float:
     ``stieltjes_perron_density`` is the reference; this form is exposed only
     so the discrepancy can be reported, never used as a weight.
     """
-    if not _inside_band(lam, t):
-        raise InvalidParameterError(
-            f"t = {t!r} is not strictly inside the essential spectrum bands"
-        )
+    _require_inside_band(lam, t)
     num = math.sqrt(max(4 * lam * lam - (t * t - lam * lam - 1.0) ** 2, 0.0))
     den = lam * (t * t - 2.0 * lam * lam * t + lam * lam - 1.0)
     sign = -1.0 if t > 0 else 1.0
@@ -776,14 +777,19 @@ def validate_periodic_density(lam: float) -> float:
         If lam is not finite and positive.
     """
     _require_lam(lam)
-    n_grid, eps = 20, 1e-7
+    eps = 1e-7
+    worst = 0.0
+    for t in _band_grid(lam, 20):
+        w_closed = stieltjes_perron_density(lam, t)
+        w_weyl = 2.0 * m_full(complex(t, eps), lam).imag
+        worst = _worst(worst, abs(w_closed - w_weyl) / max(abs(w_weyl), 1e-300))
+    return worst
+
+
+def _band_grid(lam: float, n: int) -> list:
+    """n points across each band, negative band first, as Python floats; each
+    band is padded in by 5% of its width at both ends."""
     lo, hi = abs(lam - 1.0), lam + 1.0
     pad = 0.05 * (hi - lo) if hi > lo else 0.05
-    worst = 0.0
-    for band in ((-hi + pad, -lo - pad), (lo + pad, hi - pad)):
-        grid = np.linspace(band[0], band[1], n_grid)
-        for t in grid:
-            w_closed = stieltjes_perron_density(lam, float(t))
-            w_weyl = 2.0 * m_full(complex(t, eps), lam).imag
-            worst = _worst(worst, abs(w_closed - w_weyl) / max(abs(w_weyl), 1e-300))
-    return worst
+    bands = ((-hi + pad, -lo - pad), (lo + pad, hi - pad))
+    return [t for p, q in bands for t in np.linspace(p, q, n).tolist()]

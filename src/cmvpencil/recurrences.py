@@ -6,8 +6,11 @@ the coefficient families of the monic pencil polynomials, their lambda = 1
 specialization, the symmetric family of the circle-to-interval map, and its
 companion.  Every family is a ``MonicThreeTerm``: a symmetric recurrence
 S_{n+1} = x S_n - v_n S_{n-1} is the monic one with b_n = 0 and u_n = v_n.
-Evaluation helpers run the forward three-term recurrence and the joint
-circle recursion once each and return every degree up to the one asked for.
+The lambda = 1 family is the pencil family at the int 1, the symmetric family
+and its companion share one builder, and ``_require_lam`` is the one check of
+a pencil parameter (0 < lam <= the largest float) for ``maps`` and
+``measures``.  Evaluation helpers run the forward three-term recurrence and
+the joint circle recursion once each, returning every degree up to n.
 
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
@@ -30,6 +33,7 @@ import cmath
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,6 +63,13 @@ def _require_count(name: str, value, lo: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
         raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value!r}")
     return int(value)
+
+
+def _require_lam(lam) -> None:
+    """A pencil parameter with 0 < lam <= the largest float, compared exactly,
+    so an int or Fraction too large for a float fails here and not in float()."""
+    if not 0 < lam <= sys.float_info.max:
+        raise InvalidParameterError(f"need lam > 0 and finite, got {lam!r}")
 
 
 def _zero(n: int) -> int:
@@ -377,17 +388,20 @@ def pencil_recurrence(a: ReflectionSequence, lam) -> MonicThreeTerm:
 
 
 def sdg_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
-    """Monic recurrence b_n = a_n - a_{n-1}, u_n = 1 - a_{n-1}^2."""
+    """``pencil_recurrence(a, 1)``: b_n = a_n - a_{n-1}, u_n = 1 - a_{n-1}^2; the
+    int 1 keeps every coefficient's bits and type, ``Fraction`` included."""
+    return pencil_recurrence(a, 1)
 
-    def b(n: int):
-        return a(n) - a(n - 1)
+
+def _symmetric_recurrence(a: ReflectionSequence, lag: int) -> MonicThreeTerm:
+    """Symmetric recurrence b_n = 0, u_n = (1 + a_{n-1})(1 - a_{n-lag})."""
 
     def u(n: int):
         if n == 0:
             return 0
-        return 1 - a(n - 1) ** 2
+        return (1 + a(n - 1)) * (1 - a(n - lag))
 
-    return MonicThreeTerm(b=_memoized(b), u=_memoized(u))
+    return MonicThreeTerm(b=_zero, u=_memoized(u))
 
 
 def dg_symmetric_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
@@ -396,24 +410,12 @@ def dg_symmetric_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
     The polynomials are S_{n+1} = x S_n - u_n S_{n-1}.  With a_{-1} = -1
     the first coefficient is u_1 = 2*(1 + a_0).
     """
-
-    def u(n: int):
-        if n == 0:
-            return 0
-        return (1 + a(n - 1)) * (1 - a(n - 2))
-
-    return MonicThreeTerm(b=_zero, u=_memoized(u))
+    return _symmetric_recurrence(a, 2)
 
 
 def companion_symmetric_recurrence(a: ReflectionSequence) -> MonicThreeTerm:
     """Symmetric recurrence b_n = 0, u_n = (1 + a_{n-1})(1 - a_n) of the companion family."""
-
-    def u(n: int):
-        if n == 0:
-            return 0
-        return (1 + a(n - 1)) * (1 - a(n))
-
-    return MonicThreeTerm(b=_zero, u=_memoized(u))
+    return _symmetric_recurrence(a, 0)
 
 
 def eval_monic(rec: MonicThreeTerm, n: int, x) -> list:

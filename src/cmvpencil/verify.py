@@ -40,6 +40,7 @@ from .maps import (
     scale_map,
 )
 from .measures import (
+    _band_grid,
     discretize,
     essential_spectrum_periodic,
     m_per,
@@ -310,21 +311,18 @@ def suite_periodic_weight() -> list:
 def _verbatim_comparison(lam: float) -> dict:
     """Grid comparison of the alternative closed-form display against the
     Weyl-derived density, reported (never silently patched)."""
-    lo, hi = abs(lam - 1.0), lam + 1.0
-    pad = 0.05 * (hi - lo)
     worst = 0.0
     pole_in_band = False
-    for band in ((-hi + pad, -lo - pad), (lo + pad, hi - pad)):
-        for t in np.linspace(band[0], band[1], 15):
-            reference = stieltjes_perron_density(lam, float(t))
-            try:
-                verbatim = periodic_weight_verbatim(lam, float(t))
-            except InvalidParameterError:
-                pole_in_band = True
-                continue
-            if verbatim <= 0:
-                pole_in_band = True
-            worst = _worst(worst, abs(verbatim - reference) / max(reference, 1e-300))
+    for t in _band_grid(lam, 15):
+        reference = stieltjes_perron_density(lam, t)
+        try:
+            verbatim = periodic_weight_verbatim(lam, t)
+        except InvalidParameterError:
+            pole_in_band = True
+            continue
+        if verbatim <= 0:
+            pole_in_band = True
+        worst = _worst(worst, abs(verbatim - reference) / max(reference, 1e-300))
     return {
         "verbatim_max_relative_deviation": worst,
         "verbatim_sign_change_or_pole_in_band": pole_in_band,

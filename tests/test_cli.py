@@ -5,8 +5,7 @@ import json
 import pytest
 
 import cmvpencil.cli as cli
-from cmvpencil.cli import RunConfig, main
-from cmvpencil.errors import InvalidParameterError
+from cmvpencil.cli import main
 from cmvpencil.verify import CheckResult
 
 
@@ -16,11 +15,13 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def test_runconfig_validation():
-    RunConfig(fmt="csv")
-    RunConfig(fmt="json")
-    with pytest.raises(InvalidParameterError):
-        RunConfig(fmt="yaml")
+def test_runconfig_validation(capsys):
+    # argparse's choices is the one check of --format
+    for command in ("recurrence", "spectrum", "verify"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--format", "yaml"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
 
 def test_recurrence_csv_golden(capsys):
@@ -143,6 +144,13 @@ def test_unknown_suite_exit_code(capsys):
     code, _, err = run(["verify", "--suite", "nonsense"], capsys)
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_exponent_overflow_exits_2(capsys):
+    # alpha = 2 * xi + 1 overflows to inf: this printed a traceback and exited 1
+    code, out, err = run(["verify", "--suite", "big-m1", "--lambda", "2", "--xi", "1e308"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: declared exponent inf")
 
 
 def test_usage_error_exit_code():

@@ -140,6 +140,15 @@ def test_J_and_K_match_sums():
         )
 
 
+def test_J_is_K_at_the_int_one_not_the_float():
+    # 1.0 * Fraction rounds to a float before the subtraction, so K at lam = 1.0
+    # moves the last bit of some diagonal entries of an exact sequence
+    a, trunc = jacobi_opuc_reflections(Fraction(3, 10), Fraction(7, 10)), TruncationSpec.from_dim(64)
+    J = build_J(a, trunc)
+    assert J.bands[0].tobytes() == build_K(a, 1, trunc).bands[0].tobytes()
+    assert J.bands[0].tobytes() != build_K(a, 1.0, trunc).bands[0].tobytes()
+
+
 def test_H_is_anticommutator():
     a = jacobi_opuc_reflections(0.3, 0.7)
     Ld, Md = dense_reference(a, 1.0, 8)
@@ -376,11 +385,12 @@ def test_lam_free_builders_run_once_per_sequence(monkeypatch):
     calls = count_builder_calls(monkeypatch)
     lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
     cmv._identity_residuals(jacobi_opuc_reflections(0.3, 0.7), lams, TRUNC8)
-    assert calls == {"build_L": 1, "build_M": 1, "build_J": 1, "build_K": 6}
+    # build_J is build_K at lam = 1, so J adds one build_K call per sequence
+    assert calls == {"build_L": 1, "build_M": 1, "build_J": 1, "build_K": 7}
     calls.update(dict.fromkeys(calls, 0))
     results = run_suite("matrix-identities")
     assert len(results) == 6 and all(r.passed for r in results)
-    assert calls == {"build_L": 6, "build_M": 6, "build_J": 6, "build_K": 36}
+    assert calls == {"build_L": 6, "build_M": 6, "build_J": 6, "build_K": 42}
 
 
 # lam^2 overflows beyond about 1.3e154, and K^2 a little before that
@@ -524,6 +534,25 @@ def test_band_census_matches_full_spectrum(dim):
     assert n_outside == 0 and values == [] and n_near_zero == 0
     with pytest.raises(InvalidParameterError, match="need inflate >= 0"):
         band_census(K, bands, -inflate)
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [
+        [(math.nan, 1.0)],  # counted 47 outliers
+        [(1.0, -1.0)],  # counted 101 outliers in a dim-100 matrix
+        [(-3.0, 1.0), (0.0, 3.0)],  # counted 0
+        [(-3.0, -1.0), (1.0, math.inf)],
+        [(1.0, 10**400)],
+    ],
+    ids=["nan", "reversed", "overlapping", "infinite", "huge-int"],
+)
+def test_band_census_rejects_bad_bands(bands):
+    K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec(50))
+    with pytest.raises(InvalidParameterError, match="need finite, ascending, disjoint bands"):
+        band_census(K, bands, 0.05)
+    # touching bands, as the prediction gives at lam = 1, stay accepted
+    assert band_census(K, essential_spectrum_periodic(1.0), 0.05)[0] >= 0
 
 
 def test_eigenvalue_counts_guards_zero_pivots():

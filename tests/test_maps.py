@@ -122,6 +122,47 @@ def test_lambda_reduction_closed_forms_exact():
         assert transformed.b(n) == (-1) ** n * (lam + 1)
 
 
+def _reduction_literal(a, lam, branch, n):
+    """(theta, A_n, C_n, b_n, u_n) as the closed forms of lambda_reduction's docstring."""
+    even = n % 2 == 0
+    sign = 1 if even else -1
+    if branch == "lambda-1":
+        theta = lam - 1
+        A = -(1 + a(n)) if even else lam * (1 - a(n))
+        C = lam * (1 + a(n - 1)) if even else a(n - 1) - 1
+        b = (lam + 1) if even else -(lam + 1)
+        u = -lam * (1 + sign * a(n)) * (1 + sign * a(n - 1))
+    else:
+        theta = lam + 1
+        A = 1 - a(n) if even else lam * (1 - a(n))
+        C = lam * (1 + a(n - 1)) if even else 1 + a(n - 1)
+        b = (lam - 1) if even else -(lam - 1)
+        u = lam * (1 + a(n - 1)) * (1 - a(n))
+    return theta, A, C, b, 0 if n == 0 else u
+
+
+@pytest.mark.parametrize(
+    "a, lams",
+    [
+        (jacobi_opuc_reflections(0.3, 0.7), (0.5, 1.0, 2.0)),
+        (ReflectionSequence.from_list([0.25, -0.5, 0.125, 0.75, -0.875] * 5), (0.5, 3.0)),
+        (jacobi_opuc_reflections(Fraction(3, 10), Fraction(7, 10)), (Fraction(1, 2), 2, Fraction(7, 3))),
+    ],
+    ids=["jacobi-float", "float-list", "jacobi-fraction"],
+)
+@pytest.mark.parametrize("branch", ["lambda-1", "lambda+1"])
+def test_lambda_reduction_is_its_literal_closed_forms(a, lams, branch):
+    # by type and repr, so the one s = -/+1 body rounds as each written form
+    # (signed zeros included: b_1 = -(lam - 1) is -0.0 at lam = 1.0)
+    for lam in lams:
+        data, transformed = lambda_reduction(a, lam, branch)
+        for n in range(21):
+            theta, A, C, b, u = _reduction_literal(a, lam, branch, n)
+            got = (data.theta, data.A(n), data.C(n), transformed.b(n), transformed.u(n))
+            for mine, literal in zip(got, (theta, A, C, b, u)):
+                assert type(mine) is type(literal) and repr(mine) == repr(literal), (lam, n)
+
+
 def test_lambda_reduction_other_branch_positive():
     a = jacobi_opuc_reflections(0.3, 0.7)
     _, transformed = lambda_reduction(a, 2.0, "lambda+1")
@@ -143,10 +184,10 @@ def test_non_finite_lam_is_rejected(lam):
     # lam = inf used to give b_0 = inf and pass the self-check on nan residuals
     a = jacobi_opuc_reflections(0.3, 0.7)
     for branch in ("lambda-1", "lambda+1"):
-        with pytest.raises(InvalidParameterError, match="lam must be > 0 and finite"):
+        with pytest.raises(InvalidParameterError, match="need lam > 0 and finite"):
             lambda_reduction(a, lam, branch)
     # this used to report "need -1 < c < 1, got nan"
-    with pytest.raises(InvalidParameterError, match="lam must be > 0 and finite"):
+    with pytest.raises(InvalidParameterError, match="need lam > 0 and finite"):
         big_m1_parameters(0.3, 0.7, lam)
 
 

@@ -535,6 +535,45 @@ def test_named_weight_checks_parameter_names(family):
         named_weight(family, **params, **{other: 0.5})
 
 
+@pytest.mark.parametrize("family", sorted(WEIGHT_PARAMETERS))
+@pytest.mark.parametrize("bad", [-1.0, -1.5, -3, math.nan, math.inf], ids=repr)
+def test_named_weight_exponent_parameters_are_checked(family, bad):
+    # xi = inf used to pass and fail later, in scipy's roots_jacobi
+    params = WEIGHT_PARAMETERS[family]
+    for key in {"xi", "eta", "alpha", "beta"} & set(params):
+        with pytest.raises(InvalidParameterError):
+            named_weight(family, **{**params, key: bad})
+
+
+def test_a_huge_finite_exponent_is_a_typed_error():
+    # scipy cannot build this rule; its ValueError escaped bare
+    with pytest.raises(InvalidParameterError, match=r"Gauss-Jacobi rule for \(1-t\)\^1.0 \(1\+t\)\^1e\+300"):
+        stieltjes_recurrence(named_weight("sdg", xi=1e300, eta=0.0), 3)
+    with pytest.raises(InvalidParameterError, match="no finite 16-node"):
+        measures._jacobi_rule(16, 1e15, 0.0)  # scipy returns infinite weights here
+    # compared exactly, so an int too large for a float is refused at construction
+    with pytest.raises(InvalidParameterError, match="declared exponent"):
+        named_weight("sdg", xi=0.0, eta=10**400)
+
+
+@pytest.mark.parametrize("lam", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
+def test_lam_too_large_for_a_float_is_a_typed_error(lam):
+    # these raised a bare OverflowError: the check compared with math.inf
+    calls = [
+        lambda: essential_spectrum_periodic(lam),
+        lambda: named_weight("periodic", lam=lam),
+        lambda: named_weight("pencil", xi=0.0, eta=0.0, lam=lam),
+        lambda: m_per(1j, lam),
+        lambda: m_full(1j, lam),
+        lambda: stieltjes_perron_density(lam, 1.0),
+        lambda: periodic_weight_verbatim(lam, 1.0),
+        lambda: validate_periodic_density(lam),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="need lam > 0 and finite"):
+            call()
+
+
 def test_named_weight_rejects_unknown_families():
     for family in ("no_such_family", "", 3, None, ("sdg",)):
         with pytest.raises(InvalidParameterError, match="unknown weight family"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cmvpencil.cmv import TruncationSpec, build_J
 from cmvpencil.dunkl import (
     PolynomialCoeffs,
     dunkl_eigenvalue,
@@ -109,6 +110,40 @@ def _same(lhs, rhs):
         same_dtype = isinstance(rhs, np.ndarray) and lhs.dtype == rhs.dtype
         return same_dtype and lhs.tobytes() == rhs.tobytes()
     return type(lhs) is type(rhs) and repr(lhs) == repr(rhs)
+
+
+# the sequence kinds the lam = 1 and symmetric families must keep bit for bit
+SEQUENCE_KINDS = {
+    "jacobi-float": lambda: jacobi_opuc_reflections(0.3, 0.7),
+    "jacobi-numpy": lambda: jacobi_opuc_reflections(np.float64(0.3), np.float64(0.7)),
+    "jacobi-fraction": lambda: jacobi_opuc_reflections(Fraction(3, 10), Fraction(7, 10)),
+    "float-list": lambda: ReflectionSequence.from_list(
+        [0.25, -0.5, 0.125, 0.75, -0.875, 0.1, -0.3, 0.6, 0.9, -0.2, 0.05, 0.33, -0.66]
+    ),
+    "fraction-list": lambda: ReflectionSequence.from_list(
+        [Fraction(k, 13) for k in (3, -5, 7, 1, -12, 4, 0, -2, 9, -7, 11, 5, -1)]
+    ),
+    "constant+0.0": lambda: ReflectionSequence.constant(0.0),
+    "constant-0.0": lambda: ReflectionSequence.constant(-0.0),
+}
+
+
+@pytest.mark.parametrize("make", SEQUENCE_KINDS.values(), ids=list(SEQUENCE_KINDS))
+def test_lam1_and_symmetric_families_are_their_literal_formulas(make):
+    # written out here, not taken from pencil_recurrence or build_K, which
+    # sdg_recurrence and build_J go through
+    a = make()
+    sdg, dg, comp = sdg_recurrence(a), dg_symmetric_recurrence(a), companion_symmetric_recurrence(a)
+    for n in range(12):
+        assert _same(sdg.b(n), a(n) - a(n - 1)), n
+        assert _same(sdg.u(n), 0 if n == 0 else 1 - a(n - 1) ** 2), n
+        assert _same(dg.u(n), 0 if n == 0 else (1 + a(n - 1)) * (1 - a(n - 2))), n
+        assert _same(comp.u(n), 0 if n == 0 else (1 + a(n - 1)) * (1 - a(n))), n
+        assert _same(dg.b(n), 0) and _same(comp.b(n), 0)
+    # J's diagonal a_n - a_{n-1} rounded once, its off-diagonal r_n as ReflectionSequence.r
+    J = build_J(a, TruncationSpec.from_dim(12))
+    assert _same(J.bands[0], np.array([float(a(n) - a(n - 1)) for n in range(12)]))
+    assert _same(J.bands[1], np.array([math.sqrt(1.0 - float(a(n)) ** 2) for n in range(11)]))
 
 
 def _symmetric_oracle(v, n, x):

@@ -1,9 +1,12 @@
 """The experiment scripts: CSV output at the defaults, exit code 2 on bad input."""
 
 import importlib.util
+import math
 import os
 
 import pytest
+
+from cmvpencil.recurrences import MonicThreeTerm
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -56,3 +59,23 @@ def test_bad_input_exits_2(capsys, name, argv):
     if name == "weight_tables":
         # the message names the option the user gave, not an internal degree
         assert "--n must be in 0..29" in err
+
+
+@pytest.mark.parametrize("xi", ["inf", "1e308"])
+def test_weight_tables_rejects_an_exponent_without_a_finite_rule(capsys, xi):
+    # both ended in a traceback from scipy's roots_jacobi and exit 1
+    assert load("weight_tables").main(["--xi", xi]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_weight_tables_reports_a_nan_deviation(capsys, monkeypatch):
+    # a nan coefficient used to print "worst coefficient deviation: 0.000e+00"
+    module = load("weight_tables")
+    nan_rec = MonicThreeTerm(b=lambda n: math.nan, u=lambda n: math.nan)
+    monkeypatch.setattr(module, "stieltjes_recurrence", lambda *args, **kwargs: nan_rec)
+    monkeypatch.setattr(module, "stieltjes_perron_density", lambda lam, t: math.nan)
+    assert module.main(["--family", "periodic", "--lam", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "# worst coefficient deviation: nan\n" in out
+    assert "# alternative closed-form display deviates by nan on the band\n" in out

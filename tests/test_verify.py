@@ -1,11 +1,13 @@
 """The verification-suite layer shared by the CLI and the acceptance tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cmvpencil import cmv, measures, verify
+from cmvpencil.dunkl import PolynomialCoeffs
 from cmvpencil.cmv import BandedSymmetricMatrix
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.maps import dg_eval_from_circle, sdg_eval_from_circle
@@ -178,3 +180,71 @@ def test_a_nan_band_fails_the_matrix_identities_check(monkeypatch):
         assert not result.passed and math.isnan(result.value)
         # the first nan residual is the one reported
         assert result.details == {"worst_case": "J_equals_L_plus_M at lam=-2.0"}
+
+
+# -- NaN fault injection: one route per patch, by module name ---------------
+
+NAN = math.nan
+NAN_REC = MonicThreeTerm(b=lambda n: NAN, u=lambda n: NAN)
+
+
+def _nan_diagonal(build_K):
+    def patched(a, lam, trunc):
+        K = build_K(a, lam, trunc)
+        return BandedSymmetricMatrix(K.dim, 1, (K.bands[0] * NAN, K.bands[1]))
+
+    return patched
+
+
+def _nan_values(evaluate):
+    return lambda *args: [value * NAN for value in evaluate(*args)]
+
+
+def _nan_report(check):
+    def patched(alpha, beta, c, n):
+        report = check(alpha, beta, c, n)
+        return dataclasses.replace(report, residual=PolynomialCoeffs((NAN,)), max_abs_residual=NAN)
+
+    return patched
+
+
+def _nan_reduction(reduce):
+    return lambda a, lam, branch: (reduce(a, lam, branch)[0], NAN_REC)
+
+
+# (suite, keywords, module, route, NaN-returning replacement of the route,
+#  indices of the suite's checks that read it; every other check must pass)
+NAN_ROUTES = [
+    ("matrix-identities", {"dim": 16}, cmv, "build_K", _nan_diagonal, range(6)),
+    ("maps", {}, verify, "szego_eval", lambda f: lambda a, n, z: [(complex(NAN, NAN),) * 2] * (n + 1), range(10)),
+    ("little-m1", {}, verify, "eval_monic", _nan_values, range(3)),
+    ("big-m1", {}, verify, "stieltjes_recurrence", lambda f: lambda *args, **kw: NAN_REC, range(4)),
+    ("spectrum", {}, verify, "band_census", lambda f: lambda m, bands, inflate: (NAN, [], NAN), range(3)),
+    ("periodic-weight", {}, verify, "stieltjes_recurrence", lambda f: lambda *args, **kw: NAN_REC, range(3)),
+    ("weyl", {}, verify, "m_per", lambda f: lambda z, lam: complex(NAN, NAN), (0, 1, 3)),
+    ("weyl", {}, measures, "m_full", lambda f: lambda z, lam: complex(NAN, NAN), (2,)),
+    ("dunkl", {}, verify, "verify_eigenfunction", _nan_report, range(3)),
+    ("dunkl", {}, verify, "third_kind_identity_residual", lambda f: lambda n: PolynomialCoeffs((NAN,)), (3,)),
+    ("structural", {}, verify, "eval_monic", _nan_values, range(3)),
+    ("structural", {}, verify, "lambda_reduction", _nan_reduction, (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs, module, route, replace, reading",
+    NAN_ROUTES,
+    ids=[f"{suite}-{route}" for suite, _, _, route, _, _ in NAN_ROUTES],
+)
+def test_a_nan_route_fails_every_check_that_reads_it(monkeypatch, suite, kwargs, module, route, replace, reading):
+    monkeypatch.setattr(module, route, replace(getattr(module, route)))
+    results = run_suite(suite, **kwargs)
+    failed = [k for k, result in enumerate(results) if not result.passed]
+    assert failed == list(reading), [(r.label, r.value) for r in results]
+    for k in reading:
+        # each reports the nan it read, but the exact split, whose value is a flag
+        value, label = results[k].value, results[k].label
+        assert math.isnan(value) or (label == "even/odd split composes back exactly" and value == 1.0)
+
+
+def test_every_suite_has_a_nan_route():
+    assert {suite for suite, *_ in NAN_ROUTES} == set(SUITES)
