@@ -23,6 +23,7 @@ from the parsed arguments; argparse's ``choices`` is the one check of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -196,7 +197,10 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: each build leaves about 230 argparse objects in
+    # reference cycles, and parsing never changes the parser
     parser = argparse.ArgumentParser(
         prog="cmvpencil",
         description="Pencil recurrences, truncated spectra, and verification suites.",

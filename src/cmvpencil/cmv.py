@@ -459,7 +459,8 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     Parameters
     ----------
     m : BandedSymmetricMatrix
-        A tridiagonal matrix (InvalidParameterError otherwise).
+        A tridiagonal matrix with finite entries (InvalidParameterError
+        otherwise).
     bands : sequence of (lo, hi)
         The predicted bands, finite, ascending and not overlapping
         (InvalidParameterError otherwise).
@@ -474,6 +475,9 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
         (ascending within each window), and the number in (-inflate, inflate).
     """
     diag, off = _tridiagonal(m)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        # a nan pivot counts nowhere, so a nan matrix would hold no eigenvalue
+        raise InvalidParameterError("band census needs a matrix with finite entries")
     if not inflate >= 0:
         # a negative width would count a window "around zero" as -1 eigenvalues
         raise InvalidParameterError(f"need inflate >= 0, got {inflate}")

@@ -25,7 +25,8 @@ repeated named weight hits the chains of its first call.
 
 Arguments are checked before any work: a tol that is nan, infinite or below
 1e-13, an n_max or n_nodes that is not an integer (bool included) or out of
-range, a lam that is not finite and positive, and a Weyl point z that is not
+range, a lam that is not finite and positive, an int or Fraction big_m1 or
+little_m1 alpha or beta beyond the float range, and a Weyl point z that is not
 finite or at which the quadratic's discriminant or the chosen root overflows
 all raise InvalidParameterError.
 """
@@ -459,6 +460,12 @@ def _pencil_weight(family: str, *, xi, eta, lam) -> Measure:
 def _big_m1_weight(family: str, *, alpha, beta, c) -> Measure:
     if not 0 <= c < 1:
         raise InvalidParameterError(f"need 0 <= c < 1, got {c}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        # an int or Fraction beyond the float range would overflow in the
+        # float arithmetic below, so it is compared exactly here; a float
+        # inf or nan goes on to Measure's exponent check
+        if not isinstance(value, float) and abs(value) > sys.float_info.max:
+            raise InvalidParameterError(f"need a finite {name}, got {value!r}")
     xi = 0.5 * (alpha - 1.0)
     eta = 0.5 * (beta - 1.0)
 

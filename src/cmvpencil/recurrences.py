@@ -111,6 +111,11 @@ class ReflectionSequence:
     validated on first access; a value with |a_n| >= 1 raises
     :class:`~cmvpencil.errors.ReflectionBoundError` naming the index.
 
+    Each checked read is memoized.  A sequence holds no reference to
+    itself, so its memo lives exactly as long as the sequence: both are
+    freed with the last reference to the sequence, without waiting for
+    the cyclic garbage collector.
+
     Parameters
     ----------
     values : callable
@@ -129,8 +134,13 @@ class ReflectionSequence:
     _a: Callable[[int], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the memo closes over values, not self: a sequence that referred to
+        # itself would wait for the cyclic collector instead of dying with
+        # its last reference
+        values = self.values
+
         def checked(n: int):
-            v = self.values(n)
+            v = values(n)
             if not (-1 < v < 1):
                 raise ReflectionBoundError(n, v)
             return v
@@ -199,12 +209,13 @@ class ReflectionSequence:
 def _complement(values) -> np.ndarray:
     """r_n = sqrt(1 - a_n^2) elementwise, rounded exactly as ReflectionSequence.r.
 
-    The squares go through Python's float power, as in ``r``: libm ``pow``
-    and numpy's ``x * x`` can differ in the last bit, and the bands must
-    stay bit-identical to the per-index construction.
+    The squares go through libm ``pow``, as Python's float power in ``r``
+    does; ``np.float_power`` makes the same call per element.  numpy's
+    ``x * x`` can differ from it in the last bit, and the bands must stay
+    bit-identical to the per-index construction.
     """
-    squares = [v**2 for v in np.asarray(values, dtype=float).tolist()]
-    return np.sqrt(1.0 - np.array(squares, dtype=float))
+    squares = np.float_power(np.asarray(values, dtype=float), 2.0)
+    return np.sqrt(1.0 - squares)
 
 
 class _CoefficientTable:

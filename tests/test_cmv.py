@@ -555,6 +555,25 @@ def test_band_census_rejects_bad_bands(bands):
     assert band_census(K, essential_spectrum_periodic(1.0), 0.05)[0] >= 0
 
 
+@pytest.mark.parametrize("where", ["all-diagonal", "one-diagonal", "one-off-diagonal", "inf"])
+def test_band_census_rejects_a_matrix_that_is_not_finite(where):
+    # an all-nan diagonal counted as no eigenvalue anywhere; a single nan
+    # ended in scipy's bare ValueError
+    K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec(50))
+    diag, off = K.bands[0].copy(), K.bands[1].copy()
+    if where == "all-diagonal":
+        diag[:] = np.nan
+    elif where == "one-diagonal":
+        diag[17] = np.nan
+    elif where == "one-off-diagonal":
+        off[5] = np.nan
+    else:
+        diag[3] = np.inf
+    bad = BandedSymmetricMatrix(K.dim, 1, (diag, off))
+    with pytest.raises(InvalidParameterError, match="finite entries"):
+        band_census(bad, essential_spectrum_periodic(2.0), 0.05)
+
+
 def test_eigenvalue_counts_guards_zero_pivots():
     # K - I = [[0, 1], [1, 0]]: the first pivot is exactly zero
     m = BandedSymmetricMatrix(dim=2, bandwidth=1, bands=(np.array([1.0, 1.0]), np.array([1.0])))

@@ -556,6 +556,22 @@ def test_a_huge_finite_exponent_is_a_typed_error():
         named_weight("sdg", xi=0.0, eta=10**400)
 
 
+@pytest.mark.parametrize(
+    "huge",
+    [10**400, -(10**400), Fraction(10**400), Fraction(-(10**401), 3)],
+    ids=["int", "negative-int", "Fraction", "negative-Fraction"],
+)
+@pytest.mark.parametrize("family", ["big_m1", "little_m1"])
+def test_big_m1_exponents_too_large_for_a_float_are_typed_errors(family, huge):
+    # these raised a bare OverflowError from 0.5 * (alpha - 1.0)
+    params = {"alpha": 1.5, "beta": 2.0, **({"c": 0.25} if family == "big_m1" else {})}
+    for key in ("alpha", "beta"):
+        with pytest.raises(InvalidParameterError, match=f"need a finite {key}"):
+            named_weight(family, **{**params, key: huge})
+    # an exact value inside the float range is still accepted
+    assert named_weight(family, **{**params, "alpha": Fraction(3, 2), "beta": 2}).name == family
+
+
 @pytest.mark.parametrize("lam", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
 def test_lam_too_large_for_a_float_is_a_typed_error(lam):
     # these raised a bare OverflowError: the check compared with math.inf

@@ -1,7 +1,9 @@
 """Reflection sequences, recurrence tables, and circle evaluation."""
 
 import cmath
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from cmvpencil.recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
+    _complement,
     chebyshev_closed_form,
     companion_symmetric_recurrence,
     dg_symmetric_recurrence,
@@ -513,3 +516,54 @@ def test_take_raises_the_per_index_errors():
 def test_take_of_a_list_is_the_list(values):
     a = ReflectionSequence.from_list(values)
     assert _same_bits(a.take(len(values)), values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ReflectionSequence.from_list(np.linspace(-0.9, 0.9, 1000).tolist()),
+        lambda: ReflectionSequence.constant(0.25),
+        lambda: jacobi_opuc_reflections(0.3, 0.7),
+        lambda: jacobi_opuc_reflections(Fraction(1, 2), Fraction(1, 3)),
+        lambda: reflections_from_u(lambda n: 0.75, lambda n: (-1) ** n),
+    ],
+    ids=["from_list", "constant", "jacobi", "jacobi-fraction", "from_u"],
+)
+def test_a_dropped_sequence_dies_by_reference_counting(make):
+    # the memo used to close over the sequence itself, a cycle that only
+    # the cyclic collector could free
+    gc.disable()
+    try:
+        a = make()
+        a(0), a(7), a.r(3)
+        a.take(64)
+        alive = weakref.ref(a)
+        del a
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _pow_squares(values):
+    """The squares as ``ReflectionSequence.r`` forms them, one Python float power each."""
+    return np.array([v**2 for v in values.tolist()])
+
+
+def test_complement_squares_are_the_per_element_float_power():
+    rng = np.random.default_rng(1108_3535)
+    tiny = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1.4916681462400413e-154]
+    )
+    samples = [
+        rng.uniform(-1.0, 1.0, 1_000_000),
+        rng.uniform(-1e-150, 1e-150, 10_000),
+        tiny,
+        -tiny,
+    ]
+    for values in samples:
+        expected = np.sqrt(1.0 - _pow_squares(values))
+        got = _complement(values)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # the route is the float power, not x * x: these draws round differently
+    values = samples[0]
+    assert np.any((values * values).view(np.int64) != _pow_squares(values).view(np.int64))
