@@ -15,7 +15,6 @@ python3 scripts/spectrum_sweep.py
 python3 scripts/spectrum_sweep.py --dim 400 --xi 0.3 --eta 0.7 --output sweep.csv
 """
 
-import argparse
 import math
 import sys
 
@@ -23,6 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from cmvpencil.cmv import TruncationSpec, band_census, build_K
+from cmvpencil.cli import ArgumentParser
 from cmvpencil.errors import CmvPencilError, InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
@@ -68,7 +68,7 @@ def sweep(a, lams, dim, inflate):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--dim", type=int, default=200)
     parser.add_argument("--xi", type=float, default=None, help="use the closed-form reflections")
     parser.add_argument("--eta", type=float, default=None)

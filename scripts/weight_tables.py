@@ -16,11 +16,11 @@ python3 scripts/weight_tables.py --family big_m1 --xi 0.5 --eta 1 --lam 2
 python3 scripts/weight_tables.py --family periodic --lam 0.5 --n 15
 """
 
-import argparse
 import sys
 
 import numpy as np
 
+from cmvpencil.cli import ArgumentParser
 from cmvpencil.errors import CmvPencilError, InvalidParameterError
 from cmvpencil.maps import big_m1_parameters
 from cmvpencil.measures import (
@@ -55,7 +55,7 @@ def closed_form_pair(args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--family", choices=("sdg", "big_m1", "periodic"), default="sdg")
     parser.add_argument("--xi", type=float, default=0.0)
     parser.add_argument("--eta", type=float, default=0.0)

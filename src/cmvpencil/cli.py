@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -197,11 +198,27 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, reading every negative decimal number as a value.
+
+    argparse's own negative-number pattern has no exponent, so it takes
+    ``-9.3e-05`` for an option, and ``--xi -9.3e-05`` fails with "expected
+    one argument" where ``--xi=-9.3e-05`` works.  Its subparsers are of this
+    class too; the scripts build their parsers from it.
+    """
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> ArgumentParser:
     # built once per process: each build leaves about 230 argparse objects in
     # reference cycles, and parsing never changes the parser
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="cmvpencil",
         description="Pencil recurrences, truncated spectra, and verification suites.",
     )

@@ -16,12 +16,15 @@ from a private coefficient table (``recurrences._table``: one
 ``ReflectionSequence.take`` and its r column), and each also takes a table in
 place of the sequence, so H and the identity residuals make one table per
 sequence for all their builders.  H and the identity residuals take each
-product of two tridiagonals in closed form, ``eigenvalue_counts`` answers
-"how many eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and
-``band_census`` uses one such call to count (and bisection to locate) the
-eigenvalues outside predicted bands.  Only ``tridiagonal_eigenvalues`` (all
+product of two tridiagonals in closed form; H = L M + M L is formed one band
+at a time, so ``build_H`` peaks at about three times the bands it returns.
+``eigenvalue_counts`` answers "how many eigenvalues lie below t" by Sturm
+(LDL^T inertia) counts, and ``band_census`` uses one such call to count (and
+bisection to locate) the eigenvalues outside predicted bands.  Only ``tridiagonal_eigenvalues`` (all
 eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test oracles
-cost more.
+cost more.  ``scipy.linalg`` is imported by the calls that solve, on first
+use: ``tridiagonal_eigenvalues``, ``BandedSymmetricMatrix.eigenvalues`` and
+``band_census`` once a window holds an eigenvalue.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .errors import InvalidParameterError, TruncationError
 from .recurrences import ReflectionSequence, _table
@@ -127,6 +129,8 @@ class BandedSymmetricMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending, via the banded symmetric solver."""
+        from scipy.linalg import eig_banded
+
         a_band = np.zeros((self.bandwidth + 1, self.dim))
         for k in range(self.bandwidth + 1):
             # upper storage: row (bandwidth - k) carries superdiagonal k,
@@ -290,9 +294,28 @@ def _tri_product(d1, e1, d2, e2) -> dict:
 
 
 def _anticommutator(L: tuple, M: tuple) -> tuple:
-    """Bands 0..2 of L M + M L, (LM)_k + (LM)_-k, for L and M given as (diag, off)."""
-    lm = _tri_product(*L, *M)
-    return tuple(lm[k] + lm[-k] for k in range(3))
+    """Bands 0..2 of L M + M L, (LM)_k + (LM)_-k, for L and M given as (diag, off).
+
+    One band at a time, each term formed as ``_tri_product`` forms it and
+    the two added in the same order, so every entry equals
+    ``lm[k] + lm[-k]`` bit for bit.  Beside the result, at most two
+    scratch bands are alive, and one while the last band is formed.
+    """
+    (d1, e1), (d2, e2) = L, M
+    scratch = e1 * e2
+    h0 = d1 * d2  # (LM)_0, then doubled: (LM)_0 + (LM)_-0
+    h0[:-1] += scratch
+    h0[1:] += scratch
+    h0 += h0
+    h1 = d1[:-1] * e2  # (LM)_1 ...
+    h1 += np.multiply(e1, d2[1:], out=scratch)
+    lower = d1[1:] * e2  # ... plus (LM)_-1
+    lower += np.multiply(e1, d2[:-1], out=scratch)
+    h1 += lower
+    del lower
+    h2 = e1[:-1] * e2[1:]  # (LM)_2 + (LM)_-2
+    h2 += np.multiply(e1[1:], e2[:-1], out=scratch[:-1])
+    return h0, h1, h2
 
 
 def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -398,6 +421,8 @@ def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
     Uses the dedicated symmetric tridiagonal solver; accuracy is at the
     1e-12 * norm level required of spectral reports.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True)
 
 
@@ -492,6 +517,8 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     n_outside, outside = 0, []
     for (lo, hi), below_lo, below_hi in zip(windows, counts[0:-2:2], counts[1:-2:2]):
         if below_hi > below_lo:
+            from scipy.linalg import eigh_tridiagonal
+
             n_outside += int(below_hi - below_lo)
             outside += eigh_tridiagonal(
                 diag, off, eigvals_only=True, select="v", select_range=(lo, hi)

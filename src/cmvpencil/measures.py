@@ -8,7 +8,9 @@ integrands that are (density * polynomial) converge at spectral rate.
 ``discretize`` is the one place that turns a measure into nodes and weights;
 it draws its Gauss-Jacobi rules from a bounded cache keyed by the node count
 and the two exponents, so refinement ladders and repeated weights do not
-regenerate them.  On top of it sit ``integrate``, a Stieltjes-procedure
+regenerate them.  The rules come from ``scipy.special.roots_jacobi``, which
+is imported when the first rule is built, so code that builds none never
+loads scipy.  On top of it sit ``integrate``, a Stieltjes-procedure
 oracle (recurrence coefficients recovered from a measure alone) and the
 closed-form Weyl functions of the constant-coefficient pencil, whose boundary
 values give the two-band spectral density.
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     BandEdgeError,
@@ -131,6 +132,17 @@ def _panels(m: Measure):
             # as floats, the one type the Gauss-Jacobi rules take
             panels.append((x0, x1, float(m.exponent_at(x0)), float(m.exponent_at(x1))))
     return panels
+
+
+def roots_jacobi(n: int, alpha: float, beta: float):
+    """``scipy.special.roots_jacobi``, with scipy imported on the first call.
+
+    ``_jacobi_rule`` calls it through this module's global, so code that
+    never builds a rule never loads ``scipy.special``.
+    """
+    from scipy.special import roots_jacobi as rule
+
+    return rule(n, alpha, beta)
 
 
 @functools.lru_cache(maxsize=256)

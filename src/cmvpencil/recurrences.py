@@ -212,10 +212,12 @@ def _complement(values) -> np.ndarray:
     The squares go through libm ``pow``, as Python's float power in ``r``
     does; ``np.float_power`` makes the same call per element.  numpy's
     ``x * x`` can differ from it in the last bit, and the bands must stay
-    bit-identical to the per-index construction.
+    bit-identical to the per-index construction.  The squares, 1 - a^2 and
+    r share one buffer.
     """
-    squares = np.float_power(np.asarray(values, dtype=float), 2.0)
-    return np.sqrt(1.0 - squares)
+    r = np.float_power(np.asarray(values, dtype=float), 2.0)
+    np.subtract(1.0, r, out=r)
+    return np.sqrt(r, out=r)
 
 
 class _CoefficientTable:

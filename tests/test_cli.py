@@ -221,3 +221,27 @@ def test_csv_quotes_embedded_commas(capsys):
     # labels with commas arrive quoted so the column count stays fixed
     data_lines = out.strip().split("\n")[1:]
     assert any(line.count('"') >= 2 for line in data_lines)
+
+
+NEGATIVE_SCIENTIFIC = ["-9.305349081206726e-05", "-1.5E-3", "-.5e-1", "-2e+0"]
+
+
+@pytest.mark.parametrize("value", NEGATIVE_SCIENTIFIC)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--dim", "8", "--eta", "0.1", "--lambda", "1.5", "--xi"],
+        ["spectrum", "--dim", "8", "--xi", "0.2", "--lambda"],
+        ["recurrence", "--n", "4", "--lambda", "0.5", "--xi"],
+        ["verify", "--suite", "big-m1", "--lambda", "1.5", "--eta", "0.1", "--xi"],
+    ],
+    ids=["spectrum-xi", "spectrum-lambda", "recurrence-xi", "verify-big-m1-xi"],
+)
+def test_negative_scientific_value_as_a_separate_argument(argv, value, capsys):
+    # argparse's own negative-number pattern has no exponent, so the
+    # separate form ended in "expected one argument" and exit 2
+    flag = argv[-1]
+    separate = run([*argv, value], capsys)
+    joined = run([*argv[:-1], f"{flag}={value}"], capsys)
+    assert separate == joined
+    assert "expected one argument" not in separate[2]

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -431,6 +432,49 @@ def test_build_H_bit_identical_to_general_route(dim):
         general = LM.add(LM.transpose())
         H = build_H(a, trunc)
         assert [band.tobytes() for band in H.bands] == [general.offset(k).tobytes() for k in range(3)]
+
+
+def whole_product_anticommutator(L, M):
+    """H as it was formed from the whole product: all five offsets of L M by
+    ``_tri_product``, then (LM)_k + (LM)_-k for k = 0, 1, 2."""
+    lm = cmv._tri_product(*L, *M)
+    return tuple(lm[k] + lm[-k] for k in range(3))
+
+
+H_SEQUENCES = {
+    "jacobi": lambda dim: jacobi_opuc_reflections(0.3, 0.7),
+    "random": lambda dim: ReflectionSequence.from_list(np.random.default_rng(dim).uniform(-0.95, 0.95, dim).tolist()),
+    "constant": lambda dim: ReflectionSequence.constant(-0.5),
+    "signed-zero": lambda dim: ReflectionSequence.constant(-0.0),
+}
+
+
+@pytest.mark.parametrize("dim", [4, 6, 64, 2000, 100_000])
+@pytest.mark.parametrize("name", list(H_SEQUENCES))
+def test_band_by_band_H_bit_identical_to_whole_product(name, dim):
+    a, trunc = H_SEQUENCES[name](dim), TruncationSpec.from_dim(dim)
+    reference = whole_product_anticommutator(build_L(a, trunc).bands, build_M(a, trunc).bands)
+    H = build_H(a, trunc)
+    # float.hex tells -0.0 from 0.0
+    assert [[x.hex() for x in band.tolist()] for band in H.bands] == [
+        [x.hex() for x in band.tolist()] for band in reference
+    ]
+
+
+def test_build_H_peaks_at_three_times_its_bands():
+    dim = 100_000
+    a = ReflectionSequence.from_list(np.random.default_rng(5).uniform(-0.95, 0.95, dim).tolist())
+    a.take(dim)  # the list's float64 copy is made on the first take
+    trunc = TruncationSpec.from_dim(dim)
+    tracemalloc.start()
+    try:
+        H = build_H(a, trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the r column, L and M take 5 bands' worth and the result 3; the whole
+    # five-offset product held 4.33 times the result at its peak
+    assert peak <= 3.25 * sum(band.nbytes for band in H.bands)
 
 
 def test_residual_nan_in_a_later_offset():

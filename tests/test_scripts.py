@@ -79,3 +79,22 @@ def test_weight_tables_reports_a_nan_deviation(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "# worst coefficient deviation: nan\n" in out
     assert "# alternative closed-form display deviates by nan on the band\n" in out
+
+
+@pytest.mark.parametrize("value", ["-9.305349081206726e-05", "-2.5E-1", "-3e+0"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("spectrum_sweep", ["--dim", "20", "--eta", "0.2", "--lams", "0.5", "2"]),
+        ("weight_tables", ["--n", "4", "--eta", "0.5"]),
+    ],
+)
+def test_negative_scientific_xi_as_a_separate_argument(capsys, name, argv, value):
+    # the scripts parse with cmvpencil.cli's parser, so "--xi -1e-05" is read
+    # as "--xi=-1e-05", not as an option
+    outputs = []
+    for xi in (["--xi", value], [f"--xi={value}"]):
+        code = load(name).main([*argv, *xi])
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert "expected one argument" not in outputs[0][2]
