@@ -7,7 +7,7 @@ a single outlier appears once lam > 1).  A 2x2 hand truncation checked
 against the quadratic formula guards the matrix conventions.  An odd --dim,
 one below 4, a nan or infinite --lams or --inflate value, a --lams value at
 or below 0, or an --inflate below 0 prints ``error: ...`` to stderr, and
-nothing to stdout, and exits 2, as the CLI does.
+nothing to stdout, and exits 2; exit codes follow the CLI's one rule.
 
 Examples
 --------
@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from cmvpencil.cmv import TruncationSpec, band_census, build_K
-from cmvpencil.cli import ArgumentParser
-from cmvpencil.errors import CmvPencilError, InvalidParameterError
+from cmvpencil.cli import ArgumentParser, exit_code
+from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
 
@@ -75,12 +75,7 @@ def main(argv=None):
     parser.add_argument("--inflate", type=float, default=0.05)
     parser.add_argument("--lams", type=float, nargs="*", default=DEFAULT_LAMS)
     parser.add_argument("--output", default=None, help="optional CSV path")
-    args = parser.parse_args(argv)
-    try:
-        return run(args)
-    except CmvPencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_code(run, parser.parse_args(argv))
 
 
 def run(args):
@@ -105,12 +100,11 @@ def run(args):
 
     rows = sweep(a, args.lams, args.dim, args.inflate)
     header = ["lam", "band_inner", "band_outer", "eig_min", "eig_max", "outliers", "near_zero"]
-    print(",".join(header))
     lines = [",".join(header)]
     for row in rows:
-        line = ",".join("%.17g" % row[k] if isinstance(row[k], float) else str(row[k]) for k in header)
-        print(line)
-        lines.append(line)
+        cells = (row[k] for k in header)
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in cells))
+    print("\n".join(lines))
     if args.output:
         with open(args.output, "w", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -7,7 +7,9 @@ round trip that the identification rests on; the band-density case also
 reports the failing alternative closed form.  Invalid parameters (an --n
 outside 0..29, the recovery's degree cap less one, or an --xi such as inf or
 1e308 that leaves no finite quadrature rule, say) print ``error: ...`` to
-stderr and exit 2.  A nan deviation is printed as nan.
+stderr and exit 2; a recovery that does not converge (--family periodic with
+--lam within about 2e-4 of 1, where the bands almost touch) exits 3, as the
+CLI does.  A nan deviation is printed as nan.
 
 Examples
 --------
@@ -20,8 +22,8 @@ import sys
 
 import numpy as np
 
-from cmvpencil.cli import ArgumentParser
-from cmvpencil.errors import CmvPencilError, InvalidParameterError
+from cmvpencil.cli import ArgumentParser, exit_code
+from cmvpencil.errors import InvalidParameterError
 from cmvpencil.maps import big_m1_parameters
 from cmvpencil.measures import (
     named_weight,
@@ -46,11 +48,9 @@ def closed_form_pair(args):
         params = big_m1_parameters(args.xi, args.eta, args.lam)
         measure = named_weight("big_m1", alpha=params.alpha, beta=params.beta, c=params.c)
         rec = params.resolved
-    elif args.family == "periodic":
+    else:  # periodic; argparse's choices is the one check of --family
         measure = named_weight("periodic", lam=args.lam)
         rec = pencil_recurrence(ReflectionSequence.constant(0.0), args.lam)
-    else:
-        raise SystemExit(f"unknown family {args.family!r}")
     return measure, rec
 
 
@@ -62,12 +62,7 @@ def main(argv=None):
     parser.add_argument("--lam", type=float, default=2.0)
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--output", default=None, help="optional CSV path")
-    args = parser.parse_args(argv)
-    try:
-        return run(args)
-    except CmvPencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_code(run, parser.parse_args(argv))
 
 
 def run(args):
@@ -80,15 +75,13 @@ def run(args):
     header = ["n", "b_from_weight", "b_closed_form", "u_from_weight", "u_closed_form"]
     lines = [",".join(header)]
     deviations = [0.0]
-    print(f"# family {args.family}: recurrence recovered from the weight vs closed form")
-    print(",".join(header))
     for n in range(args.n + 1):
         bw, bc = float(recovered.b(n)), float(rec.b(n))
         uw, uc = float(recovered.u(n)), float(rec.u(n))
         deviations += (abs(bw - bc), abs(uw - uc))
-        line = ",".join("%.17g" % v for v in (n, bw, bc, uw, uc))
-        print(line)
-        lines.append(line)
+        lines.append(",".join("%.17g" % v for v in (n, bw, bc, uw, uc)))
+    print(f"# family {args.family}: recurrence recovered from the weight vs closed form")
+    print("\n".join(lines))
     # np.max keeps a nan, where max would drop it
     print(f"# worst coefficient deviation: {np.max(deviations):.3e}")
 

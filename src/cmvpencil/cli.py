@@ -6,10 +6,12 @@ Three subcommands:
 - ``spectrum``: eigenvalues of the truncated pencil with band membership.
 - ``verify``: run named verification suites.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 bad
-usage or parameters (a non-finite numeric option, a ``spectrum --lambda``
-at or below 0, or a ``verify`` option the chosen suite does not read,
-included), 3 quadrature or iteration non-convergence.
+Exit codes: 0 success / all checks pass, 1 verification failure or any
+other library error, 2 bad usage or parameters (a non-finite numeric option,
+a ``spectrum --lambda`` at or below 0, or a ``verify`` option the chosen
+suite does not read, included), 3 quadrature or iteration non-convergence.
+``exit_code`` is the one rule that maps a library error to its code, for
+the CLI and both scripts.
 
 Output is deterministic: fixed float formatting, no timestamps, sorted JSON
 keys, and LF newlines, so repeated ``--reproducible`` runs are byte-identical.
@@ -51,16 +53,6 @@ def _format_cell(value) -> str:
     return text
 
 
-def _resolve_output(args):
-    if args.output is None:
-        return None
-    path = args.output
-    outdir = os.environ.get("CMVPENCIL_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
-    return path
-
-
 def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
     """Write the table in ``args.format`` to ``args.output`` (stdout if None)."""
     if args.format == "csv":
@@ -82,10 +74,13 @@ def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
         if extra:
             payload.update(extra)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    path = _resolve_output(args)
-    if path is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
+        path = args.output
+        outdir = os.environ.get("CMVPENCIL_OUTDIR")
+        if outdir and not os.path.isabs(path):
+            path = os.path.join(outdir, path)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -133,11 +128,6 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _exact_rational(value: float) -> Fraction:
-    # CLI decimals are meant literally: 0.5 -> 1/2, 0.25 -> 1/4
-    return Fraction(str(value))
-
-
 def _suite_kwargs(args) -> dict:
     """Keyword arguments of the selected suite; an option it would not read is an error."""
     kwargs, read = {}, ()
@@ -148,12 +138,9 @@ def _suite_kwargs(args) -> dict:
         kwargs["cases"] = [(args.xi or 0.0, args.eta or 0.0, args.lam)]
         read = ("lam", "xi", "eta")
     if args.suite == "dunkl" and args.alpha is not None:
+        # CLI decimals are meant literally: 0.5 -> 1/2, 0.25 -> 1/4
         kwargs["cases"] = [
-            (
-                _exact_rational(args.alpha),
-                _exact_rational(args.beta if args.beta is not None else 0.0),
-                _exact_rational(args.c if args.c is not None else 0.0),
-            )
+            tuple(Fraction(str(v)) for v in (args.alpha, args.beta or 0.0, args.c or 0.0))
         ]
         read = ("alpha", "beta", "c")
     for attr, flag in (*_FLOAT_OPTIONS, ("dim", "--dim")):
@@ -199,15 +186,18 @@ def cmd_verify(args) -> int:
 
 
 class ArgumentParser(argparse.ArgumentParser):
-    """argparse's parser, reading every negative decimal number as a value.
+    """argparse's parser, reading every negative number ``float`` accepts as a value.
 
-    argparse's own negative-number pattern has no exponent, so it takes
-    ``-9.3e-05`` for an option, and ``--xi -9.3e-05`` fails with "expected
-    one argument" where ``--xi=-9.3e-05`` works.  Its subparsers are of this
-    class too; the scripts build their parsers from it.
+    argparse's own negative-number pattern has no exponent and no ``inf`` or
+    ``nan``, so it takes ``-9.3e-05`` or ``-inf`` for an option, and
+    ``--xi -9.3e-05`` fails with "expected one argument" where
+    ``--xi=-9.3e-05`` works.  Its subparsers are of this class too; the
+    scripts build their parsers from it.
     """
 
-    _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+    _NEGATIVE_NUMBER = re.compile(
+        r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+    )
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -278,29 +268,30 @@ _FLOAT_OPTIONS = (
 )
 
 
-def _check_finite(args) -> None:
-    """Reject nan and inf before any subcommand reads them."""
+def _run_subcommand(args) -> int:
+    """Reject nan and inf before any subcommand reads them, then run the subcommand."""
     for attr, flag in _FLOAT_OPTIONS:
         value = getattr(args, attr, None)
         if value is not None and not math.isfinite(value):
             raise InvalidParameterError(f"{flag} must be finite, got {value!r}")
+    return args.func(args)
+
+
+def exit_code(run, args) -> int:
+    """``run(args)``, or for a library error ``error: ...`` on stderr and its exit
+    code: 3 for non-convergence, 2 for a bad parameter, 1 otherwise.  The CLI
+    and both scripts exit through it."""
+    try:
+        return run(args)
+    except CmvPencilError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NonConvergenceError):
+            return 3
+        return 2 if isinstance(exc, InvalidParameterError) else 1
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        _check_finite(args)
-        return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CmvPencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return exit_code(_run_subcommand, _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ block chopped in half at the boundary pollutes only the last two rows, so the
 algebraic identities are verified on rows 0 .. dim-3.
 
 ``TruncationSpec.from_dim`` is the one check that a requested dimension is
-even and at least 4, and ``build_J`` is ``build_K`` at the int lam = 1.
+even and at least 4, and ``build_J`` is ``build_K`` at the int lam = 1.  A
+``BandedSymmetricMatrix`` stores only its bands; its ``dim`` and
+``bandwidth`` are read from them.
 
 Everything here is O(dim).  The builders read the coefficients as arrays
 from a private coefficient table (``recurrences._table``: one
@@ -90,33 +92,31 @@ class BandedSymmetricMatrix:
 
     Parameters
     ----------
-    dim : int
-        Matrix dimension.
-    bandwidth : int
-        Number of nonzero superdiagonals.
     bands : tuple of numpy.ndarray
         bands[k] holds the k-th superdiagonal (length dim - k), k = 0 being
-        the main diagonal.  Subdiagonals are implied by symmetry.
+        the main diagonal.  Subdiagonals are implied by symmetry.  ``dim``
+        and ``bandwidth`` are read from the bands.
     """
 
-    dim: int
-    bandwidth: int
     bands: tuple
 
     def __post_init__(self):
-        if len(self.bands) != self.bandwidth + 1:
-            raise InvalidParameterError("bands must have bandwidth + 1 diagonals")
+        if not self.bands:
+            raise InvalidParameterError("bands must hold at least the main diagonal")
         for k, band in enumerate(self.bands):
             if len(band) != self.dim - k:
                 raise InvalidParameterError(
                     f"diagonal {k} has length {len(band)}, expected {self.dim - k}"
                 )
 
-    def entry(self, i: int, j: int) -> float:
-        k = abs(i - j)
-        if k > self.bandwidth:
-            return 0.0
-        return float(self.bands[k][min(i, j)])
+    @property
+    def dim(self) -> int:
+        return len(self.bands[0])
+
+    @property
+    def bandwidth(self) -> int:
+        """Number of stored superdiagonals."""
+        return len(self.bands) - 1
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, intended for small test oracles."""
@@ -221,7 +221,7 @@ def build_L(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     diag[1::2] = -even
     off = np.zeros(dim - 1)
     off[0::2] = table.r[0 : dim - 1 : 2]
-    return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
+    return BandedSymmetricMatrix((diag, off))
 
 
 def build_M(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -239,7 +239,7 @@ def build_M(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     diag[2::2] = -odd[:-1]
     off = np.zeros(dim - 1)
     off[1::2] = table.r[1 : dim - 1 : 2]
-    return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
+    return BandedSymmetricMatrix((diag, off))
 
 
 def build_J(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -271,7 +271,7 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     diag[1::2] = lam * values[1::2] - prev[1::2]
     off = table.r[: dim - 1].copy()
     off[1::2] = lam * off[1::2]
-    return BandedSymmetricMatrix(dim=dim, bandwidth=1, bands=(diag, off))
+    return BandedSymmetricMatrix((diag, off))
 
 
 def _tri_product(d1, e1, d2, e2) -> dict:
@@ -323,7 +323,7 @@ def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     # the off-diagonals of L and M are >= +0.0, so no entry here is -0.0
     table = _table(a, trunc.dim)
     bands = _anticommutator(build_L(table, trunc).bands, build_M(table, trunc).bands)
-    return BandedSymmetricMatrix(dim=trunc.dim, bandwidth=2, bands=bands)
+    return BandedSymmetricMatrix(bands)
 
 
 def _residual(lhs, rhs, n: int) -> float:

@@ -42,6 +42,7 @@ from .recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
+    _bounded_table,
     _require_count,
     _require_lam,
     _table,
@@ -177,15 +178,8 @@ def christoffel(src: MonicThreeTerm, theta, n_max: int) -> ChristoffelData:
         A_list.append(theta - src.b(n) - C_n)
         C_list.append(C_n)
 
-    def A(n: int):
-        if not 0 <= n <= n_max:
-            raise InvalidParameterError(f"A({n}) outside computed range 0..{n_max}")
-        return A_list[n]
-
-    def C(n: int):
-        if not 0 <= n <= n_max:
-            raise InvalidParameterError(f"C({n}) outside computed range 0..{n_max}")
-        return C_list[n]
+    A = _bounded_table("A", A_list)
+    C = _bounded_table("C", C_list)
 
     def b(n: int):
         return theta - A(n) - C(n + 1)
@@ -453,10 +447,20 @@ def big_m1_parameters(xi, eta, lam) -> BigM1Parameters:
         literal rescaled recurrence ``star`` (b_n/g, u_n/g^2 with
         g = -2/(1 - c)), and the ``resolved`` recurrence that actually
         matches the weight (reciprocal parameter plus reflection).
+
+    Raises
+    ------
+    InvalidParameterError
+        If lam is not finite and positive, or if c rounds to 1.  A float lam
+        first gives c == 1.0 at 2**53 + 4 = 9007199254740996.0, then at every
+        other float up to 2**54 and at every float from 2**54 on; an int lam
+        from 2**55 - 1 on.  A ``Fraction`` lam keeps c exact and below 1.
     """
     _require_lam(lam)
     one = lam * 0 + 1
     c = (lam - 1) / (lam + 1)
+    if c == 1:
+        raise InvalidParameterError(f"c = (lam - 1)/(lam + 1) rounds to 1 at lam = {lam!r}")
     g = -2 / (one - c)  # equals -(lam + 1)
     alpha = 2 * xi + 1
     beta = 2 * eta + 1

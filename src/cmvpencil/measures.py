@@ -10,10 +10,11 @@ it draws its Gauss-Jacobi rules from a bounded cache keyed by the node count
 and the two exponents, so refinement ladders and repeated weights do not
 regenerate them.  The rules come from ``scipy.special.roots_jacobi``, which
 is imported when the first rule is built, so code that builds none never
-loads scipy.  On top of it sit ``integrate``, a Stieltjes-procedure
-oracle (recurrence coefficients recovered from a measure alone) and the
-closed-form Weyl functions of the constant-coefficient pencil, whose boundary
-values give the two-band spectral density.
+loads scipy.  On top of it sit ``integrate``, which calls its vectorized
+integrand once per quadrature level on the array of nodes, a
+Stieltjes-procedure oracle (recurrence coefficients recovered from a measure
+alone) and the closed-form Weyl functions of the constant-coefficient pencil,
+whose boundary values give the two-band spectral density.
 
 ``integrate`` and ``stieltjes_recurrence`` share a second bounded cache,
 keyed by (measure, node count): each entry holds one discretization and the
@@ -29,8 +30,9 @@ Arguments are checked before any work: a tol that is nan, infinite or below
 1e-13, an n_max or n_nodes that is not an integer (bool included) or out of
 range, a lam that is not finite and positive, an int or Fraction big_m1 or
 little_m1 alpha or beta beyond the float range, and a Weyl point z that is not
-finite or at which the quadratic's discriminant or the chosen root overflows
-all raise InvalidParameterError.
+finite (an int or Fraction too large for a float included) or at which the
+quadratic's discriminant or the chosen root overflows all raise
+InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -206,14 +208,6 @@ def discretize(m: Measure, n_nodes: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _apply(f: Callable, x: np.ndarray) -> np.ndarray:
-    out = f(x)
-    arr = np.asarray(out, dtype=float)
-    if arr.shape == x.shape:
-        return arr
-    return np.asarray([float(f(xi)) for xi in x])
-
-
 _LEVELS = (16, 32, 64, 128, 256, 512)
 
 
@@ -224,7 +218,9 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     ----------
     m : Measure
     f : callable
-        Continuous on the support; vectorized or scalar.
+        Continuous on the support and vectorized: called once per
+        quadrature level on the array of nodes, it returns one value per
+        node, or one value for all of them (a constant).
     tol : real, finite, >= 1e-13
         Target error relative to max(|integral|, integral of |integrand|).
 
@@ -242,7 +238,7 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     for n_nodes in _LEVELS:
         chain = _chain_of(m, n_nodes)
         x, w = chain.x, chain.w
-        contrib = w * _apply(f, x)
+        contrib = w * np.asarray(f(x), dtype=float)
         total = float(contrib.sum())
         total_abs = float(np.abs(contrib).sum())
         history.append(total_abs)
@@ -671,11 +667,11 @@ def m_per(z: complex, lam: float) -> complex:
     BandEdgeError
         If |z| is within 1e-12 of a band edge.
     InvalidParameterError
-        If lam is not finite and positive; if z is nan or infinite; if the
-        quadratic's discriminant or the chosen root overflows (|z| or lam
-        beyond about 1e76, or z within about 1e-308 of the pole at 0); if
-        real z lies inside the essential spectrum or, for lam > 1, is the
-        pole z = 0.
+        If lam is not finite and positive; if z is nan or infinite, or an
+        int or Fraction too large for a float; if the quadratic's
+        discriminant or the chosen root overflows (|z| or lam beyond about
+        1e76, or z within about 1e-308 of the pole at 0); if real z lies
+        inside the essential spectrum or, for lam > 1, is the pole z = 0.
 
     Notes
     -----
@@ -687,7 +683,10 @@ def m_per(z: complex, lam: float) -> complex:
     around the pole at 0 (lam > 1), where the branch is the other one.
     """
     _require_lam(lam)
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise _no_finite_value(z, lam) from None
     az = abs(z)
     if abs(az - (lam + 1.0)) < _EDGE_GUARD or abs(az - abs(lam - 1.0)) < _EDGE_GUARD:
         _band_edge_guard(z, lam)

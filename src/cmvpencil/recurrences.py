@@ -9,8 +9,14 @@ S_{n+1} = x S_n - v_n S_{n-1} is the monic one with b_n = 0 and u_n = v_n.
 The lambda = 1 family is the pencil family at the int 1, the symmetric family
 and its companion share one builder, and ``_require_lam`` is the one check of
 a pencil parameter (0 < lam <= the largest float) for ``maps`` and
-``measures``.  Evaluation helpers run the forward three-term recurrence and
-the joint circle recursion once each, returning every degree up to n.
+``measures``; ``pencil_recurrence`` itself takes any lam whose square is a
+finite float.  A recurrence read from tables (``MonicThreeTerm.from_arrays``,
+and so every recovered one, and ``maps.christoffel``'s A and C) reads them
+through one bounded accessor that refuses an index outside the table,
+negative ones included.  Evaluation helpers run the forward three-term
+recurrence and the joint circle recursion once each, returning every degree
+up to n; a circle angle or point too large for a float raises
+InvalidParameterError.
 
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
@@ -70,6 +76,23 @@ def _require_lam(lam) -> None:
     so an int or Fraction too large for a float fails here and not in float()."""
     if not 0 < lam <= sys.float_info.max:
         raise InvalidParameterError(f"need lam > 0 and finite, got {lam!r}")
+
+
+# the largest float whose square is finite, 1.3407807929942596e154
+_PENCIL_LAM_MAX = math.sqrt(sys.float_info.max)
+
+
+def _bounded_table(name: str, values) -> Callable[[int], object]:
+    """n -> values[n] for 0 <= n < len(values); any other n raises
+    InvalidParameterError, so a negative index never wraps around."""
+    values = list(values)
+
+    def at(n: int):
+        if not 0 <= n < len(values):
+            raise InvalidParameterError(f"{name} index {n} outside 0..{len(values) - 1}")
+        return values[n]
+
+    return at
 
 
 def _zero(n: int) -> int:
@@ -277,26 +300,13 @@ class MonicThreeTerm:
 
     @staticmethod
     def from_arrays(b_values, u_values) -> "MonicThreeTerm":
-        b_arr = list(b_values)
-        u_arr = list(u_values)
-
-        def b(n: int):
-            if n >= len(b_arr):
-                raise InvalidParameterError(
-                    f"diagonal coefficient index {n} beyond table of length {len(b_arr)}"
-                )
-            return b_arr[n]
-
-        def u(n: int):
-            if n == 0:
-                return 0
-            if n >= len(u_arr):
-                raise InvalidParameterError(
-                    f"off-diagonal coefficient index {n} beyond table of length {len(u_arr)}"
-                )
-            return u_arr[n]
-
-        return MonicThreeTerm(b=b, u=u)
+        """b_n and u_n read from two tables; u_0 = 0 whatever ``u_values[0]``
+        holds, and an index outside a table raises InvalidParameterError."""
+        u_values = list(u_values)
+        return MonicThreeTerm(
+            b=_bounded_table("diagonal coefficient", b_values),
+            u=_bounded_table("off-diagonal coefficient", [0, *u_values[1:]]),
+        )
 
 
 @dataclass(frozen=True)
@@ -312,7 +322,8 @@ class CirclePoint:
     phi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
+        # compared exactly, so an int or Fraction too large for a float fails here
+        if not abs(self.phi) <= sys.float_info.max:
             raise InvalidParameterError(f"circle angle must be finite, got {self.phi!r}")
         if not (0 <= self.phi < 2 * math.pi):
             # a tiny negative angle reduces to exactly 2*pi after rounding; the
@@ -383,7 +394,16 @@ def pencil_recurrence(a: ReflectionSequence, lam) -> MonicThreeTerm:
         b_n = a_n - lam*a_{n-1} (even n), lam*a_n - a_{n-1} (odd n);
         u_n = lam^2*(1 - a_{n-1}^2) (even n), 1 - a_{n-1}^2 (odd n);
         with a_{-1} = -1 giving b_0 = a_0 + lam, and u_0 = 0.
+
+    Raises
+    ------
+    InvalidParameterError
+        If lam is nan or |lam| > sqrt(largest float) = 1.3407807929942596e154,
+        beyond which lam^2 and so u_n overflow to inf; compared exactly, so a
+        huge int or ``Fraction`` fails here too.  lam <= 0 is allowed.
     """
+    if not abs(lam) <= _PENCIL_LAM_MAX:
+        raise InvalidParameterError(f"need |lam| <= {_PENCIL_LAM_MAX!r}, got {lam!r}")
 
     def b(n: int):
         if n % 2 == 0:
@@ -458,7 +478,10 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
         sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
     """
     n = _require_count("degree", n, 0)
-    zz = z.z if isinstance(z, CirclePoint) else complex(z)
+    try:
+        zz = z.z if isinstance(z, CirclePoint) else complex(z)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise InvalidParameterError(f"need a point with a float value, got {z!r}") from None
     phi = phis = 1.0 + 0.0j
     ladder = [(phi, phis)]
     # Python scalars keep every step in CPython's complex arithmetic

@@ -17,7 +17,7 @@ from __future__ import annotations
 import inspect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -80,23 +80,13 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "tol": self.tol,
-            "details": self.details,
-        }
+        # a numpy bool is not JSON-serializable
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 def _within(label: str, value: float, tol: float, **details) -> CheckResult:
     """A check that passes when its value is at most its tolerance."""
     return CheckResult(label=label, passed=value <= tol, value=value, tol=tol, details=details)
-
-
-def _random_reflections(rng, size: int) -> ReflectionSequence:
-    values = rng.uniform(-0.95, 0.95, size=size)
-    return ReflectionSequence.from_list(list(values))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +99,8 @@ def suite_matrix_identities(dim: int = 64) -> list:
     rng = np.random.default_rng(_SEED)
     sequences = [("jacobi(0.3,0.7)", jacobi_opuc_reflections(0.3, 0.7))]
     for k in range(5):
-        sequences.append((f"random[{k}]", _random_reflections(rng, dim + 2)))
+        values = rng.uniform(-0.95, 0.95, size=dim + 2)
+        sequences.append((f"random[{k}]", ReflectionSequence.from_list(list(values))))
     lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
     results = []
     for name, a in sequences:

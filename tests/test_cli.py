@@ -1,11 +1,19 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
 import cmvpencil.cli as cli
 from cmvpencil.cli import main
+from cmvpencil.errors import (
+    CmvPencilError,
+    InvalidParameterError,
+    NonConvergenceError,
+    PolePointError,
+    TruncationError,
+)
 from cmvpencil.verify import CheckResult
 
 
@@ -153,6 +161,41 @@ def test_verify_exponent_overflow_exits_2(capsys):
     assert err.startswith("error: declared exponent inf")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recurrence", "--lambda", "1e300"], "need |lam| <= 1.3407807929942596e+154"),
+        (["recurrence", "--lambda", "-2e154"], "need |lam| <= 1.3407807929942596e+154"),
+        (["verify", "--suite", "big-m1", "--lambda", "1e16"], "c = (lam - 1)/(lam + 1) rounds to 1"),
+    ],
+    ids=["recurrence-1e300", "recurrence--2e154", "big-m1-1e16"],
+)
+def test_domain_edges_exit_2(argv, message, capsys):
+    # recurrence printed inf and exited 0; big-m1 ended in a ZeroDivisionError traceback
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NonConvergenceError("x"), 3),
+        (InvalidParameterError("x"), 2),
+        (TruncationError("x"), 2),
+        (PolePointError(3, 0.5), 1),
+        (CmvPencilError("x"), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_of_each_library_error(error, code, capsys):
+    def fail(args):
+        raise error
+
+    assert cli.exit_code(fail, None) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
@@ -223,7 +266,9 @@ def test_csv_quotes_embedded_commas(capsys):
     assert any(line.count('"') >= 2 for line in data_lines)
 
 
-NEGATIVE_SCIENTIFIC = ["-9.305349081206726e-05", "-1.5E-3", "-.5e-1", "-2e+0"]
+# negative numbers argparse's own pattern takes for options; the non-finite
+# ones used to end in "expected one argument" only in the separate form
+NEGATIVE_SCIENTIFIC = ["-9.305349081206726e-05", "-1.5E-3", "-.5e-1", "-2e+0", "-inf", "-Infinity", "-NaN"]
 
 
 @pytest.mark.parametrize("value", NEGATIVE_SCIENTIFIC)
@@ -245,3 +290,6 @@ def test_negative_scientific_value_as_a_separate_argument(argv, value, capsys):
     joined = run([*argv[:-1], f"{flag}={value}"], capsys)
     assert separate == joined
     assert "expected one argument" not in separate[2]
+    if not math.isfinite(float(value)):
+        assert separate[0] == 2 and separate[1] == ""
+        assert separate[2].startswith(f"error: {flag} must be finite")

@@ -93,8 +93,8 @@ def test_block_structure_free_case():
     np.testing.assert_allclose(L.to_dense(), Ld, atol=0)
     np.testing.assert_allclose(M.to_dense(), Md, atol=0)
     # the free L is a perfect antidiagonal-block matrix
-    assert L.entry(0, 1) == 1.0 and L.entry(0, 0) == 0.0
-    assert M.entry(0, 0) == 1.0 and M.entry(7, 7) == 0.0
+    assert L.bands[1][0] == 1.0 and L.bands[0][0] == 0.0
+    assert M.bands[0][0] == 1.0 and M.bands[0][7] == 0.0
 
 
 def test_dense_reference_agreement():
@@ -496,7 +496,7 @@ def test_nan_band_reaches_the_identity_residuals(monkeypatch):
         J = build(a, trunc)
         off = J.bands[1].copy()
         off[3] = np.nan
-        return BandedSymmetricMatrix(J.dim, 1, (J.bands[0], off))
+        return BandedSymmetricMatrix((J.bands[0], off))
 
     monkeypatch.setattr(cmv, "build_J", with_nan)
     residuals = verify_identities(jacobi_opuc_reflections(0.3, 0.7), 1.3, TruncationSpec(n_blocks=8))
@@ -613,14 +613,24 @@ def test_band_census_rejects_a_matrix_that_is_not_finite(where):
         off[5] = np.nan
     else:
         diag[3] = np.inf
-    bad = BandedSymmetricMatrix(K.dim, 1, (diag, off))
+    bad = BandedSymmetricMatrix((diag, off))
     with pytest.raises(InvalidParameterError, match="finite entries"):
         band_census(bad, essential_spectrum_periodic(2.0), 0.05)
 
 
+def test_banded_matrix_reads_dim_and_bandwidth_from_its_bands():
+    H = build_H(jacobi_opuc_reflections(0.3, 0.7), TRUNC8)
+    assert (H.dim, H.bandwidth) == (8, 2)
+    assert [len(band) for band in H.bands] == [8, 7, 6]
+    with pytest.raises(InvalidParameterError, match="diagonal 1 has length 8, expected 7"):
+        BandedSymmetricMatrix((np.zeros(8), np.zeros(8)))
+    with pytest.raises(InvalidParameterError, match="main diagonal"):
+        BandedSymmetricMatrix(())
+
+
 def test_eigenvalue_counts_guards_zero_pivots():
     # K - I = [[0, 1], [1, 0]]: the first pivot is exactly zero
-    m = BandedSymmetricMatrix(dim=2, bandwidth=1, bands=(np.array([1.0, 1.0]), np.array([1.0])))
+    m = BandedSymmetricMatrix((np.array([1.0, 1.0]), np.array([1.0])))
     assert eigenvalue_counts(m, [1.0, -1.0, 0.5, 3.0]).tolist() == [1, 0, 1, 2]
     with pytest.raises(InvalidParameterError):
         eigenvalue_counts(build_H(jacobi_opuc_reflections(0.3, 0.7), TRUNC8), [0.0])
@@ -669,7 +679,7 @@ def test_sturm_counts_equal_the_reference_loop():
         if trial % 10 == 9:  # a nan pivot neither counts nor is clamped
             diag = K.bands[0].copy()
             diag[dim // 2] = np.nan
-            K = BandedSymmetricMatrix(dim, 1, (diag, K.bands[1]))
+            K = BandedSymmetricMatrix((diag, K.bands[1]))
         assert eigenvalue_counts(K, shifts).tolist() == sturm_reference(K, shifts), trial
 
 

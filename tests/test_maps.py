@@ -191,6 +191,26 @@ def test_non_finite_lam_is_rejected(lam):
         big_m1_parameters(0.3, 0.7, lam)
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [1e16, 2.0**53 + 4, 2.0**53 + 8, 2.0**54, 1e300, 2**55 - 1],
+    ids=["1e16", "2**53+4", "2**53+8", "2**54", "1e300", "int 2**55-1"],
+)
+def test_big_m1_parameters_refuses_a_lam_where_c_rounds_to_one(lam):
+    # c = (lam - 1)/(lam + 1) == 1.0 ended in a bare ZeroDivisionError
+    with pytest.raises(InvalidParameterError, match="rounds to 1"):
+        big_m1_parameters(0.3, 0.7, lam)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [2.0**53, 2.0**53 + 2, 2.0**53 + 6, 2**55 - 2, Fraction(10**16)],
+    ids=["2**53", "2**53+2", "2**53+6", "int 2**55-2", "Fraction 1e16"],
+)
+def test_big_m1_parameters_below_the_c_edge(lam):
+    assert big_m1_parameters(0.3, 0.7, lam).c < 1
+
+
 def test_lambda_reduction_self_check_fails_on_nan(monkeypatch):
     real = maps.christoffel
 

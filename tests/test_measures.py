@@ -63,6 +63,27 @@ def test_integrate_moments_against_oracle():
     assert integrate(m, lambda x: x, 1e-12) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_integrate_calls_f_once_per_level_on_the_node_array():
+    # a constant f used to be called once more per node, with a scalar
+    m = named_weight("sdg", xi=1.0, eta=0.5)
+    args = []
+
+    def constant(x):
+        args.append(x)
+        return 2.0
+
+    assert integrate(m, constant, 1e-12) == pytest.approx(2 * SDG_MASS, rel=1e-12)
+    assert args and all(isinstance(x, np.ndarray) and x.ndim == 1 for x in args)
+
+
+def test_recovered_recurrence_refuses_indices_outside_its_table():
+    # a negative index used to wrap around to the end of the table
+    rec = stieltjes_recurrence(named_weight("sdg", xi=1.0, eta=0.5), 4, tol=1e-10)
+    for read in (rec.b, rec.u):
+        with pytest.raises(InvalidParameterError, match="outside 0.."):
+            read(-1)
+
+
 def test_sdg_mass_oracle():
     m = named_weight("sdg", xi=1.0, eta=0.5)
     assert integrate(m, lambda x: x * 0 + 1, 1e-12) == pytest.approx(
@@ -303,6 +324,13 @@ def test_m_per_real_axis_handling():
     m_per(0.0, 0.5)  # but fine for lam < 1
     with pytest.raises(BandEdgeError):
         m_per(3.0, 2.0)  # band edge |z| = lam + 1
+
+
+@pytest.mark.parametrize("z", [10**400, -(10**400), Fraction(10**400)], ids=["int", "-int", "Fraction"])
+def test_m_per_point_too_large_for_a_float_is_a_typed_error(z):
+    # complex(z) raised a bare OverflowError
+    with pytest.raises(InvalidParameterError, match="no finite value"):
+        m_per(z, 1.0)
 
 
 def test_m_full_pole_free_and_point():

@@ -3,6 +3,7 @@
 import cmath
 import gc
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -365,7 +366,11 @@ def test_szego_constant_term_is_reflection(values):
         assert phi == pytest.approx(-value, abs=1e-12)
 
 
-@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "phi",
+    [math.nan, math.inf, -math.inf, 10**400, -(10**400), Fraction(10**400)],
+    ids=["nan", "inf", "-inf", "huge-int", "-huge-int", "huge-Fraction"],
+)
 def test_circle_point_rejects_non_finite_angle(phi):
     with pytest.raises(InvalidParameterError, match="finite"):
         CirclePoint(phi)
@@ -440,6 +445,45 @@ def test_reflections_from_u_rejects_bad_input():
     bad_sign = reflections_from_u(lambda n: 0.5, lambda n: 2)
     with pytest.raises(InvalidParameterError):
         bad_sign(0)
+
+
+def test_from_arrays_refuses_indices_outside_its_tables():
+    # a negative index used to wrap around: b(-1) returned 3
+    rec = MonicThreeTerm.from_arrays([1, 2, 3], [7, 1, 2])
+    assert [rec.b(n) for n in range(3)] == [1, 2, 3]
+    assert [rec.u(n) for n in range(3)] == [0, 1, 2]  # u_0 = 0 whatever the table holds
+    for read in (rec.b, rec.u):
+        for n in (-1, 3):
+            with pytest.raises(InvalidParameterError, match="outside 0..2"):
+                read(n)
+
+
+# the largest float whose square is finite
+LAM_EDGE = math.sqrt(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [math.nan, math.nextafter(LAM_EDGE, math.inf), 1e300, -1e300, 10**400, Fraction(10**400)],
+    ids=["nan", "edge+ulp", "1e300", "-1e300", "huge-int", "huge-Fraction"],
+)
+def test_pencil_recurrence_refuses_a_lam_whose_square_overflows(lam):
+    # u_n = lam^2 (1 - a_{n-1}^2) came out inf, and `cmvpencil recurrence` printed it
+    with pytest.raises(InvalidParameterError, match=r"need \|lam\| <= 1.3407807929942596e\+154"):
+        pencil_recurrence(jacobi_opuc_reflections(0.3, 0.7), lam)
+
+
+@pytest.mark.parametrize("lam", [LAM_EDGE, -LAM_EDGE, int(LAM_EDGE)], ids=["edge", "-edge", "int"])
+def test_pencil_recurrence_is_finite_up_to_its_lam_edge(lam):
+    rec = pencil_recurrence(jacobi_opuc_reflections(0.3, 0.7), lam)
+    assert all(math.isfinite(rec.b(n)) and math.isfinite(rec.u(n)) for n in range(6))
+
+
+@pytest.mark.parametrize("z", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
+def test_szego_eval_refuses_a_point_too_large_for_a_float(z):
+    # complex(z) raised a bare OverflowError
+    with pytest.raises(InvalidParameterError, match="float value"):
+        szego_eval(jacobi_opuc_reflections(0.3, 0.7), 3, z)
 
 
 def test_require_positive():

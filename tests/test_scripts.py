@@ -49,6 +49,8 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--lams", "1", "-1"]),
         ("weight_tables", ["--n", "30"]),
         ("spectrum_sweep", ["--inflate", "-1"]),
+        ("spectrum_sweep", ["--lams", "1", "-inf"]),
+        ("spectrum_sweep", ["--inflate", "-NaN"]),
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
@@ -98,3 +100,20 @@ def test_negative_scientific_xi_as_a_separate_argument(capsys, name, argv, value
         outputs.append((code, *capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert "expected one argument" not in outputs[0][2]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--family", "periodic", "--lam", "1.0001"], 3, "coefficient table did not settle"),
+        (["--family", "big_m1", "--lam", "1e16"], 2, "c = (lam - 1)/(lam + 1) rounds to 1"),
+        (["--family", "sdg", "--xi", "-inf"], 2, "need xi > -1, got -inf"),
+    ],
+    ids=["non-convergence", "c-rounds-to-1", "negative-inf"],
+)
+def test_weight_tables_exits_as_the_cli_does(capsys, argv, code, message):
+    # every library error used to exit 2; -inf was read as an option
+    assert load("weight_tables").main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")

@@ -171,7 +171,7 @@ def test_a_nan_band_fails_the_matrix_identities_check(monkeypatch):
         J = build(a, trunc)
         off = J.bands[1].copy()
         off[3] = np.nan
-        return BandedSymmetricMatrix(J.dim, 1, (J.bands[0], off))
+        return BandedSymmetricMatrix((J.bands[0], off))
 
     monkeypatch.setattr(cmv, "build_J", with_nan)
     results = run_suite("matrix-identities", dim=16)
@@ -191,7 +191,7 @@ NAN_REC = MonicThreeTerm(b=lambda n: NAN, u=lambda n: NAN)
 def _nan_diagonal(build_K):
     def patched(a, lam, trunc):
         K = build_K(a, lam, trunc)
-        return BandedSymmetricMatrix(K.dim, 1, (K.bands[0] * NAN, K.bands[1]))
+        return BandedSymmetricMatrix((K.bands[0] * NAN, K.bands[1]))
 
     return patched
 
