@@ -3,11 +3,13 @@
 For each lam on the grid the script reports the predicted essential-spectrum
 bands, the eigenvalue range of the truncated pencil, the outlier count
 against the inflated bands, and the number of eigenvalues near zero (where
-a single outlier appears once lam > 1).  A 2x2 hand truncation checked
-against the quadratic formula guards the matrix conventions.  An odd --dim,
-one below 4, a nan or infinite --lams or --inflate value, a --lams value at
-or below 0, or an --inflate below 0 prints ``error: ...`` to stderr, and
-nothing to stdout, and exits 2; exit codes follow the CLI's one rule.
+a single outlier appears once lam > 1).  The leading 2x2 block of build_K,
+checked against the quadratic formula on the convention's entries
+a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  An odd
+--dim, one below 4, a nan or infinite --lams or --inflate value, a --lams
+value at or below 0, an --inflate below 0, or an option the script does not
+read (--eta without --xi) prints ``error: ...`` to stderr, and nothing to
+stdout, and exits 2; exit codes follow the CLI's one rule.
 
 Examples
 --------
@@ -22,23 +24,26 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from cmvpencil.cmv import TruncationSpec, band_census, build_K
-from cmvpencil.cli import ArgumentParser, exit_code
+from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
 
 DEFAULT_LAMS = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0]
+HEADER = ("lam", "band_inner", "band_outer", "eig_min", "eig_max", "outliers", "near_zero")
 
 
 def two_by_two_check(a, lam):
-    """Eigenvalues of the leading 2x2 truncation vs the quadratic formula."""
+    """Eigenvalues of build_K's leading 2x2 block vs the quadratic formula on
+    the convention's entries a_0 + lam, lam*a_1 - a_0 and r_0."""
     d0 = float(a(0)) + lam  # a_0 - lam*a_{-1}
     d1 = lam * float(a(1)) - float(a(0))
     off = a.r(0)
     tr, det = d0 + d1, d0 * d1 - off * off
     disc = math.sqrt(tr * tr - 4 * det)
     by_formula = sorted(((tr - disc) / 2, (tr + disc) / 2))
-    by_solver = np.linalg.eigvalsh(np.array([[d0, off], [off, d1]]))
+    diag, offs = build_K(a, lam, TruncationSpec.from_dim(4)).bands
+    by_solver = np.linalg.eigvalsh(np.array([[diag[0], offs[0]], [offs[0], diag[1]]]))
     return max(abs(by_formula[0] - by_solver[0]), abs(by_formula[1] - by_solver[1]))
 
 
@@ -52,18 +57,9 @@ def sweep(a, lams, dim, inflate):
             float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))[0])
             for k in (0, dim - 1)
         )
-        outliers, _, near_zero = band_census(K, essential_spectrum_periodic(lam), inflate)
-        rows.append(
-            {
-                "lam": lam,
-                "band_inner": abs(lam - 1.0),
-                "band_outer": lam + 1.0,
-                "eig_min": eig_min,
-                "eig_max": eig_max,
-                "outliers": outliers,
-                "near_zero": near_zero,
-            }
-        )
+        bands = essential_spectrum_periodic(lam)
+        outliers, _, near_zero = band_census(K, bands, inflate)
+        rows.append((lam, *bands[1], eig_min, eig_max, outliers, near_zero))
     return rows
 
 
@@ -79,7 +75,9 @@ def main(argv=None):
 
 
 def run(args):
-    # the dimension and every lam are checked before any output
+    # the dimension, every lam and the options read are checked before any output
+    if args.xi is None and args.eta is not None:
+        raise InvalidParameterError("--eta is not read without --xi")
     TruncationSpec.from_dim(args.dim)
     if not all(math.isfinite(v) for v in (*args.lams, args.inflate)):
         raise InvalidParameterError(f"--lams and --inflate must be finite, got {args.lams}, {args.inflate}")
@@ -98,16 +96,11 @@ def run(args):
     print(f"# 2x2 truncation vs quadratic formula: max deviation {check:.2e}")
     print(f"# reflections: {label}, dim = {args.dim}")
 
-    rows = sweep(a, args.lams, args.dim, args.inflate)
-    header = ["lam", "band_inner", "band_outer", "eig_min", "eig_max", "outliers", "near_zero"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = (row[k] for k in header)
-        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in cells))
-    print("\n".join(lines))
+    text = _csv_text(HEADER, sweep(a, args.lams, args.dim, args.inflate))
+    print(text, end="")
     if args.output:
         with open(args.output, "w", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
         print(f"# wrote {args.output}")
     return 0
 

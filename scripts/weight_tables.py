@@ -4,9 +4,12 @@ For each requested family the script recovers recurrence coefficients from
 the weight by quadrature alone and prints them next to the closed-form
 coefficients, with the worst deviation.  This is the weight <-> recurrence
 round trip that the identification rests on; the band-density case also
-reports the failing alternative closed form.  Invalid parameters (an --n
-outside 0..29, the recovery's degree cap less one, or an --xi such as inf or
-1e308 that leaves no finite quadrature rule, say) print ``error: ...`` to
+reports the failing alternative closed form.  Each family reads only its
+own parameters: sdg --xi and --eta, big_m1 all three, periodic --lam; a
+parameter read but not given is 0 (--xi, --eta) or 2 (--lam).  Invalid
+parameters (an --n outside 0..29, the recovery's degree cap less one, an
+--xi such as inf or 1e308 that leaves no finite quadrature rule, or an
+option the family does not read, say) print ``error: ...`` to
 stderr and exit 2; a recovery that does not converge (--family periodic with
 --lam within about 2e-4 of 1, where the bands almost touch) exits 3, as the
 CLI does.  A nan deviation is printed as nan.
@@ -22,10 +25,12 @@ import sys
 
 import numpy as np
 
-from cmvpencil.cli import ArgumentParser, exit_code
+from cmvpencil import measures
+from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.maps import big_m1_parameters
 from cmvpencil.measures import (
+    essential_spectrum_periodic,
     named_weight,
     periodic_weight_verbatim,
     stieltjes_perron_density,
@@ -37,6 +42,11 @@ from cmvpencil.recurrences import (
     pencil_recurrence,
     sdg_recurrence,
 )
+
+HEADER = ("n", "b_from_weight", "b_closed_form", "u_from_weight", "u_closed_form")
+# the parameter options, their values when not given, and the ones each family reads
+DEFAULTS = {"xi": 0.0, "eta": 0.0, "lam": 2.0}
+READS = {"sdg": ("xi", "eta"), "big_m1": ("xi", "eta", "lam"), "periodic": ("lam",)}
 
 
 def closed_form_pair(args):
@@ -57,37 +67,43 @@ def closed_form_pair(args):
 def main(argv=None):
     parser = ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--family", choices=("sdg", "big_m1", "periodic"), default="sdg")
-    parser.add_argument("--xi", type=float, default=0.0)
-    parser.add_argument("--eta", type=float, default=0.0)
-    parser.add_argument("--lam", type=float, default=2.0)
+    parser.add_argument("--xi", type=float, default=None)
+    parser.add_argument("--eta", type=float, default=None)
+    parser.add_argument("--lam", type=float, default=None)
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--output", default=None, help="optional CSV path")
     return exit_code(run, parser.parse_args(argv))
 
 
 def run(args):
-    # stieltjes_recurrence recovers indices 0 .. --n + 1 and stops at index 30
-    if not 0 <= args.n <= 29:
-        raise InvalidParameterError(f"--n must be in 0..29, got {args.n}")
+    for name, default in DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in READS[args.family]:
+            raise InvalidParameterError(f"--{name} is not read by --family {args.family}")
+    # stieltjes_recurrence recovers indices 0 .. --n + 1 and stops at its degree cap
+    n_max = measures._STIELTJES_N_MAX - 1
+    if not 0 <= args.n <= n_max:
+        raise InvalidParameterError(f"--n must be in 0..{n_max}, got {args.n}")
     measure, rec = closed_form_pair(args)
     recovered = stieltjes_recurrence(measure, args.n + 1, tol=1e-9)
 
-    header = ["n", "b_from_weight", "b_closed_form", "u_from_weight", "u_closed_form"]
-    lines = [",".join(header)]
+    rows = []
     deviations = [0.0]
     for n in range(args.n + 1):
         bw, bc = float(recovered.b(n)), float(rec.b(n))
         uw, uc = float(recovered.u(n)), float(rec.u(n))
         deviations += (abs(bw - bc), abs(uw - uc))
-        lines.append(",".join("%.17g" % v for v in (n, bw, bc, uw, uc)))
+        rows.append((n, bw, bc, uw, uc))
+    text = _csv_text(HEADER, rows)
     print(f"# family {args.family}: recurrence recovered from the weight vs closed form")
-    print("\n".join(lines))
+    print(text, end="")
     # np.max keeps a nan, where max would drop it
     print(f"# worst coefficient deviation: {np.max(deviations):.3e}")
 
     if args.family == "periodic" and args.lam != 1.0:
         # report the alternative display's failure on a band grid
-        lo, hi = abs(args.lam - 1.0), args.lam + 1.0
+        lo, hi = essential_spectrum_periodic(args.lam)[1]
         grid = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 7)
         deviations = [0.0]
         for t in grid:
@@ -101,7 +117,7 @@ def run(args):
 
     if args.output:
         with open(args.output, "w", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
         print(f"# wrote {args.output}")
     return 0
 

@@ -53,13 +53,18 @@ def _format_cell(value) -> str:
     return text
 
 
+def _csv_text(columns, rows) -> str:
+    """The header line and one line per row, each cell by ``_format_cell``, LF-terminated."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_format_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
     """Write the table in ``args.format`` to ``args.output`` (stdout if None)."""
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns, rows)
     else:
         payload = {
             "command": command,

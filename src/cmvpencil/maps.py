@@ -27,7 +27,6 @@ All coefficient formulas are dtype-generic: Fraction inputs stay exact.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +45,7 @@ from .recurrences import (
     _require_count,
     _require_lam,
     _table,
-    _worst,
+    _worst_mismatch,
     jacobi_opuc_reflections,
     pencil_recurrence,
     szego_eval,
@@ -306,10 +305,7 @@ def lambda_reduction(
     n_check = 20
     generic = christoffel(pencil_recurrence(a, lam), theta, n_check + 1)
     pairs = ((A, generic.A), (C, generic.C), (b, generic.transformed.b), (u, generic.transformed.u))
-    diffs = (
-        abs(float(mine(n)) - float(theirs(n))) for n in range(n_check + 1) for mine, theirs in pairs
-    )
-    worst = functools.reduce(_worst, diffs, 0.0)  # the first nan residual is the one reported
+    worst = _worst_mismatch(pairs, n_check)  # the first nan residual is the one reported
     if not worst <= 1e-10:
         raise InternalConsistencyError(
             f"closed-form reduction disagrees with the generic transform by "

@@ -109,6 +109,13 @@ def _worst(worst, value):
     return value if value > worst or (value != value and worst == worst) else worst
 
 
+def _worst_mismatch(pairs, n_max: int):
+    """Worst |float(f(n)) - float(g(n))| over each (f, g) in ``pairs`` and n in
+    0..n_max, by ``_worst``, so the first nan is the result."""
+    diffs = (abs(float(f(n)) - float(g(n))) for n in range(n_max + 1) for f, g in pairs)
+    return functools.reduce(_worst, diffs, 0.0)
+
+
 def _memoized(fn: Callable[[int], object]) -> Callable[[int], object]:
     # Idempotent cache fill: concurrent duplicate computation is harmless
     # because fn is pure, so last-writer-wins never changes the value.
@@ -469,7 +476,9 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
     """Joint evaluation of the circle polynomial pairs at a circle point.
 
     ``a`` is a ReflectionSequence (or the private coefficient table of one);
-    a_0 .. a_{n-1} are read once, by ``take``.
+    a_0 .. a_{n-1} are read once, by ``take``.  ``z`` may also be a raw
+    number; one that is not finite, or whose sweep to degree n overflows
+    (z = 1e300, say), raises InvalidParameterError.
 
     Returns
     -------
@@ -478,16 +487,22 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
         sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
     """
     n = _require_count("degree", n, 0)
+    # a CirclePoint is finite with |z| = 1; only a raw point needs the checks
+    raw = not isinstance(z, CirclePoint)
     try:
-        zz = z.z if isinstance(z, CirclePoint) else complex(z)
+        zz = complex(z) if raw else z.z
     except OverflowError:  # an int or Fraction beyond the float range
         raise InvalidParameterError(f"need a point with a float value, got {z!r}") from None
+    if raw and not cmath.isfinite(zz):
+        raise InvalidParameterError(f"need a finite point, got {z!r}")
     phi = phis = 1.0 + 0.0j
     ladder = [(phi, phis)]
     # Python scalars keep every step in CPython's complex arithmetic
     for ak in _table(a, n).scalars[:n]:
         phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
         ladder.append((phi, phis))
+    if raw and not (cmath.isfinite(phi) and cmath.isfinite(phis)):
+        raise InvalidParameterError(f"the sweep to degree {n} overflows at z = {z!r}")
     return ladder
 
 

@@ -56,6 +56,7 @@ from .recurrences import (
     ReflectionSequence,
     _table,
     _worst,
+    _worst_mismatch,
     dg_symmetric_recurrence,
     eval_monic,
     jacobi_opuc_reflections,
@@ -201,11 +202,7 @@ def suite_little_m1() -> list:
 
 
 def _coeff_mismatch(lhs: MonicThreeTerm, rhs: MonicThreeTerm, degree: int) -> float:
-    worst = 0.0
-    for n in range(degree + 1):
-        worst = _worst(worst, abs(float(lhs.b(n)) - float(rhs.b(n))))
-        worst = _worst(worst, abs(float(lhs.u(n)) - float(rhs.u(n))))
-    return worst
+    return _worst_mismatch(((lhs.b, rhs.b), (lhs.u, rhs.u)), degree)
 
 
 def suite_big_m1(cases=None) -> list:
@@ -439,11 +436,8 @@ def suite_structural() -> list:
     q_minus = reflect_map(q)
     xs = rng.uniform(-2, 2, size=11)
     reflected, plain = eval_monic(q_minus, 20, xs), eval_monic(q, 20, -xs)
-    worst = 0.0
-    for n in range(21):
-        sign = 1.0 if n % 2 == 0 else -1.0
-        lhs, rhs = reflected[n], sign * plain[n]
-        worst = _worst(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
+    signs = (-1.0) ** np.arange(21)[:, None]
+    worst = _worst_relative(np.array(reflected), signs * np.array(plain))
     results.append(_within("reflected family equals (-1)^n Q_n(-x)", worst, 1e-10))
 
     # transform followed by its inverse reconstruction
@@ -452,12 +446,8 @@ def suite_structural() -> list:
     xs = rng.uniform(-2.2, 2.2, size=11)
     direct = eval_monic(src, 20, xs)
     transformed = eval_monic(data.transformed, 20, xs)
-    worst = 0.0
-    for n in range(1, 21):
-        rebuilt = transformed[n] - data.C(n) * transformed[n - 1]
-        worst = _worst(
-            worst, float(np.max(np.abs(direct[n] - rebuilt) / np.maximum(1.0, np.abs(direct[n]))))
-        )
+    rebuilt = [transformed[n] - data.C(n) * transformed[n - 1] for n in range(1, 21)]
+    worst = _worst_relative(np.array(rebuilt), np.array(direct[1:]))
     results.append(_within("transform then inverse reconstruction is the identity", worst, 1e-10))
 
     # even/odd split: exact compose and evaluation identities

@@ -486,6 +486,17 @@ def test_szego_eval_refuses_a_point_too_large_for_a_float(z):
         szego_eval(jacobi_opuc_reflections(0.3, 0.7), 3, z)
 
 
+@pytest.mark.parametrize(
+    "n, z",
+    [(2, math.nan), (3, math.inf), (3, 1e300), (3, complex(1e200, 0))],
+    ids=["nan", "inf", "1e300", "complex-1e200"],
+)
+def test_szego_eval_refuses_a_raw_point_that_is_not_finite_or_overflows(n, z):
+    # each returned ((nan+nanj), (nan+nanj)) as its last pair and raised nothing
+    with pytest.raises(InvalidParameterError):
+        szego_eval(jacobi_opuc_reflections(0.3, 0.7), n, z)
+
+
 def test_require_positive():
     rec = MonicThreeTerm.from_arrays([0.0, 0.0, 0.0], [0.0, 1.0, -0.5])
     with pytest.raises(InvalidParameterError):

@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from cmvpencil.recurrences import MonicThreeTerm
+from cmvpencil import measures
+from cmvpencil.recurrences import MonicThreeTerm, jacobi_opuc_reflections
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -51,6 +52,7 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--inflate", "-1"]),
         ("spectrum_sweep", ["--lams", "1", "-inf"]),
         ("spectrum_sweep", ["--inflate", "-NaN"]),
+        ("spectrum_sweep", ["--eta", "0.5", "--lams", "2"]),
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
@@ -61,6 +63,41 @@ def test_bad_input_exits_2(capsys, name, argv):
     if name == "weight_tables":
         # the message names the option the user gave, not an internal degree
         assert "--n must be in 0..29" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--family", "periodic", "--xi", "0.3"], "--xi"),
+        (["--family", "periodic", "--eta", "0.3"], "--eta"),
+        (["--family", "sdg", "--lam", "5"], "--lam"),
+    ],
+)
+def test_weight_tables_refuses_an_option_its_family_does_not_read(capsys, argv, option):
+    # each was ignored, and the table printed as if it were not given
+    assert load("weight_tables").main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} is not read")
+
+
+def test_weight_tables_n_moves_with_the_degree_cap(capsys, monkeypatch):
+    monkeypatch.setattr(measures, "_STIELTJES_N_MAX", 20)
+    assert load("weight_tables").main(["--n", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--n must be in 0..19" in err
+
+
+def test_two_by_two_check_reads_the_matrix_build_K_builds():
+    # the check compared the quadratic formula with eigvalsh on the same
+    # hand-built entries, so a wrong sign of lam in build_K passed it
+    module = load("spectrum_sweep")
+    a = jacobi_opuc_reflections(0.3, 0.7)
+    assert module.two_by_two_check(a, 2.0) <= 1e-15
+    build_K = module.build_K
+    module.build_K = lambda a, lam, trunc: build_K(a, -lam, trunc)
+    assert module.two_by_two_check(a, 2.0) > 1e-12
 
 
 @pytest.mark.parametrize("xi", ["inf", "1e308"])
