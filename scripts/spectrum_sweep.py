@@ -7,9 +7,12 @@ a single outlier appears once lam > 1).  The leading 2x2 block of build_K,
 checked against the quadratic formula on the convention's entries
 a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  An odd
 --dim, one below 4, a nan or infinite --lams or --inflate value, a --lams
-value at or below 0, an --inflate below 0, or an option the script does not
-read (--eta without --xi) prints ``error: ...`` to stderr, and nothing to
-stdout, and exits 2; exit codes follow the CLI's one rule.
+value at or below 0, one so large that the pencil's off-diagonal passes
+1.34e154 (where Sturm counts overflow), an --inflate below 0, or an option
+the script does not read (--eta without --xi) prints ``error: ...`` to
+stderr, and nothing to stdout, and exits 2; exit codes follow the CLI's one
+rule.  Without --eta, the closed-form reflections take eta = 0, and the
+header says so.
 
 Examples
 --------
@@ -17,13 +20,13 @@ python3 scripts/spectrum_sweep.py
 python3 scripts/spectrum_sweep.py --dim 400 --xi 0.3 --eta 0.7 --output sweep.csv
 """
 
+import functools
 import math
 import sys
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from cmvpencil.cmv import TruncationSpec, band_census, build_K
+from cmvpencil.cmv import TruncationSpec, _stebz, band_census, build_K
 from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
@@ -52,18 +55,17 @@ def sweep(a, lams, dim, inflate):
     rows = []
     for lam in lams:
         K = build_K(a, lam, trunc)
-        diag, off = K.bands
-        eig_min, eig_max = (
-            float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))[0])
-            for k in (0, dim - 1)
-        )
         bands = essential_spectrum_periodic(lam)
+        # the census checks that K is finite, as _stebz needs
         outliers, _, near_zero = band_census(K, bands, inflate)
+        eig_min, eig_max = (float(_stebz(*K.bands, "i", k, k)[0]) for k in (0, dim - 1))
         rows.append((lam, *bands[1], eig_min, eig_max, outliers, near_zero))
     return rows
 
 
-def main(argv=None):
+@functools.cache
+def _build_parser():
+    # built once per process, as the CLI's: parsing never changes the parser
     parser = ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--dim", type=int, default=200)
     parser.add_argument("--xi", type=float, default=None, help="use the closed-form reflections")
@@ -71,7 +73,11 @@ def main(argv=None):
     parser.add_argument("--inflate", type=float, default=0.05)
     parser.add_argument("--lams", type=float, nargs="*", default=DEFAULT_LAMS)
     parser.add_argument("--output", default=None, help="optional CSV path")
-    return exit_code(run, parser.parse_args(argv))
+    return parser
+
+
+def main(argv=None):
+    return exit_code(run, _build_parser().parse_args(argv))
 
 
 def run(args):
@@ -89,14 +95,15 @@ def run(args):
         a = ReflectionSequence.constant(0.0)
         label = "free (a = 0)"
     else:
-        a = jacobi_opuc_reflections(args.xi, args.eta if args.eta is not None else 0.0)
-        label = f"closed-form reflections (xi={args.xi}, eta={args.eta})"
+        eta = args.eta if args.eta is not None else 0.0
+        a = jacobi_opuc_reflections(args.xi, eta)
+        label = f"closed-form reflections (xi={args.xi}, eta={eta})"
 
+    # the table is made before any output, so an error in it prints nothing
     check = two_by_two_check(a, 2.0)
+    text = _csv_text(HEADER, sweep(a, args.lams, args.dim, args.inflate))
     print(f"# 2x2 truncation vs quadratic formula: max deviation {check:.2e}")
     print(f"# reflections: {label}, dim = {args.dim}")
-
-    text = _csv_text(HEADER, sweep(a, args.lams, args.dim, args.inflate))
     print(text, end="")
     if args.output:
         with open(args.output, "w", newline="\n") as handle:

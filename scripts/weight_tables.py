@@ -21,6 +21,7 @@ python3 scripts/weight_tables.py --family big_m1 --xi 0.5 --eta 1 --lam 2
 python3 scripts/weight_tables.py --family periodic --lam 0.5 --n 15
 """
 
+import functools
 import sys
 
 import numpy as np
@@ -64,7 +65,9 @@ def closed_form_pair(args):
     return measure, rec
 
 
-def main(argv=None):
+@functools.cache
+def _build_parser():
+    # built once per process, as the CLI's: parsing never changes the parser
     parser = ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--family", choices=("sdg", "big_m1", "periodic"), default="sdg")
     parser.add_argument("--xi", type=float, default=None)
@@ -72,7 +75,11 @@ def main(argv=None):
     parser.add_argument("--lam", type=float, default=None)
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--output", default=None, help="optional CSV path")
-    return exit_code(run, parser.parse_args(argv))
+    return parser
+
+
+def main(argv=None):
+    return exit_code(run, _build_parser().parse_args(argv))
 
 
 def run(args):

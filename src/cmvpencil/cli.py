@@ -33,6 +33,8 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .cmv import TruncationSpec, build_K, tridiagonal_eigenvalues
 from .errors import CmvPencilError, InvalidParameterError, NonConvergenceError
 from .measures import essential_spectrum_periodic
@@ -53,12 +55,24 @@ def _format_cell(value) -> str:
     return text
 
 
+# one formatter per exact cell type, each equal to ``_format_cell`` on that type
+_COLUMN_FORMATS = {float: "%.17g".__mod__, bool: ("0", "1").__getitem__, int: repr}
+
+
 def _csv_text(columns, rows) -> str:
-    """The header line and one line per row, each cell by ``_format_cell``, LF-terminated."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The header line and one line per row, LF-terminated; each cell as ``_format_cell``
+    writes it.
+
+    Formatted by column: a column whose cells are all of one type of
+    ``_COLUMN_FORMATS`` (float, bool or int, exactly) takes that formatter,
+    any other column ``_format_cell`` per cell.
+    """
+    formatted = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        formatted.append(map(fmt or _format_cell, column))
+    return "\n".join([",".join(columns), *map(",".join, zip(*formatted))]) + "\n"
 
 
 def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
@@ -116,12 +130,14 @@ def cmd_spectrum(args) -> int:
     bands = essential_spectrum_periodic(args.lam)
     a = jacobi_opuc_reflections(args.xi, args.eta)
     eigs = tridiagonal_eigenvalues(build_K(a, args.lam, trunc))
-    rows = []
-    for k, e in enumerate(eigs):
-        e = float(e)
-        nearest = min(bands, key=lambda b: max(b[0] - e, e - b[1], 0.0))
-        inside = nearest[0] <= e <= nearest[1]
-        rows.append((k, e, inside, float(nearest[0]), float(nearest[1])))
+    lo, hi = np.array(bands, dtype=float).T
+    # distance from each eigenvalue (rows) to each band (columns); argmin
+    # takes the first of equally near bands
+    gap = np.maximum(np.maximum(lo - eigs[:, None], eigs[:, None] - hi), 0.0)
+    nearest = gap.argmin(axis=1)
+    lo, hi = lo[nearest], hi[nearest]
+    inside = (lo <= eigs) & (eigs <= hi)
+    rows = list(zip(range(len(eigs)), eigs.tolist(), inside.tolist(), lo.tolist(), hi.tolist()))
     _emit(
         args,
         "spectrum",
@@ -164,7 +180,8 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite is None else [args.suite]
     kwargs = _suite_kwargs(args)
     rows = []
-    details = []
+    # the per-check details go only to JSON output
+    details = [] if args.format == "json" else None
     all_passed = True
     for name in names:
         for result in run_suite(name, **kwargs):
@@ -178,7 +195,8 @@ def cmd_verify(args) -> int:
                     float(result.tol),
                 )
             )
-            details.append({"suite": name, **result.to_dict()})
+            if details is not None:
+                details.append({"suite": name, **result.to_dict()})
     _emit(
         args,
         "verify",

@@ -22,11 +22,19 @@ product of two tridiagonals in closed form; H = L M + M L is formed one band
 at a time, so ``build_H`` peaks at about three times the bands it returns.
 ``eigenvalue_counts`` answers "how many eigenvalues lie below t" by Sturm
 (LDL^T inertia) counts, and ``band_census`` uses one such call to count (and
-bisection to locate) the eigenvalues outside predicted bands.  Only ``tridiagonal_eigenvalues`` (all
-eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test oracles
-cost more.  ``scipy.linalg`` is imported by the calls that solve, on first
-use: ``tridiagonal_eigenvalues``, ``BandedSymmetricMatrix.eigenvalues`` and
-``band_census`` once a window holds an eigenvalue.
+bisection to locate) the eigenvalues outside predicted bands.  The census
+closes its outer windows at a Gershgorin bound that no eigenvalue reaches,
+so it counts at no +-bound: those counts are 0 and dim.  Bisection is
+``_stebz``, LAPACK ``?stebz`` called with exactly the arguments
+``eigh_tridiagonal`` passes, bit for bit the same and without scipy's
+argument checks; it needs finite float64 bands, which the census checks.
+Only ``tridiagonal_eigenvalues`` (all eigenvalues, about O(dim^2) in
+LAPACK) and the ``to_dense`` test oracles cost more.  ``scipy.linalg`` is
+imported by the calls that solve, on first use: ``tridiagonal_eigenvalues``,
+``BandedSymmetricMatrix.eigenvalues`` and ``_stebz``.  Sturm counts need
+off-diagonal entries up to sqrt(max float) = 1.34e154, whose squares stay
+finite, and the census a bound up to max float / 4; beyond either they raise
+InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -426,6 +434,37 @@ def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
     return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True)
 
 
+def _stebz(diag, off, select: str, lo, hi) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal (diag, off), ascending: those in
+    (lo, hi] for ``select="v"``, those of 0-based indices lo .. hi for ``"i"``.
+
+    LAPACK ``?stebz`` with exactly the arguments ``eigh_tridiagonal`` passes
+    it (range 1 with (vl, vu), or range 2 with 1-based il and iu; tol 0.0;
+    order ``'E'``), and the same check of ``info``, so the values are the
+    same bit for bit; without scipy's argument checks, about a fifth of a
+    call at dim 200 (20 of 110 us).  Precondition: finite float64 bands of
+    lengths n >= 1 and n - 1.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    if len(diag) == 1:
+        off = np.zeros(1)  # the wrapper wants one entry; LAPACK reads none at n = 1
+    if select == "v":
+        m, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, "E")
+    else:
+        m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal stebz (eigh_tridiagonal)")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})")
+    return w[:m]
+
+
+# off-diagonal entries up to sqrt(max float) = 1.34e154 keep their squares,
+# and so the Sturm pivots, finite
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
 def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     """Number of eigenvalues of a tridiagonal matrix below each shift.
 
@@ -436,7 +475,9 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
     an eigenvalue within rounding of t may count on either side.  A shift
     of -inf counts 0 and +inf counts dim; a nan shift raises
-    InvalidParameterError.
+    InvalidParameterError, and so does an off-diagonal entry whose square
+    is not finite: above sqrt(max float) = 1.34e154 in size (or nan),
+    where the counts go wrong (1, 1, 1, 1 for the true 0, 1, 2, 4 at 1e155).
 
     Complexity: O(dim) time per shift and O(dim) memory.
 
@@ -449,6 +490,12 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     shifts = np.asarray(shifts, dtype=float).ravel()
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
+    # compared before squaring, so a nan entry fails here too
+    if not np.abs(off).max(initial=0.0) <= _SQUARE_MAX:
+        raise InvalidParameterError(
+            f"eigenvalue counts need off-diagonal entries of size at most {_SQUARE_MAX:.4g}, "
+            "so that their squares stay finite"
+        )
     off2 = off**2
     pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
     # a zero in front of the squared off-diagonal makes the first step d_0
@@ -468,15 +515,43 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     return np.array(counts, dtype=int)
 
 
+# LAPACK's ?stebz locates eigenvalues wrongly once the Gershgorin radius
+# passes max float / 2.1 (measured), so the census bound stops at a quarter
+_BOUND_MAX = sys.float_info.max / 4
+
+
+def _gershgorin_bound(diag, off) -> float:
+    """A float that no eigenvalue of the tridiagonal (diag, off) reaches in size.
+
+    The Gershgorin radius max|d| + 2 max|e| plus a margin of 1, or of 2^-40
+    of the radius once that is larger (a radius above 2^40 = 1.1e12), where
+    rounding would lose the 1.  Every Sturm pivot at -bound or bound then
+    stays at least 1 + max|e| away from zero, so the counts there are 0 and
+    dim.  InvalidParameterError above max float / 4 = 4.49e307.
+    """
+    reach = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
+    bound = max(1.0 + reach, reach * (1.0 + 2.0**-40))
+    if not bound <= _BOUND_MAX:
+        raise InvalidParameterError(
+            f"band census needs a Gershgorin bound of at most {_BOUND_MAX:.4g}, got {bound:.4g}"
+        )
+    return bound
+
+
 def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     """Eigenvalues of a tridiagonal matrix outside the inflated bands, and near zero.
 
     The real line outside the bands, each widened by ``inflate`` on both
     sides, splits into windows: below the first band, between consecutive
     bands and above the last one, closed off by a Gershgorin bound that no
-    eigenvalue reaches.  One ``eigenvalue_counts`` call counts the
-    eigenvalues in every window and in (-inflate, inflate); bisection then
-    locates the eigenvalues of the windows that hold any.
+    eigenvalue reaches (``_gershgorin_bound``).  One ``eigenvalue_counts``
+    call counts the eigenvalues below every window edge strictly inside
+    (-bound, bound) and in (-inflate, inflate); at -bound and bound no count
+    is made, since every pivot there stays at least 1 + max|e| away from
+    zero and the counts are 0 and dim.  ``_stebz`` (LAPACK bisection) then
+    locates the eigenvalues of the windows that hold any.  An eigenvalue
+    within rounding (about 1e-16 times the matrix's size) of a window edge
+    may count on either side.
 
     Complexity: O(dim) per window edge, plus O(dim) per eigenvalue found
     outside the bands.  No full eigensolve and no O(dim^2) object.
@@ -484,7 +559,9 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     Parameters
     ----------
     m : BandedSymmetricMatrix
-        A tridiagonal matrix with finite entries (InvalidParameterError
+        A tridiagonal matrix with finite entries, off-diagonal entries of
+        size at most sqrt(max float) = 1.34e154 and a Gershgorin bound of
+        at most max float / 4 = 4.49e307 (InvalidParameterError
         otherwise).
     bands : sequence of (lo, hi)
         The predicted bands, finite, ascending and not overlapping
@@ -509,18 +586,21 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
     if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
         raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {bands!r}")
-    bound = 1.0 + float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
+    bound = _gershgorin_bound(diag, off)
     starts = [-bound, *(q + inflate for _, q in bands)]
     ends = [*(p - inflate for p, _ in bands), bound]
     windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
-    counts = eigenvalue_counts(m, [*(t for w in windows for t in w), -inflate, inflate])
+    edges = [t for w in windows for t in w]
+    # no eigenvalue reaches -bound or bound, so only the edges between them
+    # are counted: 0 eigenvalues lie below -bound and dim below bound
+    counts = iter(eigenvalue_counts(
+        m, [*(t for t in edges if -bound < t < bound), -inflate, inflate]
+    ).tolist())
+    below = [0 if t <= -bound else len(diag) if t >= bound else next(counts) for t in edges]
     n_outside, outside = 0, []
-    for (lo, hi), below_lo, below_hi in zip(windows, counts[0:-2:2], counts[1:-2:2]):
+    for (lo, hi), below_lo, below_hi in zip(windows, below[0::2], below[1::2]):
         if below_hi > below_lo:
-            from scipy.linalg import eigh_tridiagonal
-
-            n_outside += int(below_hi - below_lo)
-            outside += eigh_tridiagonal(
-                diag, off, eigvals_only=True, select="v", select_range=(lo, hi)
-            ).tolist()
-    return n_outside, outside, int(counts[-1] - counts[-2])
+            n_outside += below_hi - below_lo
+            outside += _stebz(diag, off, "v", lo, hi).tolist()
+    below_minus, below_plus = counts  # the counts at -inflate and inflate
+    return n_outside, outside, below_plus - below_minus

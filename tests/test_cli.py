@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cmvpencil.cli as cli
@@ -293,3 +294,72 @@ def test_negative_scientific_value_as_a_separate_argument(argv, value, capsys):
     if not math.isfinite(float(value)):
         assert separate[0] == 2 and separate[1] == ""
         assert separate[2].startswith(f"error: {flag} must be finite")
+
+
+def per_cell_csv(columns, rows):
+    """``_csv_text`` as it was written first: every cell through ``_format_cell``."""
+    lines = [",".join(columns), *(",".join(cli._format_cell(v) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 0.5, True, "a"), (2, -0.0, False, "b,c"), (3, math.nan, True, 'say "x"')],
+        [(7, np.float64(0.1), "line\nbreak"), (True, 0.2, ""), (-3, np.float64(-1e300), ",")],
+        [(False, math.inf, 7), (True, -math.inf, np.int64(7))],
+        [(None, 1, 1.0), (2.5, 2, 2.0)],  # float beside None, int, float
+        [],
+    ],
+    ids=["typed", "int-beside-bool", "bool-column", "mixed", "no-rows"],
+)
+def test_csv_by_column_equals_per_cell(rows):
+    columns = tuple(f"c{k}" for k in range(len(rows[0]) if rows else 3))
+    assert cli._csv_text(columns, rows) == per_cell_csv(columns, rows)
+
+
+def spectrum_oracle(eigs, bands):
+    """``cmd_spectrum``'s rows as they were written first: one eigenvalue at a time."""
+    rows = []
+    for k, e in enumerate(eigs):
+        e = float(e)
+        nearest = min(bands, key=lambda b: max(b[0] - e, e - b[1], 0.0))
+        inside = nearest[0] <= e <= nearest[1]
+        rows.append((k, e, inside, float(nearest[0]), float(nearest[1])))
+    return rows
+
+
+# eigenvalues on and between the band edges: at lam = 1 the bands touch at
+# -0.0 and 0.0, and at lam = 2 an eigenvalue at 0 is equally near both
+EDGE_EIGENVALUES = {
+    1.0: [-3.0, -2.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 2.0, 2.5],
+    2.0: [-4.0, -3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, math.nextafter(3.0, 4.0)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "lam, dim, edges",
+    [(1.0, 8, True), (2.0, 8, True), (0.5, 64, False), (1.0, 400, False), (2.3, 2000, False)],
+)
+def test_spectrum_table_equals_per_eigenvalue_rows(monkeypatch, capsys, fmt, lam, dim, edges):
+    solve = cli.tridiagonal_eigenvalues
+    if edges:
+        monkeypatch.setattr(cli, "tridiagonal_eigenvalues", lambda K: np.array(EDGE_EIGENVALUES[lam]))
+    argv = ["spectrum", "--dim", str(dim), "--xi", "0.3", "--eta", "0.7", "--lambda", str(lam)]
+    code, out, _ = run([*argv, "--format", fmt], capsys)
+    assert code == 0
+    eigs = cli.tridiagonal_eigenvalues(None) if edges else solve(
+        cli.build_K(cli.jacobi_opuc_reflections(0.3, 0.7), lam, cli.TruncationSpec.from_dim(dim))
+    )
+    bands = cli.essential_spectrum_periodic(lam)
+    rows = spectrum_oracle(eigs, bands)
+    columns = ("k", "eigenvalue", "inside", "band_lo", "band_hi")
+    if fmt == "csv":
+        assert out == per_cell_csv(columns, rows)
+    else:
+        want = [[cli._format_cell(v) if isinstance(v, float) else v for v in row] for row in rows]
+        # dumped, so that true and 1 differ
+        assert json.dumps(json.loads(out)["rows"]) == json.dumps(want)
+    if edges:
+        assert any(r[2] for r in rows) and not all(r[2] for r in rows)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -747,3 +748,127 @@ def test_the_table_is_freed_by_reference_counting():
     assert vars(a) == before  # nothing was cached on the sequence
     with pytest.raises(InvalidParameterError, match="cannot serve"):
         build_K(_table(a, 7), 1.0, TRUNC8)
+
+
+SWEEP_LAMS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
+STEBZ_CASES = {
+    # spectrum_sweep.py at its defaults: free reflections, dim 200
+    "sweep defaults": (lambda: ReflectionSequence.constant(0.0), 200, SWEEP_LAMS),
+    # spectrum_sweep.py on --xi/--eta drawn as the battery draws them
+    "sweep xi eta": (lambda: jacobi_opuc_reflections(0.2585, 0.2491), 200, SWEEP_LAMS),
+    "sweep xi eta ends": (lambda: jacobi_opuc_reflections(-0.4969, 0.9873), 200, SWEEP_LAMS),
+    # the spectrum suite at dim 4000
+    "spectrum suite": (lambda: ReflectionSequence.constant(0.0), 4000, (0.5, 1.0, 2.0)),
+}
+
+
+def census_windows(K, lam, inflate=0.05):
+    """The windows ``band_census`` searches, rebuilt from its documented rule."""
+    bound = cmv._gershgorin_bound(*K.bands)
+    bands = essential_spectrum_periodic(lam)
+    starts = [-bound, *(q + inflate for _, q in bands)]
+    ends = [*(p - inflate for p, _ in bands), bound]
+    return [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", list(STEBZ_CASES))
+def test_stebz_equals_eigh_tridiagonal_bit_for_bit(name):
+    make, dim, lams = STEBZ_CASES[name]
+    a, trunc = make(), TruncationSpec.from_dim(dim)
+    for lam in lams:
+        diag, off = build_K(a, lam, trunc).bands
+        for k in (0, dim - 1):
+            want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))
+            assert hexes(cmv._stebz(diag, off, "i", k, k)) == hexes(want), (lam, k)
+        windows = census_windows(BandedSymmetricMatrix((diag, off)), lam)
+        for lo, hi in [*windows, (-0.05, 0.05)]:
+            want = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, hi))
+            assert hexes(cmv._stebz(diag, off, "v", lo, hi)) == hexes(want), (lam, lo, hi)
+
+
+@pytest.mark.parametrize("diag, off", [([0.3], []), ([0.3, -0.2], [0.5])])
+def test_stebz_at_one_and_two_rows(diag, off):
+    # at n = 1 eigh_tridiagonal answers without LAPACK, and the wrapper
+    # refuses an empty off-diagonal
+    diag, off = np.array(diag), np.array(off)
+    for lo, hi in ((0.0, 1.0), (0.3, 1.0), (-1.0, 0.3), (-1.0, -0.5)):
+        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, hi))
+        assert hexes(cmv._stebz(diag, off, "v", lo, hi)) == hexes(want)
+    for k in range(len(diag)):
+        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))
+        assert hexes(cmv._stebz(diag, off, "i", k, k)) == hexes(want)
+
+
+def test_band_census_does_not_call_eigh_tridiagonal(monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal was called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec.from_dim(200))
+    assert band_census(K, essential_spectrum_periodic(2.0), 0.05)[0] == 1
+
+
+def test_sturm_counts_at_the_gershgorin_bound_are_zero_and_dim():
+    # band_census takes these counts as known; here they are counted, on
+    # entries from 1e-300 to the off-diagonal edge, the diagonal dominating
+    # or not (above 2^40 the bound's margin is relative, or rounding loses it)
+    rng = np.random.default_rng(20261020)
+    for trial in range(400):
+        dim = int(rng.integers(1, 80))
+        d_scale, e_scale = 10.0 ** rng.uniform(-300, 153, size=2)
+        diag = rng.uniform(-1.0, 1.0, dim) * d_scale
+        off = rng.uniform(-1.0, 1.0, dim - 1) * e_scale
+        if trial % 3 == 1:  # every diagonal entry at the radius
+            diag = d_scale * rng.choice([-1.0, 1.0], dim)
+        elif trial % 3 == 2:
+            off[:] = e_scale
+        bound = cmv._gershgorin_bound(diag, off)
+        m = BandedSymmetricMatrix((diag, off))
+        assert eigenvalue_counts(m, [-bound, bound]).tolist() == [0, dim], trial
+
+
+def test_gershgorin_bound_margin_and_edge():
+    for reach in (0.0, 3.0, 2.0**40 - 1):
+        assert cmv._gershgorin_bound(np.array([reach]), np.array([])) == 1.0 + reach
+    # the diagonal at 1e20 held eigenvalues at -bound, which the census missed
+    diag = np.array([1e20, -1e20, 1e20])
+    bound = cmv._gershgorin_bound(diag, np.array([1e-3, 1e-3]))
+    assert bound > 1e20
+    m = BandedSymmetricMatrix((diag, np.array([1e-3, 1e-3])))
+    assert band_census(m, [(-1.0, 1.0)], 0.05)[:2] == (3, [-1e20, 1e20, 1e20])
+
+    # ?stebz located +-9e307 at +-6.75e307, and +-1.79e308 at +-inf
+    for size in (1e300, 4e307):
+        m = BandedSymmetricMatrix((np.array([size, 0.0, -size]), np.array([1.0, 1.0])))
+        assert band_census(m, [(-1.0, 1.0)], 0.05) == (2, [-size, size], 1)
+    for size in (4.5e307, 9e307, 1.79e308):
+        m = BandedSymmetricMatrix((np.array([size, 0.0, -size]), np.array([1.0, 1.0])))
+        with pytest.raises(InvalidParameterError, match="Gershgorin bound of at most 4.494e"):
+            band_census(m, [(-1.0, 1.0)], 0.05)
+
+
+def test_counts_refuse_an_off_diagonal_whose_square_overflows():
+    # at 1e155 the square overflowed: counts [1, 1, 1, 1] for the true
+    # [0, 1, 2, 4], and a census of (0, [], 0) with +-1e155 outside the band
+    edge = math.sqrt(sys.float_info.max)  # 1.34e154, the largest square that stays finite
+    shifts = [-1e300, -2.0, 0.5, 1e300]
+    small = BandedSymmetricMatrix((np.zeros(4), np.array([1e150, 1.0, 1.0])))
+    assert eigenvalue_counts(small, shifts).tolist() == [0, 1, 2, 4]
+    assert band_census(small, [(-1.5, 1.5)], 0.05)[:2] == (2, [-1e150, 1e150])
+    at_edge = BandedSymmetricMatrix((np.zeros(4), np.array([edge, 1.0, 1.0])))
+    # at this size +-1 are within rounding of 0, so count only far from them
+    assert eigenvalue_counts(at_edge, [-1e300, -edge / 2, edge / 2, 1e300]).tolist() == [0, 1, 3, 4]
+    assert band_census(at_edge, [(-1.5, 1.5)], 0.05)[1][::3] == [-edge, edge]
+    for size in (math.nextafter(edge, math.inf), 1e155, math.inf, math.nan):
+        m = BandedSymmetricMatrix((np.zeros(4), np.array([size, 1.0, 1.0])))
+        with pytest.raises(InvalidParameterError, match="off-diagonal entries of size at most 1.341e"):
+            eigenvalue_counts(m, shifts)
+        if math.isfinite(size):
+            with pytest.raises(InvalidParameterError, match="off-diagonal entries of size at most"):
+                band_census(m, [(-1.5, 1.5)], 0.05)

@@ -1,8 +1,11 @@
 """Shipped outputs stay byte-identical to the recorded golden files.
 
-Each case runs one command at its defaults (the default ``verify`` as CSV and
-as JSON, ``verify --suite matrix-identities --reproducible``, ``spectrum`` and
-both experiment scripts) and compares its output with ``tests/golden/``:
+Each case runs one command (the default ``verify`` as CSV and as JSON,
+``verify --suite matrix-identities --reproducible``, ``verify --suite
+spectrum --dim 4000`` as CSV and as JSON, ``spectrum`` at its defaults as CSV
+and as JSON and at dim 400 with ``--xi``, ``--eta`` and ``--lambda``, and both
+experiment scripts at their defaults and on arguments of the kind the
+benchmark's battery draws) and compares its output with ``tests/golden/``:
 labels and pass flags first, then every number by ``float.hex``, then the
 whole text.  No difference is tolerated.
 
@@ -34,8 +37,20 @@ CASES = {
         "cli", ["verify", "--suite", "matrix-identities", "--reproducible"]
     ),
     "spectrum.csv": ("cli", ["spectrum"]),
+    "spectrum.json": ("cli", ["spectrum", "--format", "json"]),
+    "spectrum_xi_eta_lam.csv": (
+        "cli", ["spectrum", "--dim", "400", "--xi", "0.3", "--eta", "0.7", "--lambda", "2.3"]
+    ),
+    "verify_spectrum_dim4000.csv": ("cli", ["verify", "--suite", "spectrum", "--dim", "4000"]),
+    "verify_spectrum_dim4000.json": (
+        "cli", ["verify", "--suite", "spectrum", "--dim", "4000", "--format", "json"]
+    ),
     "spectrum_sweep.txt": ("spectrum_sweep", []),
     "weight_tables.txt": ("weight_tables", []),
+    "spectrum_sweep_xi_eta.txt": ("spectrum_sweep", ["--xi", "0.2585", "--eta", "0.2491"]),
+    "weight_tables_big_m1.txt": (
+        "weight_tables", ["--family", "big_m1", "--xi", "0.3202", "--eta", "0.6591", "--lam", "2.6848"]
+    ),
 }
 
 

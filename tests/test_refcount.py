@@ -8,7 +8,9 @@ object until then.
 import collections
 import contextlib
 import gc
+import importlib.util
 import io
+import os
 from fractions import Fraction
 
 from cmvpencil import cli
@@ -31,6 +33,18 @@ from cmvpencil.measures import (
     stieltjes_recurrence,
 )
 from cmvpencil.recurrences import CirclePoint, jacobi_opuc_reflections, szego_eval
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(f"refcount_{name}", os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SWEEP, TABLES = _load_script("spectrum_sweep"), _load_script("weight_tables")
 
 
 def _public_calls(k: int) -> None:
@@ -55,10 +69,16 @@ def _public_calls(k: int) -> None:
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
+    for main, argv in (
+        (SWEEP.main, ["--xi", str(xi), "--eta", str(eta), "--lams", "0.5", str(lam)]),
+        (TABLES.main, ["--family", "periodic", "--lam", str(lam), "--n", "4"]),
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
 
 
 def test_public_calls_leave_no_cyclic_garbage():
-    _public_calls(0)  # warm up: lazy imports, the parser, module caches
+    _public_calls(0)  # warm up: lazy imports, the parsers, module caches
     gc.collect()
     gc.disable()
     try:

@@ -53,6 +53,7 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--lams", "1", "-inf"]),
         ("spectrum_sweep", ["--inflate", "-NaN"]),
         ("spectrum_sweep", ["--eta", "0.5", "--lams", "2"]),
+        ("spectrum_sweep", ["--lams", "1", "1e160"]),  # the counts' squares overflow
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
@@ -154,3 +155,25 @@ def test_weight_tables_exits_as_the_cli_does(capsys, argv, code, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+def test_spectrum_sweep_header_names_the_eta_it_uses(capsys):
+    # without --eta the header printed "eta=None" over a table made with eta = 0
+    module = load("spectrum_sweep")
+    argv = ["--dim", "20", "--lams", "0.5", "2"]
+    assert module.main(["--xi", "0.3", *argv]) == 0
+    without = capsys.readouterr().out
+    assert "# reflections: closed-form reflections (xi=0.3, eta=0.0), dim = 20\n" in without
+    assert module.main(["--xi", "0.3", "--eta", "0.0", *argv]) == 0
+    assert capsys.readouterr().out == without
+
+
+def test_spectrum_sweep_does_not_call_eigh_tridiagonal(capsys, monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal was called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    assert load("spectrum_sweep").main(["--xi", "0.3", "--eta", "0.7"]) == 0
+    assert len(csv_lines(capsys.readouterr().out)) == 1 + 9
