@@ -30,7 +30,7 @@ from cmvpencil.cmv import TruncationSpec, _stebz, band_census, build_K
 from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
-from cmvpencil.recurrences import ReflectionSequence, jacobi_opuc_reflections
+from cmvpencil.recurrences import ReflectionSequence, _table, jacobi_opuc_reflections
 
 DEFAULT_LAMS = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0]
 HEADER = ("lam", "band_inner", "band_outer", "eig_min", "eig_max", "outliers", "near_zero")
@@ -52,9 +52,10 @@ def two_by_two_check(a, lam):
 
 def sweep(a, lams, dim, inflate):
     trunc = TruncationSpec.from_dim(dim)
+    table = _table(a, dim)  # the coefficients are read once for every lam
     rows = []
     for lam in lams:
-        K = build_K(a, lam, trunc)
+        K = build_K(table, lam, trunc)
         bands = essential_spectrum_periodic(lam)
         # the census checks that K is finite, as _stebz needs
         outliers, _, near_zero = band_census(K, bands, inflate)

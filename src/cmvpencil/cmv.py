@@ -18,28 +18,35 @@ from a private coefficient table (``recurrences._table``: one
 ``ReflectionSequence.take`` and its r column), and each also takes a table in
 place of the sequence, so H and the identity residuals make one table per
 sequence for all their builders.  H and the identity residuals take each
-product of two tridiagonals in closed form; H = L M + M L is formed one band
-at a time, so ``build_H`` peaks at about three times the bands it returns.
-``eigenvalue_counts`` answers "how many eigenvalues lie below t" by Sturm
-(LDL^T inertia) counts, and ``band_census`` uses one such call to count (and
-bisection to locate) the eigenvalues outside predicted bands.  The census
-closes its outer windows at a Gershgorin bound that no eigenvalue reaches,
-so it counts at no +-bound: those counts are 0 and dim.  Bisection is
-``_stebz``, LAPACK ``?stebz`` called with exactly the arguments
-``eigh_tridiagonal`` passes, bit for bit the same and without scipy's
-argument checks; it needs finite float64 bands, which the census checks.
-Only ``tridiagonal_eigenvalues`` (all eigenvalues, about O(dim^2) in
-LAPACK) and the ``to_dense`` test oracles cost more.  ``scipy.linalg`` is
-imported by the calls that solve, on first use: ``tridiagonal_eigenvalues``,
-``BandedSymmetricMatrix.eigenvalues`` and ``_stebz``.  Sturm counts need
-off-diagonal entries up to sqrt(max float) = 1.34e154, whose squares stay
-finite, and the census a bound up to max float / 4; beyond either they raise
-InvalidParameterError.
+product of two tridiagonals in closed form, one formula per upper band
+(``_product_band``): for symmetric A and B, (A B)^T = B A, so the lower
+band (A B)_-k is the upper band (B A)_k and none is formed.  H = L M + M L
+is formed one band at a time, (LM)_k + (ML)_k, so ``build_H`` peaks at
+about three times the bands it returns; the squares L^2, M^2, J^2 and K^2
+take bands 0..2 only.
+
+``_tridiagonal`` is the one input check of the eigen layer: a matrix of
+bandwidth 1 with finite entries, or InvalidParameterError.
+``tridiagonal_eigenvalues``, ``eigenvalue_counts`` and ``band_census`` read
+their matrix through it.  ``eigenvalue_counts`` answers "how many
+eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and
+``band_census`` uses one such call to count (and bisection to locate) the
+eigenvalues outside predicted bands.  The census closes its outer windows at
+a Gershgorin bound that no eigenvalue reaches, so it counts at no +-bound:
+those counts are 0 and dim.  Bisection is ``_stebz``, LAPACK ``?stebz``
+called with exactly the arguments ``eigh_tridiagonal`` passes, bit for bit
+the same and without scipy's argument checks, on the finite float64 bands
+``_tridiagonal`` returns.  Only ``tridiagonal_eigenvalues`` (all
+eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test oracles
+cost more.  ``scipy.linalg`` is imported by the calls that solve, on first
+use: ``tridiagonal_eigenvalues``, ``BandedSymmetricMatrix.eigenvalues`` and
+``_stebz``.  Sturm counts need off-diagonal entries up to sqrt(max float) =
+1.34e154, whose squares stay finite, and the census a bound up to max
+float / 4; beyond either they raise InvalidParameterError.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -47,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, TruncationError
-from .recurrences import ReflectionSequence, _table
+from .recurrences import _SQUARE_MAX, ReflectionSequence, _table
 
 __all__ = [
     "TruncationSpec",
@@ -282,48 +289,45 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     return BandedSymmetricMatrix((diag, off))
 
 
-def _tri_product(d1, e1, d2, e2) -> dict:
-    """Offsets -2..2 of A B for symmetric tridiagonals A = (d1, e1) and B = (d2, e2).
+def _product_band(A: tuple, B: tuple, k: int) -> np.ndarray:
+    """Upper offset k = 0, 1 or 2 of A B for symmetric tridiagonals A and B given as (diag, off).
 
-    Terms are added in ``banded_product``'s order, so every entry equals its
-    bit for bit; only a zero may differ in sign (it sums onto +0.0).
+    The lower offsets are upper ones of the reversed product, (A B)_-k =
+    (B A)_k, as (A B)^T = B A.  Terms are added in ``banded_product``'s
+    order, so every entry equals its bit for bit; only a zero may differ in
+    sign (it sums onto +0.0).
     """
-    p0 = d1 * d2
+    (d1, e1), (d2, e2) = A, B
+    if k == 2:
+        return e1[:-1] * e2[1:]
+    if k == 1:
+        band = d1[:-1] * e2
+        band += e1 * d2[1:]
+        return band
+    band = d1 * d2
     ee = e1 * e2
-    p0[:-1] += ee
-    p0[1:] += ee
-    return {
-        -2: e1[1:] * e2[:-1],
-        -1: d1[1:] * e2 + e1 * d2[:-1],
-        0: p0,
-        1: d1[:-1] * e2 + e1 * d2[1:],
-        2: e1[:-1] * e2[1:],
-    }
+    band[:-1] += ee
+    band[1:] += ee
+    return band
+
+
+def _tri_product(A: tuple, B: tuple) -> tuple:
+    """Upper offsets 0..2 of A B for symmetric tridiagonals A and B given as (diag, off)."""
+    return tuple(_product_band(A, B, k) for k in range(3))
 
 
 def _anticommutator(L: tuple, M: tuple) -> tuple:
-    """Bands 0..2 of L M + M L, (LM)_k + (LM)_-k, for L and M given as (diag, off).
+    """Bands 0..2 of L M + M L, (LM)_k + (ML)_k, for L and M given as (diag, off).
 
-    One band at a time, each term formed as ``_tri_product`` forms it and
-    the two added in the same order, so every entry equals
-    ``lm[k] + lm[-k]`` bit for bit.  Beside the result, at most two
-    scratch bands are alive, and one while the last band is formed.
+    One band at a time, with (ML)_k added in place, so beside the result at
+    most two scratch bands are alive.
     """
-    (d1, e1), (d2, e2) = L, M
-    scratch = e1 * e2
-    h0 = d1 * d2  # (LM)_0, then doubled: (LM)_0 + (LM)_-0
-    h0[:-1] += scratch
-    h0[1:] += scratch
-    h0 += h0
-    h1 = d1[:-1] * e2  # (LM)_1 ...
-    h1 += np.multiply(e1, d2[1:], out=scratch)
-    lower = d1[1:] * e2  # ... plus (LM)_-1
-    lower += np.multiply(e1, d2[:-1], out=scratch)
-    h1 += lower
-    del lower
-    h2 = e1[:-1] * e2[1:]  # (LM)_2 + (LM)_-2
-    h2 += np.multiply(e1[1:], e2[:-1], out=scratch[:-1])
-    return h0, h1, h2
+    bands = []
+    for k in range(3):
+        band = _product_band(L, M, k)
+        band += _product_band(M, L, k)
+        bands.append(band)
+    return tuple(bands)
 
 
 def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatrix:
@@ -346,7 +350,7 @@ def _residual(lhs, rhs, n: int) -> float:
 # K^2 entries are sums of three products of entries up to 1 + |lam|, and
 # 1 + lam^2 is formed too, so |lam| up to sqrt(max float) / 4 keeps every
 # residual finite
-_IDENTITY_LAM_MAX = math.sqrt(sys.float_info.max) / 4
+_IDENTITY_LAM_MAX = _SQUARE_MAX / 4
 
 
 def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> list:
@@ -367,7 +371,7 @@ def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> l
     table = _table(a, trunc.dim)
     L, M, J = (build(table, trunc).bands for build in (build_L, build_M, build_J))
     H = _anticommutator(L, M)
-    L2, M2, J2 = (_tri_product(*X, *X) for X in (L, M, J))
+    L2, M2, J2 = (_tri_product(X, X) for X in (L, M, J))
     n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
     L_squared = _residual(L2, eye, n)
     M_squared = _residual(M2, eye, n)
@@ -376,7 +380,7 @@ def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> l
     out = []
     for lam in lams:
         K = build_K(table, lam, trunc).bands
-        K2 = _tri_product(*K, *K)
+        K2 = _tri_product(K, K)
         # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
         scale, shift = float(lam), 1.0 + lam * lam
         out.append({
@@ -414,13 +418,22 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
 
 
 def _tridiagonal(m: BandedSymmetricMatrix) -> tuple:
-    """The diagonal and off-diagonal of a bandwidth-1 matrix, as float arrays."""
+    """The diagonal and off-diagonal of a bandwidth-1 matrix with finite
+    entries, as float arrays; InvalidParameterError otherwise.
+
+    The one input check of ``tridiagonal_eigenvalues``, ``eigenvalue_counts``
+    and ``band_census``: a nan pivot counts nowhere, so a nan matrix would
+    hold no eigenvalue, and LAPACK gets finite bands.
+    """
     if m.bandwidth != 1:
         raise InvalidParameterError(
             f"expected a tridiagonal matrix (bandwidth 1), got bandwidth {m.bandwidth}; "
             "BandedSymmetricMatrix.eigenvalues() takes any bandwidth"
         )
-    return np.asarray(m.bands[0], dtype=float), np.asarray(m.bands[1], dtype=float)
+    diag, off = np.asarray(m.bands[0], dtype=float), np.asarray(m.bands[1], dtype=float)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise InvalidParameterError("need a matrix with finite entries")
+    return diag, off
 
 
 def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
@@ -428,10 +441,15 @@ def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
 
     Uses the dedicated symmetric tridiagonal solver; accuracy is at the
     1e-12 * norm level required of spectral reports.
+
+    Raises
+    ------
+    InvalidParameterError
+        If m is not tridiagonal or has an entry that is not finite.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True)
+    return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True, check_finite=False)
 
 
 def _stebz(diag, off, select: str, lo, hi) -> np.ndarray:
@@ -443,7 +461,7 @@ def _stebz(diag, off, select: str, lo, hi) -> np.ndarray:
     order ``'E'``), and the same check of ``info``, so the values are the
     same bit for bit; without scipy's argument checks, about a fifth of a
     call at dim 200 (20 of 110 us).  Precondition: finite float64 bands of
-    lengths n >= 1 and n - 1.
+    lengths n >= 1 and n - 1, as ``_tridiagonal`` returns them.
     """
     from scipy.linalg.lapack import dstebz
 
@@ -460,11 +478,6 @@ def _stebz(diag, off, select: str, lo, hi) -> np.ndarray:
     return w[:m]
 
 
-# off-diagonal entries up to sqrt(max float) = 1.34e154 keep their squares,
-# and so the Sturm pivots, finite
-_SQUARE_MAX = math.sqrt(sys.float_info.max)
-
-
 def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     """Number of eigenvalues of a tridiagonal matrix below each shift.
 
@@ -474,10 +487,7 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     (Barth, Martin and Wilkinson 1967; the count LAPACK's bisection uses).
     A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
     an eigenvalue within rounding of t may count on either side.  A shift
-    of -inf counts 0 and +inf counts dim; a nan shift raises
-    InvalidParameterError, and so does an off-diagonal entry whose square
-    is not finite: above sqrt(max float) = 1.34e154 in size (or nan),
-    where the counts go wrong (1, 1, 1, 1 for the true 0, 1, 2, 4 at 1e155).
+    of -inf counts 0 and +inf counts dim.
 
     Complexity: O(dim) time per shift and O(dim) memory.
 
@@ -485,12 +495,20 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     -------
     numpy.ndarray
         Integer counts, one per shift, in the order given.
+
+    Raises
+    ------
+    InvalidParameterError
+        If m is not tridiagonal or has an entry that is not finite (a nan
+        diagonal counted 0 below zero, an inf one 1); if a shift is nan;
+        or if an off-diagonal entry is above sqrt(max float) = 1.34e154 in
+        size, where its square and so the counts go wrong (1, 1, 1, 1 for
+        the true 0, 1, 2, 4 at 1e155).
     """
     diag, off = _tridiagonal(m)
     shifts = np.asarray(shifts, dtype=float).ravel()
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
-    # compared before squaring, so a nan entry fails here too
     if not np.abs(off).max(initial=0.0) <= _SQUARE_MAX:
         raise InvalidParameterError(
             f"eigenvalue counts need off-diagonal entries of size at most {_SQUARE_MAX:.4g}, "
@@ -506,7 +524,7 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
         for a_ii, b2 in steps:
             d = (a_ii - t) - b2 / d
             # every pivot below pivmin counts: a negative one, or one that is
-            # replaced by -pivmin; a nan pivot neither counts nor is replaced
+            # replaced by -pivmin
             if d < pivmin:
                 count += 1
                 if d > -pivmin:
@@ -577,9 +595,6 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
         (ascending within each window), and the number in (-inflate, inflate).
     """
     diag, off = _tridiagonal(m)
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        # a nan pivot counts nowhere, so a nan matrix would hold no eigenvalue
-        raise InvalidParameterError("band census needs a matrix with finite entries")
     if not inflate >= 0:
         # a negative width would count a window "around zero" as -1 eigenvalues
         raise InvalidParameterError(f"need inflate >= 0, got {inflate}")

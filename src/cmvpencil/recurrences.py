@@ -78,8 +78,10 @@ def _require_lam(lam) -> None:
         raise InvalidParameterError(f"need lam > 0 and finite, got {lam!r}")
 
 
-# the largest float whose square is finite, 1.3407807929942596e154
-_PENCIL_LAM_MAX = math.sqrt(sys.float_info.max)
+# the largest float whose square is finite, 1.3407807929942596e154: the edge
+# of the pencil's lam, of Sturm-count off-diagonals and (over 4) of the
+# identity residuals' lam
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 def _bounded_table(name: str, values) -> Callable[[int], object]:
@@ -409,8 +411,8 @@ def pencil_recurrence(a: ReflectionSequence, lam) -> MonicThreeTerm:
         beyond which lam^2 and so u_n overflow to inf; compared exactly, so a
         huge int or ``Fraction`` fails here too.  lam <= 0 is allowed.
     """
-    if not abs(lam) <= _PENCIL_LAM_MAX:
-        raise InvalidParameterError(f"need |lam| <= {_PENCIL_LAM_MAX!r}, got {lam!r}")
+    if not abs(lam) <= _SQUARE_MAX:
+        raise InvalidParameterError(f"need |lam| <= {_SQUARE_MAX!r}, got {lam!r}")
 
     def b(n: int):
         if n % 2 == 0:

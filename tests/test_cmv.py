@@ -343,7 +343,7 @@ def per_lam_residuals(a, lam, trunc):
     K = build_K(a, lam, trunc).bands
     L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
     H = cmv._anticommutator(L, M)
-    L2, M2, J2, K2 = (cmv._tri_product(*X, *X) for X in (L, M, J, K))
+    L2, M2, J2, K2 = (cmv._tri_product(X, X) for X in (L, M, J, K))
     scale, shift = float(lam), 1.0 + lam * lam
     n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]
     return {
@@ -435,10 +435,27 @@ def test_build_H_bit_identical_to_general_route(dim):
         assert [band.tobytes() for band in H.bands] == [general.offset(k).tobytes() for k in range(3)]
 
 
+def five_offset_product(A, B):
+    """Offsets -2..2 of A B for symmetric tridiagonals A = (d1, e1) and
+    B = (d2, e2), each written out with its terms in ``banded_product``'s order."""
+    (d1, e1), (d2, e2) = A, B
+    p0 = d1 * d2
+    ee = e1 * e2
+    p0[:-1] += ee
+    p0[1:] += ee
+    return {
+        -2: e1[1:] * e2[:-1],
+        -1: d1[1:] * e2 + e1 * d2[:-1],
+        0: p0,
+        1: d1[:-1] * e2 + e1 * d2[1:],
+        2: e1[:-1] * e2[1:],
+    }
+
+
 def whole_product_anticommutator(L, M):
-    """H as it was formed from the whole product: all five offsets of L M by
-    ``_tri_product``, then (LM)_k + (LM)_-k for k = 0, 1, 2."""
-    lm = cmv._tri_product(*L, *M)
+    """H as it was formed from the whole product: all five offsets of L M,
+    then (LM)_k + (LM)_-k for k = 0, 1, 2."""
+    lm = five_offset_product(L, M)
     return tuple(lm[k] + lm[-k] for k in range(3))
 
 
@@ -460,6 +477,24 @@ def test_band_by_band_H_bit_identical_to_whole_product(name, dim):
     assert [[x.hex() for x in band.tolist()] for band in H.bands] == [
         [x.hex() for x in band.tolist()] for band in reference
     ]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 64, 2000, 100_000])
+def test_square_bands_bit_identical_to_five_offset_formulas(dim):
+    trunc = TruncationSpec.from_dim(dim)
+    sequences = [make(dim) for make in H_SEQUENCES.values()]
+    sequences += [
+        a for name, a in identity_sequences(dim).items()
+        if dim <= 2048 or name not in ("jacobi-exact", "fractions")  # read one index at a time
+    ]
+    for a in sequences:
+        table = _table(a, dim)
+        pencils = [build(table, trunc).bands for build in (build_L, build_M, build_J)]
+        pencils += [build_K(table, lam, trunc).bands for lam in (-2.0, 0.5, 3, Fraction(-7, 3))]
+        for X in pencils:
+            whole = five_offset_product(X, X)
+            # raw bytes tell -0.0 from 0.0, as float.hex does
+            assert [band.tobytes() for band in cmv._tri_product(X, X)] == [whole[k].tobytes() for k in range(3)]
 
 
 def test_build_H_peaks_at_three_times_its_bands():
@@ -600,10 +635,25 @@ def test_band_census_rejects_bad_bands(bands):
     assert band_census(K, essential_spectrum_periodic(1.0), 0.05)[0] >= 0
 
 
-@pytest.mark.parametrize("where", ["all-diagonal", "one-diagonal", "one-off-diagonal", "inf"])
-def test_band_census_rejects_a_matrix_that_is_not_finite(where):
-    # an all-nan diagonal counted as no eigenvalue anywhere; a single nan
-    # ended in scipy's bare ValueError
+NOT_FINITE = ["all-diagonal", "one-diagonal", "one-off-diagonal", "inf", "minus-inf-off-diagonal"]
+EIGEN_ENTRY_POINTS = {
+    "band_census": lambda m: band_census(m, essential_spectrum_periodic(2.0), 0.05),
+    "eigenvalue_counts": lambda m: eigenvalue_counts(m, [0.0]),
+    "tridiagonal_eigenvalues": tridiagonal_eigenvalues,
+}
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [(entry, where) for entry in EIGEN_ENTRY_POINTS for where in NOT_FINITE],
+    # the census cases are named by the bad entry alone
+    ids=[where if entry == "band_census" else f"{entry}-{where}" for entry in EIGEN_ENTRY_POINTS for where in NOT_FINITE],
+)
+def test_band_census_rejects_a_matrix_that_is_not_finite(entry, where):
+    # an all-nan diagonal counted as no eigenvalue anywhere, in the census and
+    # in eigenvalue_counts (on diag (1, x, 0) and off (0.5, 0.5), x = nan
+    # counted 0 eigenvalues below 0 and x = inf 1); a single nan ended in
+    # scipy's bare ValueError
     K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec(50))
     diag, off = K.bands[0].copy(), K.bands[1].copy()
     if where == "all-diagonal":
@@ -612,11 +662,13 @@ def test_band_census_rejects_a_matrix_that_is_not_finite(where):
         diag[17] = np.nan
     elif where == "one-off-diagonal":
         off[5] = np.nan
-    else:
+    elif where == "inf":
         diag[3] = np.inf
+    else:
+        off[9] = -np.inf
     bad = BandedSymmetricMatrix((diag, off))
     with pytest.raises(InvalidParameterError, match="finite entries"):
-        band_census(bad, essential_spectrum_periodic(2.0), 0.05)
+        EIGEN_ENTRY_POINTS[entry](bad)
 
 
 def test_banded_matrix_reads_dim_and_bandwidth_from_its_bands():
@@ -677,10 +729,11 @@ def test_sturm_counts_equal_the_reference_loop():
         # shifts at (ties with) eigenvalues and diagonal entries, zero and the infinities
         ties = [*rng.choice(eigs, size=6).tolist(), *K.bands[0][:4].tolist()]
         shifts = [*ties, 0.0, -0.0, -math.inf, math.inf]
-        if trial % 10 == 9:  # a nan pivot neither counts nor is clamped
+        if trial % 10 == 9:  # a nan entry, whose pivot counted nowhere, is refused
             diag = K.bands[0].copy()
             diag[dim // 2] = np.nan
-            K = BandedSymmetricMatrix((diag, K.bands[1]))
+            with pytest.raises(InvalidParameterError, match="finite entries"):
+                eigenvalue_counts(BandedSymmetricMatrix((diag, K.bands[1])), shifts)
         assert eigenvalue_counts(K, shifts).tolist() == sturm_reference(K, shifts), trial
 
 
@@ -867,8 +920,9 @@ def test_counts_refuse_an_off_diagonal_whose_square_overflows():
     assert band_census(at_edge, [(-1.5, 1.5)], 0.05)[1][::3] == [-edge, edge]
     for size in (math.nextafter(edge, math.inf), 1e155, math.inf, math.nan):
         m = BandedSymmetricMatrix((np.zeros(4), np.array([size, 1.0, 1.0])))
-        with pytest.raises(InvalidParameterError, match="off-diagonal entries of size at most 1.341e"):
+        # an inf or nan entry is refused by the one input check, before its size
+        message = "off-diagonal entries of size at most 1.341e" if math.isfinite(size) else "finite entries"
+        with pytest.raises(InvalidParameterError, match=message):
             eigenvalue_counts(m, shifts)
-        if math.isfinite(size):
-            with pytest.raises(InvalidParameterError, match="off-diagonal entries of size at most"):
-                band_census(m, [(-1.5, 1.5)], 0.05)
+        with pytest.raises(InvalidParameterError, match=message):
+            band_census(m, [(-1.5, 1.5)], 0.05)
