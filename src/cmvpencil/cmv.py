@@ -23,7 +23,13 @@ product of two tridiagonals in closed form, one formula per upper band
 band (A B)_-k is the upper band (B A)_k and none is formed.  H = L M + M L
 is formed one band at a time, (LM)_k + (ML)_k, so ``build_H`` peaks at
 about three times the bands it returns; the squares L^2, M^2, J^2 and K^2
-take bands 0..2 only.
+take bands 0..2 only.  The band formulas and the residual max act on the
+last axis, so the identity residuals stack L, M and J of every sequence,
+and K of every sequence and lam, into (sequence, lam, row) arrays and form
+H, the squares and the six residuals once for all sequences and lams (the
+matrix-identities suite makes one such call).  ``verify_identities`` is its
+one-sequence, one-lam case, with the same bits; a stack of one matrix is a
+view of its bands, so that call copies no band.
 
 ``_tridiagonal`` is the one input check of the eigen layer: a matrix of
 bandwidth 1 with finite entries, or InvalidParameterError.
@@ -143,15 +149,18 @@ class BandedSymmetricMatrix:
         return out
 
     def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, ascending, via the banded symmetric solver."""
+        """All eigenvalues, ascending, via the banded symmetric solver.
+
+        A band with an entry that is not finite raises InvalidParameterError.
+        """
         from scipy.linalg import eig_banded
 
         a_band = np.zeros((self.bandwidth + 1, self.dim))
-        for k in range(self.bandwidth + 1):
+        for k, band in enumerate(_finite_bands(self.bands)):
             # upper storage: row (bandwidth - k) carries superdiagonal k,
             # right-aligned as scipy expects
-            a_band[self.bandwidth - k, k:] = self.bands[k]
-        return eig_banded(a_band, lower=False, eigvals_only=True)
+            a_band[self.bandwidth - k, k:] = band
+        return eig_banded(a_band, lower=False, eigvals_only=True, check_finite=False)
 
 
 class BandedMatrix:
@@ -292,22 +301,23 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
 def _product_band(A: tuple, B: tuple, k: int) -> np.ndarray:
     """Upper offset k = 0, 1 or 2 of A B for symmetric tridiagonals A and B given as (diag, off).
 
-    The lower offsets are upper ones of the reversed product, (A B)_-k =
+    The bands may carry leading batch axes; rows run along the last.  The
+    lower offsets are upper ones of the reversed product, (A B)_-k =
     (B A)_k, as (A B)^T = B A.  Terms are added in ``banded_product``'s
     order, so every entry equals its bit for bit; only a zero may differ in
     sign (it sums onto +0.0).
     """
     (d1, e1), (d2, e2) = A, B
     if k == 2:
-        return e1[:-1] * e2[1:]
+        return e1[..., :-1] * e2[..., 1:]
     if k == 1:
-        band = d1[:-1] * e2
-        band += e1 * d2[1:]
+        band = d1[..., :-1] * e2
+        band += e1 * d2[..., 1:]
         return band
     band = d1 * d2
     ee = e1 * e2
-    band[:-1] += ee
-    band[1:] += ee
+    band[..., :-1] += ee
+    band[..., 1:] += ee
     return band
 
 
@@ -338,13 +348,14 @@ def build_H(a: ReflectionSequence, trunc: TruncationSpec) -> BandedSymmetricMatr
     return BandedSymmetricMatrix(bands)
 
 
-def _residual(lhs, rhs, n: int) -> float:
+def _residual(lhs, rhs, n: int):
     """Max |lhs[k] - rhs[k]| over upper offsets k < len(rhs) on rows 0 .. n-1.
 
-    Both sides are symmetric, so this covers the lower offsets too.  One
-    numpy max over every offset, so a nan in any of them is the result.
+    Both sides are symmetric, so this covers the lower offsets too.  Rows run
+    along the last axis, and one numpy max over every offset takes it, so a
+    nan in any of them is the result; leading batch axes are kept.
     """
-    return float(np.abs(np.concatenate([(lhs[k] - y)[:n] for k, y in enumerate(rhs)])).max())
+    return np.abs(np.concatenate([(lhs[k] - y)[..., :n] for k, y in enumerate(rhs)], axis=-1)).max(axis=-1)
 
 
 # K^2 entries are sums of three products of entries up to 1 + |lam|, and
@@ -353,13 +364,17 @@ def _residual(lhs, rhs, n: int) -> float:
 _IDENTITY_LAM_MAX = _SQUARE_MAX / 4
 
 
-def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> list:
-    """``verify_identities`` at each lam, with the lam-free work done once.
+def _identity_residual_batch(sequences, lams, trunc: TruncationSpec) -> list:
+    """``verify_identities`` for each of a list of sequences at every lam, one
+    list of per-lam dicts per sequence.
 
-    One coefficient table feeds every builder.  L, M and J come from their
-    builders once, and so do H, L^2, M^2, J^2 and the four residuals that do
-    not involve lam; per lam only K, K^2 and the two residuals of the pencil
-    are formed.  Every lam is checked before any arithmetic.
+    Every lam is checked before any arithmetic.  Each sequence makes one
+    coefficient table for all its builders; L, M and J are built once per
+    sequence and K once per (sequence, lam).  Their bands are stacked into
+    (sequence, lam, row) arrays, L, M and J with a lam axis of length 1, so
+    H, every square and the six residuals are each formed once for all of
+    them, with the same elementwise operations as for one sequence and one
+    lam, and so the same bits.
     """
     for lam in lams:
         # compared exactly, so a huge int or Fraction fails here and not in float()
@@ -368,30 +383,54 @@ def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> l
                 f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
                 f"so that lam^2 and K^2 stay finite, got {lam}"
             )
-    table = _table(a, trunc.dim)
-    L, M, J = (build(table, trunc).bands for build in (build_L, build_M, build_J))
+    dim = trunc.dim
+    tables = [_table(a, dim) for a in sequences]
+    L, M, J = (_stacked([build(t, trunc).bands for t in tables], 1) for build in (build_L, build_M, build_J))
+    K = _stacked([build_K(t, lam, trunc).bands for t in tables for lam in lams], len(lams))
     H = _anticommutator(L, M)
-    L2, M2, J2 = (_tri_product(X, X) for X in (L, M, J))
-    n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
-    L_squared = _residual(L2, eye, n)
-    M_squared = _residual(M2, eye, n)
-    J_sum = _residual(J, [L[0] + M[0], L[1] + M[1]], n)
-    H_from_J = _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n)
-    out = []
-    for lam in lams:
-        K = build_K(table, lam, trunc).bands
-        K2 = _tri_product(K, K)
-        # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
-        scale, shift = float(lam), 1.0 + lam * lam
-        out.append({
-            "L_squared_is_identity": L_squared,
-            "M_squared_is_identity": M_squared,
-            "J_equals_L_plus_M": J_sum,
-            "K_equals_L_plus_lam_M": _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n),
-            "H_equals_J_squared_minus_2": H_from_J,
-            "K_squared_identity": _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n),
-        })
-    return out
+    L2, M2, J2, K2 = (_tri_product(X, X) for X in (L, M, J, K))
+    n, eye = dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
+    # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
+    scale, shift = [float(lam) for lam in lams], [1.0 + lam * lam for lam in lams]
+    # one lam scales as a number, as cheap as the unbatched call; more
+    # broadcast along the lam axis
+    scale, shift = (scale[0], shift[0]) if len(lams) == 1 else (np.array(scale)[:, None], np.array(shift)[:, None])
+    L_squared = _residual(L2, eye, n).tolist()
+    M_squared = _residual(M2, eye, n).tolist()
+    J_sum = _residual(J, [L[0] + M[0], L[1] + M[1]], n).tolist()
+    H_from_J = _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n).tolist()
+    K_sum = _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n).tolist()
+    K_squared = _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n).tolist()
+    return [
+        [
+            {
+                "L_squared_is_identity": L_squared[s][0],
+                "M_squared_is_identity": M_squared[s][0],
+                "J_equals_L_plus_M": J_sum[s][0],
+                "K_equals_L_plus_lam_M": K_sum[s][j],
+                "H_equals_J_squared_minus_2": H_from_J[s][0],
+                "K_squared_identity": K_squared[s][j],
+            }
+            for j in range(len(lams))
+        ]
+        for s in range(len(tables))
+    ]
+
+
+def _stacked(bands: list, per_sequence: int) -> tuple:
+    """(diag, off) of tridiagonals listed sequence by sequence, ``per_sequence``
+    each, stacked into arrays of shape (sequences, per_sequence, rows).  A
+    single matrix is not copied: its bands are viewed with two leading axes
+    of length 1."""
+    if len(bands) == 1:
+        diag, off = bands[0]
+        return diag[None, None], off[None, None]
+    return tuple(np.concatenate([X[k] for X in bands]).reshape(-1, per_sequence, len(bands[0][k])) for k in (0, 1))
+
+
+def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> list:
+    """``verify_identities`` at each lam: the one-sequence case of ``_identity_residual_batch``."""
+    return _identity_residual_batch((a,), lams, trunc)[0]
 
 
 def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> dict:
@@ -403,9 +442,9 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
 
     Complexity: O(dim) time and memory; nothing dense is formed.  The
     residuals equal those of ``banded_product`` and ``add`` bit for bit (a
-    dense J @ J may round differently, by a few 1e-16).  This is the one-lam
-    case of the routine the matrix-identities suite calls once per
-    sequence, which forms the four lam-free residuals once for all its lams.
+    dense J @ J may round differently, by a few 1e-16).  This is the
+    one-sequence, one-lam case of the routine the matrix-identities suite
+    calls once for all its sequences and lams.
     A lam that is not finite, or with |lam| above about 3.35e153 (where
     lam^2 or K^2 would overflow), raises InvalidParameterError.
 
@@ -417,23 +456,31 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
     return _identity_residuals(a, (lam,), trunc)[0]
 
 
+def _finite_bands(bands) -> list:
+    """The bands as float arrays if every entry is finite; InvalidParameterError otherwise.
+
+    The one finiteness check of the eigen layer: a nan pivot counts nowhere,
+    so a nan matrix would hold no eigenvalue, and LAPACK gets finite bands.
+    """
+    bands = [np.asarray(band, dtype=float) for band in bands]
+    if not all(np.isfinite(band).all() for band in bands):
+        raise InvalidParameterError("need a matrix with finite entries")
+    return bands
+
+
 def _tridiagonal(m: BandedSymmetricMatrix) -> tuple:
     """The diagonal and off-diagonal of a bandwidth-1 matrix with finite
     entries, as float arrays; InvalidParameterError otherwise.
 
     The one input check of ``tridiagonal_eigenvalues``, ``eigenvalue_counts``
-    and ``band_census``: a nan pivot counts nowhere, so a nan matrix would
-    hold no eigenvalue, and LAPACK gets finite bands.
+    and ``band_census``.
     """
     if m.bandwidth != 1:
         raise InvalidParameterError(
             f"expected a tridiagonal matrix (bandwidth 1), got bandwidth {m.bandwidth}; "
             "BandedSymmetricMatrix.eigenvalues() takes any bandwidth"
         )
-    diag, off = np.asarray(m.bands[0], dtype=float), np.asarray(m.bands[1], dtype=float)
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise InvalidParameterError("need a matrix with finite entries")
-    return diag, off
+    return tuple(_finite_bands(m.bands))
 
 
 def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:

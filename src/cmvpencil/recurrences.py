@@ -118,18 +118,19 @@ def _worst_mismatch(pairs, n_max: int):
     return functools.reduce(_worst, diffs, 0.0)
 
 
+_MISSING = object()
+
+
 def _memoized(fn: Callable[[int], object]) -> Callable[[int], object]:
     # Idempotent cache fill: concurrent duplicate computation is harmless
     # because fn is pure, so last-writer-wins never changes the value.
     cache: dict[int, object] = {}
 
     def wrapped(n: int):
-        try:
-            return cache[n]
-        except KeyError:
-            value = fn(n)
-            cache[n] = value
-            return value
+        value = cache.get(n, _MISSING)
+        if value is _MISSING:
+            value = cache[n] = fn(n)  # a read that raises stores nothing
+        return value
 
     return wrapped
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cmv import TruncationSpec, _identity_residuals, band_census, build_K
+from .cmv import TruncationSpec, _identity_residual_batch, band_census, build_K
 from .dunkl import (
     fourth_kind_identity_residual,
     third_kind_identity_residual,
@@ -41,7 +41,7 @@ from .maps import (
 )
 from .measures import (
     _band_grid,
-    discretize,
+    _chain_of,
     essential_spectrum_periodic,
     m_per,
     named_weight,
@@ -104,10 +104,11 @@ def suite_matrix_identities(dim: int = 64) -> list:
         sequences.append((f"random[{k}]", ReflectionSequence.from_list(list(values))))
     lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
     results = []
-    for name, a in sequences:
+    batch = _identity_residual_batch([a for _, a in sequences], lams, trunc)
+    for (name, _), per_lam in zip(sequences, batch):
         worst = 0.0
         worst_case = ""
-        for lam, residuals in zip(lams, _identity_residuals(a, lams, trunc)):
+        for lam, residuals in zip(lams, per_lam):
             for key, res in residuals.items():
                 if _worst(worst, res) is not worst:  # res is larger, or the first nan
                     worst, worst_case = res, f"{key} at lam={lam}"
@@ -170,7 +171,8 @@ def _gram_offdiag_worst(measure, rec, degree: int) -> float:
     """Worst normalized off-diagonal Gram entry, fixed-rule quadrature."""
     prev = None
     for n_nodes in (128, 256, 512):
-        x, w = discretize(measure, n_nodes)
+        chain = _chain_of(measure, n_nodes)  # the cached discretize(measure, n_nodes)
+        x, w = chain.x, chain.w
         V = np.array(eval_monic(rec, degree, x))
         G = (V * w) @ V.T
         norms = np.sqrt(np.abs(np.diag(G)))

@@ -395,6 +395,64 @@ def test_lam_free_builders_run_once_per_sequence(monkeypatch):
     assert calls == {"build_L": 6, "build_M": 6, "build_J": 6, "build_K": 42}
 
 
+# float list, constant, float Jacobi and Fraction Jacobi sequences
+def batch_sequences(dim):
+    return [
+        ReflectionSequence.from_list(np.random.default_rng(dim).uniform(-0.999, 0.999, size=dim).tolist()),
+        ReflectionSequence.constant(-0.5),
+        jacobi_opuc_reflections(0.3, 0.7),
+        jacobi_opuc_reflections(Fraction(1, 3), Fraction(2, 5)),
+    ]
+
+
+BATCH_LAMS = (-2.0, 0.0, 1, Fraction(3, 2), 3.0)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 64, 2048])
+def test_batch_bit_identical_to_one_sequence_calls(dim):
+    trunc = TruncationSpec.from_dim(dim)
+    sequences = batch_sequences(dim)
+    batch = cmv._identity_residual_batch(sequences, BATCH_LAMS, trunc)
+    assert len(batch) == len(sequences)
+    for a, per_lam in zip(sequences, batch):
+        assert len(per_lam) == len(BATCH_LAMS)
+        for lam, residuals in zip(BATCH_LAMS, per_lam):
+            alone = verify_identities(a, lam, trunc)
+            assert list(residuals) == list(alone)
+            assert all(type(v) is float for v in residuals.values())
+            assert {k: v.hex() for k, v in residuals.items()} == {k: v.hex() for k, v in alone.items()}, lam
+
+
+def test_a_nan_reaches_only_its_own_sequence_and_lam(monkeypatch):
+    calls = {"build_J": 0, "build_K": 0}
+    build_J, build_K = cmv.build_J, cmv.build_K
+
+    def planted(name, build, at):
+        def with_nan(*args):
+            calls[name] += 1
+            X = build(*args)
+            if calls[name] != at:
+                return X
+            off = X.bands[1].copy()
+            off[1] = np.nan
+            return BandedSymmetricMatrix((X.bands[0], off))
+
+        return with_nan
+
+    # build_J is build_K at lam = 1: count the K's only outside build_J
+    monkeypatch.setattr(cmv, "build_K", planted("build_K", build_K, 3 * len(BATCH_LAMS) + 2))
+    monkeypatch.setattr(cmv, "build_J", planted("build_J", lambda *args: build_K(args[0], 1, args[1]), 2))
+    batch = cmv._identity_residual_batch(batch_sequences(8), BATCH_LAMS, TRUNC8)
+    nan_at = {
+        (s, j, key) for s, per_lam in enumerate(batch) for j, residuals in enumerate(per_lam)
+        for key, value in residuals.items() if math.isnan(value)
+    }
+    # the second sequence's J, and the fourth sequence's K at the second lam
+    expected = {(1, j, key) for j in range(len(BATCH_LAMS)) for key in ("J_equals_L_plus_M", "H_equals_J_squared_minus_2")}
+    expected |= {(3, 1, "K_equals_L_plus_lam_M"), (3, 1, "K_squared_identity")}
+    assert nan_at == expected
+
+
 # lam^2 overflows beyond about 1.3e154, and K^2 a little before that
 @pytest.mark.parametrize("lam", [1e200, -1e200, 1e154, 10**200, Fraction(10**200), np.float64(4e153)])
 def test_lam_whose_square_overflows_raises(monkeypatch, lam):
@@ -640,6 +698,7 @@ EIGEN_ENTRY_POINTS = {
     "band_census": lambda m: band_census(m, essential_spectrum_periodic(2.0), 0.05),
     "eigenvalue_counts": lambda m: eigenvalue_counts(m, [0.0]),
     "tridiagonal_eigenvalues": tridiagonal_eigenvalues,
+    "eigenvalues": lambda m: m.eigenvalues(),
 }
 
 
@@ -669,6 +728,16 @@ def test_band_census_rejects_a_matrix_that_is_not_finite(entry, where):
     bad = BandedSymmetricMatrix((diag, off))
     with pytest.raises(InvalidParameterError, match="finite entries"):
         EIGEN_ENTRY_POINTS[entry](bad)
+
+
+def test_banded_eigenvalues_refuse_a_wider_band_that_is_not_finite():
+    H = build_H(jacobi_opuc_reflections(0.3, 0.7), TRUNC8)
+    assert np.allclose(H.eigenvalues(), np.linalg.eigvalsh(H.to_dense()))
+    for value in (np.nan, np.inf):
+        band = H.bands[2].copy()
+        band[2] = value
+        with pytest.raises(InvalidParameterError, match="finite entries"):
+            BandedSymmetricMatrix((H.bands[0], H.bands[1], band)).eigenvalues()
 
 
 def test_banded_matrix_reads_dim_and_bandwidth_from_its_bands():

@@ -567,6 +567,27 @@ def test_take_raises_the_per_index_errors():
     assert short.take(0).size == 0
 
 
+def test_a_read_that_raises_stores_nothing():
+    calls = []
+
+    def values(n):
+        calls.append(n)
+        if n == 1 and calls.count(1) == 1:
+            raise RuntimeError("transient")
+        return 2.0 if n == 2 else 0.5
+
+    a = ReflectionSequence(values)
+    with pytest.raises(RuntimeError):
+        a(1)
+    with pytest.raises(ReflectionBoundError):
+        a(2)
+    with pytest.raises(ReflectionBoundError):
+        a(2)
+    assert a(1) == 0.5 and a(1) == 0.5 and a(0) == 0.5
+    # each failed read ran the function again; each good one ran it once
+    assert calls == [1, 2, 2, 1, 0]
+
+
 @given(reflection_lists)
 def test_take_of_a_list_is_the_list(values):
     a = ReflectionSequence.from_list(values)

@@ -92,10 +92,24 @@ def test_gram_helper_same_bits_cold_and_warm_cache():
     measure = measures.named_weight("sdg", xi=xi, eta=eta)
     rec = sdg_recurrence(jacobi_opuc_reflections(xi, eta))
     measures._jacobi_rule.cache_clear()
+    measures._chain.cache_clear()
     cold = _gram_offdiag_worst(measure, rec, 12)
     warm = _gram_offdiag_worst(measure, rec, 12)
     assert cold == warm
     assert cold <= 1e-7
+
+
+def test_gram_helper_reads_the_cached_discretizations(monkeypatch):
+    # the little-m1 Gram check reads x, w from the Stieltjes chain cache, so a
+    # second battery run adds no chain miss and discretizes nothing
+    run_all()
+    info = measures._chain.cache_info()
+    discretized = []
+    discretize = measures.discretize
+    monkeypatch.setattr(measures, "discretize", lambda *args: discretized.append(args) or discretize(*args))
+    run_all()
+    assert measures._chain.cache_info().misses == info.misses
+    assert discretized == []
 
 
 def _reference_suite_maps():
