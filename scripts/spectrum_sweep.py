@@ -5,14 +5,16 @@ bands, the eigenvalue range of the truncated pencil, the outlier count
 against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  The leading 2x2 block of build_K,
 checked against the quadratic formula on the convention's entries
-a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  An odd
---dim, one below 4, a nan or infinite --lams or --inflate value, a --lams
-value at or below 0, one so large that the pencil's off-diagonal passes
-1.34e154 (where Sturm counts overflow), an --inflate below 0, or an option
-the script does not read (--eta without --xi) prints ``error: ...`` to
-stderr, and nothing to stdout, and exits 2; exit codes follow the CLI's one
-rule.  Without --eta, the closed-form reflections take eta = 0, and the
-header says so.
+a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  The counts
+and eig_min/eig_max scale the pencil by a power of two where its largest
+entry is outside about 2e-146 to 6e76 (the library's one scaling rule), so a
+--lams value such as 1e160 is swept like any other.  An odd --dim, one below
+4, a nan or infinite --lams or --inflate value, a --lams value at or below 0,
+one so large that the pencil's Gershgorin reach max|d| + 2 max|e| overflows
+(1e308), an --inflate below 0, or an option the script does not read (--eta
+without --xi) prints ``error: ...`` to stderr, and nothing to stdout, and
+exits 2; exit codes follow the CLI's one rule.  Without --eta, the
+closed-form reflections take eta = 0, and the header says so.
 
 Examples
 --------

@@ -38,21 +38,32 @@ their matrix through it.  ``eigenvalue_counts`` answers "how many
 eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and
 ``band_census`` uses one such call to count (and bisection to locate) the
 eigenvalues outside predicted bands.  The census closes its outer windows at
-a Gershgorin bound that no eigenvalue reaches, so it counts at no +-bound:
-those counts are 0 and dim.  Bisection is ``_stebz``, LAPACK ``?stebz``
+-inf and inf, below which 0 and dim eigenvalues lie, so it counts only the
+finite edges between them.  Bisection is ``_stebz``, LAPACK ``?stebz``
 called with exactly the arguments ``eigh_tridiagonal`` passes, bit for bit
-the same and without scipy's argument checks, on the finite float64 bands
-``_tridiagonal`` returns.  Only ``tridiagonal_eigenvalues`` (all
-eigenvalues, about O(dim^2) in LAPACK) and the ``to_dense`` test oracles
-cost more.  ``scipy.linalg`` is imported by the calls that solve, on first
-use: ``tridiagonal_eigenvalues``, ``BandedSymmetricMatrix.eigenvalues`` and
-``_stebz``.  Sturm counts need off-diagonal entries up to sqrt(max float) =
-1.34e154, whose squares stay finite, and the census a bound up to max
-float / 4; beyond either they raise InvalidParameterError.
+the same and without scipy's argument checks.  Only
+``tridiagonal_eigenvalues`` (all eigenvalues, about O(dim^2) in LAPACK) and
+the ``to_dense`` test oracles cost more.  ``scipy.linalg`` is imported by
+the calls that solve, on first use: ``tridiagonal_eigenvalues``,
+``BandedSymmetricMatrix.eigenvalues`` and ``_stebz``.
+
+Sturm counts and bisection share one scaling rule, LAPACK ``?stevx``'s
+(``_scaled``): where the largest entry lies outside [2^-484, 2^255), about
+2.0e-146 to 5.8e76, inside ?stevx's safe range, the bands (and with them
+every shift and window edge) are multiplied by the power of two that brings
+it in, which is exact; inside the range nothing is scaled.  So the squared
+off-diagonal entries and the pivots overflow nowhere, and underflow only
+below rounding of the largest entry, at any scale from the smallest
+subnormal to the largest float.  What remains is rounding: on random
+tridiagonals at scales 1e-300 to 1e300, no count was wrong with the shift
+1e-14 times the largest entry or more from an eigenvalue, and 16 of 600
+were at 1e-15.  The one refusal is InvalidParameterError where max|d| +
+2 max|e|, the Gershgorin reach that bounds every eigenvalue, is not finite.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -428,11 +439,6 @@ def _stacked(bands: list, per_sequence: int) -> tuple:
     return tuple(np.concatenate([X[k] for X in bands]).reshape(-1, per_sequence, len(bands[0][k])) for k in (0, 1))
 
 
-def _identity_residuals(a: ReflectionSequence, lams, trunc: TruncationSpec) -> list:
-    """``verify_identities`` at each lam: the one-sequence case of ``_identity_residual_batch``."""
-    return _identity_residual_batch((a,), lams, trunc)[0]
-
-
 def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> dict:
     """Residuals of the defining algebraic identities on interior rows.
 
@@ -453,7 +459,7 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
     dict
         Identity name -> max abs residual.
     """
-    return _identity_residuals(a, (lam,), trunc)[0]
+    return _identity_residual_batch((a,), (lam,), trunc)[0][0]
 
 
 def _finite_bands(bands) -> list:
@@ -499,30 +505,61 @@ def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
     return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True, check_finite=False)
 
 
+def _scaled(diag, off) -> tuple:
+    """(diag, off, s): the bands of a symmetric tridiagonal times s, the power
+    of two that brings its largest entry x into [2^-484, 2^255), and s.
+
+    The one scaling rule of the eigen layer, LAPACK ``?stevx``'s: that range
+    lies inside its safe range sqrt(tiny / eps) = 1.4e-146 to tiny^(-1/4) =
+    8.2e76, where the squared off-diagonal entries and the Sturm pivots do
+    not overflow, and underflow only below rounding of x.  For x in the
+    range, or x = 0, s is 1
+    and the bands are returned as given.  A power of two scales exactly, so
+    the eigenvalues scale by s and a shift t becomes t * s.  Raises
+    InvalidParameterError where max|d| + 2 max|e|, the Gershgorin reach that
+    bounds every eigenvalue, is not finite.  Precondition: finite float
+    bands, as ``_tridiagonal`` returns them.
+    """
+    d_max, e_max = float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0))
+    # Python floats overflow to inf without a numpy warning
+    if not d_max + 2.0 * e_max <= sys.float_info.max:
+        raise InvalidParameterError(
+            "need a tridiagonal whose Gershgorin reach max|diag| + 2 max|off| is finite, "
+            f"got max|diag| = {d_max:.4g} and max|off| = {e_max:.4g}"
+        )
+    e = math.frexp(max(d_max, e_max))[1]  # 2^(e-1) <= x < 2^e, and e = 0 at x = 0
+    s = 2.0 ** (min(max(e, -483), 255) - e)
+    return (diag, off, s) if s == 1.0 else (diag * s, off * s, s)
+
+
 def _stebz(diag, off, select: str, lo, hi) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal (diag, off), ascending: those in
-    (lo, hi] for ``select="v"``, those of 0-based indices lo .. hi for ``"i"``.
+    (lo, hi] for ``select="v"`` (either end may be infinite), those of
+    0-based indices lo .. hi for ``"i"``.
 
     LAPACK ``?stebz`` with exactly the arguments ``eigh_tridiagonal`` passes
     it (range 1 with (vl, vu), or range 2 with 1-based il and iu; tol 0.0;
     order ``'E'``), and the same check of ``info``, so the values are the
     same bit for bit; without scipy's argument checks, about a fifth of a
-    call at dim 200 (20 of 110 us).  Precondition: finite float64 bands of
+    call at dim 200 (20 of 110 us).  The bands, and (lo, hi] with them, are
+    read through ``_scaled``, as ``?stevx`` does before it calls ``?stebz``,
+    and the values are scaled back.  Precondition: finite float64 bands of
     lengths n >= 1 and n - 1, as ``_tridiagonal`` returns them.
     """
     from scipy.linalg.lapack import dstebz
 
+    diag, off, s = _scaled(diag, off)
     if len(diag) == 1:
         off = np.zeros(1)  # the wrapper wants one entry; LAPACK reads none at n = 1
     if select == "v":
-        m, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, "E")
+        m, w, _, _, info = dstebz(diag, off, 1, lo * s, hi * s, 1, 1, 0.0, "E")
     else:
         m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal stebz (eigh_tridiagonal)")
     if info > 0:
         raise np.linalg.LinAlgError(f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})")
-    return w[:m]
+    return w[:m] / s
 
 
 def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
@@ -533,8 +570,11 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     d_0 = m_00 - t and d_i = (m_ii - t) - m_{i-1,i}^2 / d_{i-1}
     (Barth, Martin and Wilkinson 1967; the count LAPACK's bisection uses).
     A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
-    an eigenvalue within rounding of t may count on either side.  A shift
-    of -inf counts 0 and +inf counts dim.
+    an eigenvalue within rounding (about 1e-15 times the largest entry) of
+    t may count on either side.  The matrix and the shifts are first scaled
+    by ``_scaled``'s power of two, so the counts hold at every scale, from
+    subnormal entries to the largest float.  A shift of -inf counts 0 and
+    +inf counts dim.
 
     Complexity: O(dim) time per shift and O(dim) memory.
 
@@ -548,25 +588,20 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     InvalidParameterError
         If m is not tridiagonal or has an entry that is not finite (a nan
         diagonal counted 0 below zero, an inf one 1); if a shift is nan;
-        or if an off-diagonal entry is above sqrt(max float) = 1.34e154 in
-        size, where its square and so the counts go wrong (1, 1, 1, 1 for
-        the true 0, 1, 2, 4 at 1e155).
+        or if max|d| + 2 max|e|, the Gershgorin reach that bounds every
+        eigenvalue, is not finite.
     """
     diag, off = _tridiagonal(m)
     shifts = np.asarray(shifts, dtype=float).ravel()
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
-    if not np.abs(off).max(initial=0.0) <= _SQUARE_MAX:
-        raise InvalidParameterError(
-            f"eigenvalue counts need off-diagonal entries of size at most {_SQUARE_MAX:.4g}, "
-            "so that their squares stay finite"
-        )
+    diag, off, s = _scaled(diag, off)
     off2 = off**2
     pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
     # a zero in front of the squared off-diagonal makes the first step d_0
     steps = list(zip(diag.tolist(), [0.0, *off2.tolist()]))
     counts = []
-    for t in shifts.tolist():
+    for t in (shifts * s).tolist():
         count, d = 0, 1.0
         for a_ii, b2 in steps:
             d = (a_ii - t) - b2 / d
@@ -580,43 +615,19 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     return np.array(counts, dtype=int)
 
 
-# LAPACK's ?stebz locates eigenvalues wrongly once the Gershgorin radius
-# passes max float / 2.1 (measured), so the census bound stops at a quarter
-_BOUND_MAX = sys.float_info.max / 4
-
-
-def _gershgorin_bound(diag, off) -> float:
-    """A float that no eigenvalue of the tridiagonal (diag, off) reaches in size.
-
-    The Gershgorin radius max|d| + 2 max|e| plus a margin of 1, or of 2^-40
-    of the radius once that is larger (a radius above 2^40 = 1.1e12), where
-    rounding would lose the 1.  Every Sturm pivot at -bound or bound then
-    stays at least 1 + max|e| away from zero, so the counts there are 0 and
-    dim.  InvalidParameterError above max float / 4 = 4.49e307.
-    """
-    reach = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0))
-    bound = max(1.0 + reach, reach * (1.0 + 2.0**-40))
-    if not bound <= _BOUND_MAX:
-        raise InvalidParameterError(
-            f"band census needs a Gershgorin bound of at most {_BOUND_MAX:.4g}, got {bound:.4g}"
-        )
-    return bound
-
-
 def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     """Eigenvalues of a tridiagonal matrix outside the inflated bands, and near zero.
 
     The real line outside the bands, each widened by ``inflate`` on both
     sides, splits into windows: below the first band, between consecutive
-    bands and above the last one, closed off by a Gershgorin bound that no
-    eigenvalue reaches (``_gershgorin_bound``).  One ``eigenvalue_counts``
-    call counts the eigenvalues below every window edge strictly inside
-    (-bound, bound) and in (-inflate, inflate); at -bound and bound no count
-    is made, since every pivot there stays at least 1 + max|e| away from
-    zero and the counts are 0 and dim.  ``_stebz`` (LAPACK bisection) then
-    locates the eigenvalues of the windows that hold any.  An eigenvalue
-    within rounding (about 1e-16 times the matrix's size) of a window edge
-    may count on either side.
+    bands and above the last one, the outer two ending at -inf and inf.  One
+    ``eigenvalue_counts`` call counts the eigenvalues below every window
+    edge between those two and at -inflate and inflate; below -inf lie 0
+    and below inf dim, so no count is made there.  ``_stebz`` (LAPACK
+    bisection) then locates the eigenvalues of the windows that hold any.
+    Both read the matrix at ``_scaled``'s power of two, so the census holds
+    at every scale; an eigenvalue within rounding (about 1e-15 times the
+    largest entry) of a window edge may count on either side.
 
     Complexity: O(dim) per window edge, plus O(dim) per eigenvalue found
     outside the bands.  No full eigensolve and no O(dim^2) object.
@@ -624,10 +635,8 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     Parameters
     ----------
     m : BandedSymmetricMatrix
-        A tridiagonal matrix with finite entries, off-diagonal entries of
-        size at most sqrt(max float) = 1.34e154 and a Gershgorin bound of
-        at most max float / 4 = 4.49e307 (InvalidParameterError
-        otherwise).
+        A tridiagonal matrix with finite entries whose Gershgorin reach
+        max|d| + 2 max|e| is finite (InvalidParameterError otherwise).
     bands : sequence of (lo, hi)
         The predicted bands, finite, ascending and not overlapping
         (InvalidParameterError otherwise).
@@ -648,21 +657,17 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
     if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
         raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {bands!r}")
-    bound = _gershgorin_bound(diag, off)
-    starts = [-bound, *(q + inflate for _, q in bands)]
-    ends = [*(p - inflate for p, _ in bands), bound]
-    windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
+    starts = [-math.inf, *(q + inflate for _, q in bands)]
+    ends = [*(p - inflate for p, _ in bands), math.inf]
+    # the two outer windows stay even when empty (a widened edge that
+    # overflowed), so the edges run from -inf to inf
+    windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi or lo == -math.inf or hi == math.inf]
     edges = [t for w in windows for t in w]
-    # no eigenvalue reaches -bound or bound, so only the edges between them
-    # are counted: 0 eigenvalues lie below -bound and dim below bound
-    counts = iter(eigenvalue_counts(
-        m, [*(t for t in edges if -bound < t < bound), -inflate, inflate]
-    ).tolist())
-    below = [0 if t <= -bound else len(diag) if t >= bound else next(counts) for t in edges]
+    *inner, below_minus, below_plus = eigenvalue_counts(m, [*edges[1:-1], -inflate, inflate]).tolist()
+    below = [0, *inner, len(diag)]
     n_outside, outside = 0, []
     for (lo, hi), below_lo, below_hi in zip(windows, below[0::2], below[1::2]):
         if below_hi > below_lo:
             n_outside += below_hi - below_lo
             outside += _stebz(diag, off, "v", lo, hi).tolist()
-    below_minus, below_plus = counts  # the counts at -inflate and inflate
     return n_outside, outside, below_plus - below_minus

@@ -79,8 +79,8 @@ def _require_lam(lam) -> None:
 
 
 # the largest float whose square is finite, 1.3407807929942596e154: the edge
-# of the pencil's lam, of Sturm-count off-diagonals and (over 4) of the
-# identity residuals' lam
+# of the pencil's lam and (over 4) of the identity residuals' lam; Sturm
+# counts need no such edge, as they scale the matrix (cmv._scaled)
 _SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -381,9 +381,11 @@ def jacobi_opuc_reflections(xi, eta) -> ReflectionSequence:
 
     def batch(n: int):
         # the scalar formula's operations in the same order, so bit-identical
-        k = np.arange(n, dtype=float)
-        den = k + xi + eta + 2
-        return np.where(k % 2 == 0, (eta - xi) / den, -(1 + xi + eta) / den)
+        den = np.arange(n, dtype=float) + xi + eta + 2
+        out = np.empty(n)
+        out[0::2] = (eta - xi) / den[0::2]
+        out[1::2] = -(1 + xi + eta) / den[1::2]
+        return out
 
     floats = isinstance(xi, float) and isinstance(eta, float)
     return ReflectionSequence(a, batch if floats else None)

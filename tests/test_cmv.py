@@ -360,7 +360,7 @@ def per_lam_residuals(a, lam, trunc):
 def test_shared_lam_free_work_bit_identical_to_per_lam(dim):
     trunc = TruncationSpec.from_dim(dim)
     for name, a in identity_sequences(dim).items():
-        shared = cmv._identity_residuals(a, IDENTITY_LAMS, trunc)
+        shared = cmv._identity_residual_batch((a,), IDENTITY_LAMS, trunc)[0]
         assert len(shared) == len(IDENTITY_LAMS)
         for lam, residuals in zip(IDENTITY_LAMS, shared):
             reference = per_lam_residuals(a, lam, trunc)
@@ -386,7 +386,7 @@ def count_builder_calls(monkeypatch):
 def test_lam_free_builders_run_once_per_sequence(monkeypatch):
     calls = count_builder_calls(monkeypatch)
     lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
-    cmv._identity_residuals(jacobi_opuc_reflections(0.3, 0.7), lams, TRUNC8)
+    cmv._identity_residual_batch((jacobi_opuc_reflections(0.3, 0.7),), lams, TRUNC8)
     # build_J is build_K at lam = 1, so J adds one build_K call per sequence
     assert calls == {"build_L": 1, "build_M": 1, "build_J": 1, "build_K": 7}
     calls.update(dict.fromkeys(calls, 0))
@@ -464,7 +464,7 @@ def test_lam_whose_square_overflows_raises(monkeypatch, lam):
             verify_identities(a, lam, TRUNC8)
         # every lam is checked before the first builder runs
         with pytest.raises(InvalidParameterError, match="need a finite lam"):
-            cmv._identity_residuals(a, (0.5, 1.0, lam), TRUNC8)
+            cmv._identity_residual_batch((a,), (0.5, 1.0, lam), TRUNC8)
     assert sum(calls.values()) == 0
 
 
@@ -844,7 +844,7 @@ def test_a_bad_coefficient_raises_at_its_index(first_bad):
         "build_J": lambda a: build_J(a, TRUNC8),
         "build_K": lambda a: build_K(a, 0.5, TRUNC8),
         "build_H": lambda a: build_H(a, TRUNC8),
-        "identity residuals": lambda a: cmv._identity_residuals(a, (0.5, 2.0), TRUNC8),
+        "identity residuals": lambda a: cmv._identity_residual_batch((a,), (0.5, 2.0), TRUNC8)[0],
         "szego_eval": lambda a: szego_eval(a, 8, 0.5),
         "table": lambda a: _table(a, 8),
     }
@@ -884,12 +884,11 @@ STEBZ_CASES = {
 }
 
 
-def census_windows(K, lam, inflate=0.05):
+def census_windows(lam, inflate=0.05):
     """The windows ``band_census`` searches, rebuilt from its documented rule."""
-    bound = cmv._gershgorin_bound(*K.bands)
     bands = essential_spectrum_periodic(lam)
-    starts = [-bound, *(q + inflate for _, q in bands)]
-    ends = [*(p - inflate for p, _ in bands), bound]
+    starts = [-math.inf, *(q + inflate for _, q in bands)]
+    ends = [*(p - inflate for p, _ in bands), math.inf]
     return [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi]
 
 
@@ -906,7 +905,7 @@ def test_stebz_equals_eigh_tridiagonal_bit_for_bit(name):
         for k in (0, dim - 1):
             want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))
             assert hexes(cmv._stebz(diag, off, "i", k, k)) == hexes(want), (lam, k)
-        windows = census_windows(BandedSymmetricMatrix((diag, off)), lam)
+        windows = census_windows(lam)
         for lo, hi in [*windows, (-0.05, 0.05)]:
             want = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, hi))
             assert hexes(cmv._stebz(diag, off, "v", lo, hi)) == hexes(want), (lam, lo, hi)
@@ -936,62 +935,125 @@ def test_band_census_does_not_call_eigh_tridiagonal(monkeypatch):
     assert band_census(K, essential_spectrum_periodic(2.0), 0.05)[0] == 1
 
 
-def test_sturm_counts_at_the_gershgorin_bound_are_zero_and_dim():
+def test_sturm_counts_at_infinity_are_zero_and_dim():
     # band_census takes these counts as known; here they are counted, on
-    # entries from 1e-300 to the off-diagonal edge, the diagonal dominating
-    # or not (above 2^40 the bound's margin is relative, or rounding loses it)
+    # entries from 1e-300 to 1e300, the diagonal dominating or not
     rng = np.random.default_rng(20261020)
     for trial in range(400):
         dim = int(rng.integers(1, 80))
-        d_scale, e_scale = 10.0 ** rng.uniform(-300, 153, size=2)
+        d_scale, e_scale = 10.0 ** rng.uniform(-300, 300, size=2)
         diag = rng.uniform(-1.0, 1.0, dim) * d_scale
         off = rng.uniform(-1.0, 1.0, dim - 1) * e_scale
         if trial % 3 == 1:  # every diagonal entry at the radius
             diag = d_scale * rng.choice([-1.0, 1.0], dim)
         elif trial % 3 == 2:
             off[:] = e_scale
-        bound = cmv._gershgorin_bound(diag, off)
         m = BandedSymmetricMatrix((diag, off))
-        assert eigenvalue_counts(m, [-bound, bound]).tolist() == [0, dim], trial
+        assert eigenvalue_counts(m, [-math.inf, math.inf]).tolist() == [0, dim], trial
 
 
-def test_gershgorin_bound_margin_and_edge():
-    for reach in (0.0, 3.0, 2.0**40 - 1):
-        assert cmv._gershgorin_bound(np.array([reach]), np.array([])) == 1.0 + reach
-    # the diagonal at 1e20 held eigenvalues at -bound, which the census missed
+def test_census_at_the_gershgorin_radius_and_the_float_edge():
+    # the diagonal at 1e20 held eigenvalues at the old finite window end,
+    # which the census missed
     diag = np.array([1e20, -1e20, 1e20])
-    bound = cmv._gershgorin_bound(diag, np.array([1e-3, 1e-3]))
-    assert bound > 1e20
     m = BandedSymmetricMatrix((diag, np.array([1e-3, 1e-3])))
     assert band_census(m, [(-1.0, 1.0)], 0.05)[:2] == (3, [-1e20, 1e20, 1e20])
-
-    # ?stebz located +-9e307 at +-6.75e307, and +-1.79e308 at +-inf
-    for size in (1e300, 4e307):
+    # up to the largest float; above max float / 4 these were refused
+    for size in (1e300, 4e307, 4.5e307, 9e307, 1.79e308):
         m = BandedSymmetricMatrix((np.array([size, 0.0, -size]), np.array([1.0, 1.0])))
-        assert band_census(m, [(-1.0, 1.0)], 0.05) == (2, [-size, size], 1)
-    for size in (4.5e307, 9e307, 1.79e308):
-        m = BandedSymmetricMatrix((np.array([size, 0.0, -size]), np.array([1.0, 1.0])))
-        with pytest.raises(InvalidParameterError, match="Gershgorin bound of at most 4.494e"):
-            band_census(m, [(-1.0, 1.0)], 0.05)
+        assert band_census(m, [(-1.0, 1.0)], 0.05) == (2, [-size, size], 1), size
 
 
-def test_counts_refuse_an_off_diagonal_whose_square_overflows():
-    # at 1e155 the square overflowed: counts [1, 1, 1, 1] for the true
-    # [0, 1, 2, 4], and a census of (0, [], 0) with +-1e155 outside the band
-    edge = math.sqrt(sys.float_info.max)  # 1.34e154, the largest square that stays finite
+def test_counts_at_an_off_diagonal_whose_square_overflows():
+    # above sqrt(max float) = 1.34e154 these were refused, and from about
+    # 7e153 they were wrong; unscaled, at 1e155 the square overflowed:
+    # counts [1, 1, 1, 1] for the true [0, 1, 2, 4]
+    edge = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
     shifts = [-1e300, -2.0, 0.5, 1e300]
-    small = BandedSymmetricMatrix((np.zeros(4), np.array([1e150, 1.0, 1.0])))
-    assert eigenvalue_counts(small, shifts).tolist() == [0, 1, 2, 4]
-    assert band_census(small, [(-1.5, 1.5)], 0.05)[:2] == (2, [-1e150, 1e150])
-    at_edge = BandedSymmetricMatrix((np.zeros(4), np.array([edge, 1.0, 1.0])))
-    # at this size +-1 are within rounding of 0, so count only far from them
-    assert eigenvalue_counts(at_edge, [-1e300, -edge / 2, edge / 2, 1e300]).tolist() == [0, 1, 3, 4]
-    assert band_census(at_edge, [(-1.5, 1.5)], 0.05)[1][::3] == [-edge, edge]
-    for size in (math.nextafter(edge, math.inf), 1e155, math.inf, math.nan):
+    for size in (1e150, 7e153, edge, math.nextafter(edge, math.inf), 1e155, 1e200):
+        # lam^2 = ((b^2 + 2) +- sqrt(b^4 + 4)) / 2: +-size and +-1 to float precision
         m = BandedSymmetricMatrix((np.zeros(4), np.array([size, 1.0, 1.0])))
-        # an inf or nan entry is refused by the one input check, before its size
-        message = "off-diagonal entries of size at most 1.341e" if math.isfinite(size) else "finite entries"
-        with pytest.raises(InvalidParameterError, match=message):
+        assert eigenvalue_counts(m, shifts).tolist() == [0, 1, 2, 4], size
+        n_outside, values, _ = band_census(m, [(-1.5, 1.5)], 0.05)
+        assert n_outside == 2, size
+        # bisection lands within two units in the last place, as at size 1
+        np.testing.assert_allclose(values, [-size, size], rtol=4 * np.finfo(float).eps, atol=0)
+    for size in (1e150, edge):  # these two land exactly
+        m = BandedSymmetricMatrix((np.zeros(4), np.array([size, 1.0, 1.0])))
+        assert band_census(m, [(-1.5, 1.5)], 0.05)[:2] == (2, [-size, size])
+    for size in (math.inf, math.nan):
+        # an inf or nan entry is refused by the one input check
+        m = BandedSymmetricMatrix((np.zeros(4), np.array([size, 1.0, 1.0])))
+        with pytest.raises(InvalidParameterError, match="finite entries"):
             eigenvalue_counts(m, shifts)
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidParameterError, match="finite entries"):
             band_census(m, [(-1.5, 1.5)], 0.05)
+
+
+@pytest.mark.parametrize(
+    "diag, off",
+    [([1e308, 0.0], [1e308]), ([1.79e308, 1.0], [1e306]), ([0.0, 0.0, 0.0], [9e307, -9e307])],
+    ids=["both", "diagonal", "off-diagonal"],
+)
+def test_a_gershgorin_reach_that_overflows_is_refused(diag, off):
+    # the one place a true eigenvalue can leave the float range; refused
+    # without a numpy overflow warning
+    diag, off = np.array(diag), np.array(off)
+    m = BandedSymmetricMatrix((diag, off))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: eigenvalue_counts(m, [0.0]),
+            lambda: band_census(m, [(-1.0, 1.0)], 0.05),
+            lambda: cmv._stebz(diag, off, "v", -math.inf, math.inf),
+            lambda: cmv._stebz(diag, off, "i", 0, 0),
+        ):
+            with pytest.raises(InvalidParameterError, match="Gershgorin reach"):
+                call()
+
+
+def test_census_at_a_scale_whose_squares_underflow():
+    # at 1e-170 the off-diagonal's square underflowed to 0: counts [0, 2]
+    # and a census of (0, [], 0)
+    m = BandedSymmetricMatrix((np.zeros(2), np.array([1e-170])))
+    assert eigenvalue_counts(m, [-5e-171, 5e-171]).tolist() == [1, 1]
+    n_outside, values, n_near_zero = band_census(m, [(-5e-171, 5e-171)], 0.0)
+    assert (n_outside, n_near_zero) == (2, 0)
+    # bisection lands within two units in the last place, as at size 1
+    np.testing.assert_allclose(values, [-1e-170, 1e-170], rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_counts_at_random_scales_equal_the_scaled_dense_spectrum():
+    # entries from 1e-300 to 1e300, the diagonal and the off-diagonal scaled
+    # apart; the reference is numpy eigvalsh of the matrix scaled by the power
+    # of two that brings its largest entry near 1, and every shift lies more
+    # than 1e-10 times that entry from each eigenvalue
+    rng = np.random.default_rng(20261021)
+    checked = 0
+    for trial in range(300):
+        dim = int(rng.integers(1, 60))
+        d_scale, e_scale = 10.0 ** rng.uniform(-300, 300, size=2)
+        diag = rng.uniform(-1.0, 1.0, dim) * d_scale
+        off = rng.uniform(-1.0, 1.0, dim - 1) * e_scale
+        top = max(np.abs(diag).max(), np.abs(off).max(initial=0.0))
+        s = 2.0 ** -math.frexp(top)[1]
+        eigs = np.linalg.eigvalsh(BandedSymmetricMatrix((diag * s, off * s)).to_dense())
+        shifts = rng.uniform(-1.5, 1.5, 8)  # in units of the scaled matrix
+        shifts = shifts[np.abs(shifts[:, None] - eigs[None, :]).min(axis=1) > 1e-10 * top * s]
+        want = [int(np.count_nonzero(eigs < t)) for t in shifts]
+        got = eigenvalue_counts(BandedSymmetricMatrix((diag, off)), shifts / s)
+        assert got.tolist() == want, trial
+        checked += len(shifts)
+    assert checked > 2000
+
+
+def test_band_census_keeps_the_outer_windows_when_a_widened_edge_overflows():
+    big = sys.float_info.max
+    m = BandedSymmetricMatrix((np.array([-0.7 * big, 0.0, 0.7 * big]), np.zeros(2)))
+    # widened by 0.2 * big, the outer band edges overflow to -inf and inf;
+    # only 0 lies outside, in the window (-0.6 * big, 0.6 * big)
+    bands = [(-0.9 * big, -0.8 * big), (0.8 * big, 0.9 * big)]
+    assert band_census(m, bands, 0.2 * big) == (1, [0.0], 1)
+    # an infinite width leaves nothing outside and everything near zero
+    assert band_census(m, bands, math.inf) == (0, [], 3)
+    assert band_census(m, [], math.inf) == (3, [-0.7 * big, 0.0, 0.7 * big], 3)

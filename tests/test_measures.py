@@ -902,3 +902,35 @@ def test_repeated_big_m1_suite_adds_no_chain_miss():
     again = run_suite("big-m1")
     assert measures._chain.cache_info().misses == misses
     assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+
+
+ENDPOINT_CASES = {
+    **{
+        family: (family, {"xi": 0.3, "eta": -0.4})
+        for family in ("gen_gegenbauer", "sdg", "adjacent", "companion", "dg_from_circle")
+    },
+    "pencil-0.5": ("pencil", {"xi": 0.3, "eta": -0.4, "lam": 0.5}),
+    "pencil-2": ("pencil", {"xi": 0.3, "eta": -0.4, "lam": 2.0}),
+    "big_m1": ("big_m1", {"alpha": 1.6, "beta": 0.2, "c": 0.4}),
+    "little_m1": ("little_m1", {"alpha": 1.6, "beta": 0.2}),
+    "periodic-0.5": ("periodic", {"lam": 0.5}),
+    "periodic-1": ("periodic", {"lam": 1.0}),
+    "periodic-2": ("periodic", {"lam": 2.0}),
+}
+
+
+@pytest.mark.parametrize("case", list(ENDPOINT_CASES))
+def test_declared_endpoint_exponents_equal_the_density_slope(case):
+    # density ~ const * |x - s|^gamma near each declared point s, so the
+    # log-log slope between 1e-5 and 1e-6 inside the support is gamma; xi and
+    # eta differ, and neither is 0, so a swapped or sign-flipped exponent
+    # shows (the largest gap is about 5e-6)
+    family, params = ENDPOINT_CASES[case]
+    m = named_weight(family, **params)
+    assert m.endpoint_exponents
+    for s, gamma in m.endpoint_exponents:
+        # from the left at a right end, from the right at a left end or inside
+        side = next((-1.0 if s == q else 1.0) for p, q in m.support if p <= s <= q)
+        w = m.density(np.array([s + side * 1e-5, s + side * 1e-6]))
+        slope = math.log(w[0] / w[1]) / math.log(10.0)
+        assert abs(slope - gamma) < 1e-3, (s, gamma, slope)

@@ -53,7 +53,7 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--lams", "1", "-inf"]),
         ("spectrum_sweep", ["--inflate", "-NaN"]),
         ("spectrum_sweep", ["--eta", "0.5", "--lams", "2"]),
-        ("spectrum_sweep", ["--lams", "1", "1e160"]),  # the counts' squares overflow
+        ("spectrum_sweep", ["--lams", "1", "1e308"]),  # the pencil's Gershgorin reach overflows
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
@@ -64,6 +64,18 @@ def test_bad_input_exits_2(capsys, name, argv):
     if name == "weight_tables":
         # the message names the option the user gave, not an internal degree
         assert "--n must be in 0..29" in err
+
+
+def test_spectrum_sweep_at_a_lam_whose_square_overflows(capsys):
+    # exited 2 while Sturm counts refused off-diagonal entries above
+    # sqrt(max float) = 1.34e154; the counts and eig_min/eig_max scale the
+    # pencil by a power of two, and its eigenvalues are -+(lam + 1) to float
+    assert load("spectrum_sweep").main(["--lams", "1", "1e160"]) == 0
+    rows = [line.split(",") for line in csv_lines(capsys.readouterr().out)[1:]]
+    assert [float(row[0]) for row in rows] == [1.0, 1e160]
+    eig_min, eig_max, near_zero = float(rows[1][3]), float(rows[1][4]), int(rows[1][6])
+    assert math.isclose(eig_min, -1e160, rel_tol=1e-12) and math.isclose(eig_max, 1e160, rel_tol=1e-12)
+    assert near_zero == 1  # the one outlier of lam > 1
 
 
 @pytest.mark.parametrize(
