@@ -5,15 +5,15 @@ bands, the eigenvalue range of the truncated pencil, the outlier count
 against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  The leading 2x2 block of build_K,
 checked against the quadratic formula on the convention's entries
-a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  The counts
-and eig_min/eig_max scale the pencil by a power of two where its largest
-entry is outside about 2e-146 to 6e76 (the library's one scaling rule), so a
---lams value such as 1e160 is swept like any other.  An odd --dim, one below
-4, a nan or infinite --lams or --inflate value, a --lams value at or below 0,
-one so large that the pencil's Gershgorin reach max|d| + 2 max|e| overflows
-(1e308), an --inflate below 0, or an option the script does not read (--eta
-without --xi) prints ``error: ...`` to stderr, and nothing to stdout, and
-exits 2; exit codes follow the CLI's one rule.  Without --eta, the
+a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  The
+bands are widened by INFLATE, the spectrum suite's 0.05.  The census and
+eig_min/eig_max read each pencil through the library's one eigen gate, which
+scales it by a power of two where its largest entry is outside about 2e-146
+to 6e76, so a --lams value such as 1e160 or 1e308 is swept like any other.  An odd --dim, one below 4, a nan or
+infinite --lams value, one at or below 0, one whose pencil has an eigenvalue
+too large for a float (the largest float), or an option the script does not
+read (--eta without --xi) prints ``error: ...`` to stderr, and nothing to
+stdout, and exits 2; exit codes follow the CLI's one rule.  Without --eta, the
 closed-form reflections take eta = 0, and the header says so.
 
 Examples
@@ -28,13 +28,14 @@ import sys
 
 import numpy as np
 
-from cmvpencil.cmv import TruncationSpec, _stebz, band_census, build_K
+from cmvpencil.cmv import TruncationSpec, _stebz, _tridiagonal, band_census, build_K
 from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, _table, jacobi_opuc_reflections
 
 DEFAULT_LAMS = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0]
+INFLATE = 0.05  # how far each band is widened, as in the spectrum suite
 HEADER = ("lam", "band_inner", "band_outer", "eig_min", "eig_max", "outliers", "near_zero")
 
 
@@ -52,16 +53,16 @@ def two_by_two_check(a, lam):
     return max(abs(by_formula[0] - by_solver[0]), abs(by_formula[1] - by_solver[1]))
 
 
-def sweep(a, lams, dim, inflate):
+def sweep(a, lams, dim):
     trunc = TruncationSpec.from_dim(dim)
     table = _table(a, dim)  # the coefficients are read once for every lam
     rows = []
     for lam in lams:
         K = build_K(table, lam, trunc)
         bands = essential_spectrum_periodic(lam)
-        # the census checks that K is finite, as _stebz needs
-        outliers, _, near_zero = band_census(K, bands, inflate)
-        eig_min, eig_max = (float(_stebz(*K.bands, "i", k, k)[0]) for k in (0, dim - 1))
+        outliers, _, near_zero = band_census(K, bands, INFLATE)
+        tri = _tridiagonal(K)
+        eig_min, eig_max = (float(_stebz(*tri, "i", k, k)[0]) for k in (0, dim - 1))
         rows.append((lam, *bands[1], eig_min, eig_max, outliers, near_zero))
     return rows
 
@@ -73,7 +74,6 @@ def _build_parser():
     parser.add_argument("--dim", type=int, default=200)
     parser.add_argument("--xi", type=float, default=None, help="use the closed-form reflections")
     parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--inflate", type=float, default=0.05)
     parser.add_argument("--lams", type=float, nargs="*", default=DEFAULT_LAMS)
     parser.add_argument("--output", default=None, help="optional CSV path")
     return parser
@@ -88,12 +88,10 @@ def run(args):
     if args.xi is None and args.eta is not None:
         raise InvalidParameterError("--eta is not read without --xi")
     TruncationSpec.from_dim(args.dim)
-    if not all(math.isfinite(v) for v in (*args.lams, args.inflate)):
-        raise InvalidParameterError(f"--lams and --inflate must be finite, got {args.lams}, {args.inflate}")
+    if not all(math.isfinite(v) for v in args.lams):
+        raise InvalidParameterError(f"--lams must be finite, got {args.lams}")
     for lam in args.lams:
         essential_spectrum_periodic(lam)  # raises for lam <= 0
-    if args.inflate < 0:
-        raise InvalidParameterError(f"need inflate >= 0, got {args.inflate}")
     if args.xi is None:
         a = ReflectionSequence.constant(0.0)
         label = "free (a = 0)"
@@ -104,7 +102,7 @@ def run(args):
 
     # the table is made before any output, so an error in it prints nothing
     check = two_by_two_check(a, 2.0)
-    text = _csv_text(HEADER, sweep(a, args.lams, args.dim, args.inflate))
+    text = _csv_text(HEADER, sweep(a, args.lams, args.dim))
     print(f"# 2x2 truncation vs quadratic formula: max deviation {check:.2e}")
     print(f"# reflections: {label}, dim = {args.dim}")
     print(text, end="")

@@ -132,8 +132,10 @@ def cmd_spectrum(args) -> int:
     eigs = tridiagonal_eigenvalues(build_K(a, args.lam, trunc))
     lo, hi = np.array(bands, dtype=float).T
     # distance from each eigenvalue (rows) to each band (columns); argmin
-    # takes the first of equally near bands
-    gap = np.maximum(np.maximum(lo - eigs[:, None], eigs[:, None] - hi), 0.0)
+    # takes the first of equally near bands.  Eigenvalues and edges are
+    # finite, so a gap that overflows is +-inf, never nan, and still compares
+    with np.errstate(over="ignore"):
+        gap = np.maximum(np.maximum(lo - eigs[:, None], eigs[:, None] - hi), 0.0)
     nearest = gap.argmin(axis=1)
     lo, hi = lo[nearest], hi[nearest]
     inside = (lo <= eigs) & (eigs <= hi)

@@ -31,34 +31,34 @@ matrix-identities suite makes one such call).  ``verify_identities`` is its
 one-sequence, one-lam case, with the same bits; a stack of one matrix is a
 view of its bands, so that call copies no band.
 
-``_tridiagonal`` is the one input check of the eigen layer: a matrix of
-bandwidth 1 with finite entries, or InvalidParameterError.
-``tridiagonal_eigenvalues``, ``eigenvalue_counts`` and ``band_census`` read
-their matrix through it.  ``eigenvalue_counts`` answers "how many
-eigenvalues lie below t" by Sturm (LDL^T inertia) counts, and
-``band_census`` uses one such call to count (and bisection to locate) the
-eigenvalues outside predicted bands.  The census closes its outer windows at
--inf and inf, below which 0 and dim eigenvalues lie, so it counts only the
-finite edges between them.  Bisection is ``_stebz``, LAPACK ``?stebz``
-called with exactly the arguments ``eigh_tridiagonal`` passes, bit for bit
-the same and without scipy's argument checks.  Only
-``tridiagonal_eigenvalues`` (all eigenvalues, about O(dim^2) in LAPACK) and
-the ``to_dense`` test oracles cost more.  ``scipy.linalg`` is imported by
-the calls that solve, on first use: ``tridiagonal_eigenvalues``,
-``BandedSymmetricMatrix.eigenvalues`` and ``_stebz``.
-
-Sturm counts and bisection share one scaling rule, LAPACK ``?stevx``'s
-(``_scaled``): where the largest entry lies outside [2^-484, 2^255), about
+``_tridiagonal`` is the one gate of the eigen layer, and each of
+``tridiagonal_eigenvalues``, ``eigenvalue_counts`` and ``band_census`` reads
+its matrix through it once.  It checks for bandwidth 1 and finite entries
+(InvalidParameterError otherwise) and applies one scaling rule, LAPACK
+``?stevx``'s: where the largest entry lies outside [2^-484, 2^255), about
 2.0e-146 to 5.8e76, inside ?stevx's safe range, the bands (and with them
 every shift and window edge) are multiplied by the power of two that brings
 it in, which is exact; inside the range nothing is scaled.  So the squared
 off-diagonal entries and the pivots overflow nowhere, and underflow only
 below rounding of the largest entry, at any scale from the smallest
-subnormal to the largest float.  What remains is rounding: on random
-tridiagonals at scales 1e-300 to 1e300, no count was wrong with the shift
-1e-14 times the largest entry or more from an eigenvalue, and 16 of 600
-were at 1e-15.  The one refusal is InvalidParameterError where max|d| +
-2 max|e|, the Gershgorin reach that bounds every eigenvalue, is not finite.
+subnormal to the largest float.  The one refusal beyond bad input is
+``_unscaled``'s, where the solver returns an eigenvalue too large for a
+float; counts return no eigenvalue and refuse none.
+
+``eigenvalue_counts`` answers "how many eigenvalues lie below t" by Sturm
+(LDL^T inertia) counts, and ``band_census`` uses one such count to count (and
+bisection to locate) the eigenvalues outside predicted bands.  The census
+closes its outer windows at -inf and inf, below which 0 and dim eigenvalues
+lie, so it counts only the finite edges between them.  Bisection is
+``_stebz``, LAPACK ``?stebz`` called with exactly the arguments
+``eigh_tridiagonal`` passes, bit for bit the same and without scipy's
+argument checks.  Only ``tridiagonal_eigenvalues`` (all eigenvalues, about
+O(dim^2) in LAPACK) and the ``to_dense`` test oracles cost more.
+``scipy.linalg`` is imported by the calls that solve, on first use:
+``tridiagonal_eigenvalues``, ``BandedSymmetricMatrix.eigenvalues`` and
+``_stebz``.  What remains is rounding: on random tridiagonals at scales
+1e-300 to 1e300, no count was wrong with the shift 1e-14 times the largest
+entry or more from an eigenvalue, and 16 of 600 were at 1e-15.
 """
 
 from __future__ import annotations
@@ -475,133 +475,110 @@ def _finite_bands(bands) -> list:
 
 
 def _tridiagonal(m: BandedSymmetricMatrix) -> tuple:
-    """The diagonal and off-diagonal of a bandwidth-1 matrix with finite
-    entries, as float arrays; InvalidParameterError otherwise.
+    """(diag, off, s): the bands of a bandwidth-1 matrix with finite entries,
+    as float arrays times s, and the power of two s that brings its largest
+    entry x into [2^-484, 2^255); InvalidParameterError otherwise.
 
-    The one input check of ``tridiagonal_eigenvalues``, ``eigenvalue_counts``
-    and ``band_census``.
+    The one gate of the eigen layer: ``tridiagonal_eigenvalues``,
+    ``eigenvalue_counts`` and ``band_census`` each read their matrix through
+    it once.  The range is LAPACK ``?stevx``'s scaling rule: it lies inside
+    its safe range sqrt(tiny / eps) = 1.4e-146 to tiny^(-1/4) = 8.2e76, where
+    the squared off-diagonal entries and the Sturm pivots do not overflow,
+    and underflow only below rounding of x.  For x in the range, or x = 0, s
+    is 1 and the bands are returned as given.  A power of two scales exactly,
+    so the eigenvalues scale by s and a shift t becomes t * s; after scaling
+    every eigenvalue is at most 3 * 2^255, so the solvers see finite values.
     """
     if m.bandwidth != 1:
         raise InvalidParameterError(
             f"expected a tridiagonal matrix (bandwidth 1), got bandwidth {m.bandwidth}; "
             "BandedSymmetricMatrix.eigenvalues() takes any bandwidth"
         )
-    return tuple(_finite_bands(m.bands))
+    diag, off = _finite_bands(m.bands)
+    # 2^(e-1) <= x < 2^e, and e = 0 at x = 0
+    e = math.frexp(max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0))))[1]
+    s = 2.0 ** (min(max(e, -483), 255) - e)
+    return (diag, off, s) if s == 1.0 else (diag * s, off * s, s)
+
+
+def _unscaled(w, s: float) -> np.ndarray:
+    """Eigenvalues w of a matrix scaled by ``_tridiagonal``'s s, divided by s;
+    InvalidParameterError where one is too large for a float.
+
+    The one refusal of the eigen layer beyond bad input.  max float * s is
+    exact for s <= 1 (and inf for s > 1, where nothing can overflow), and
+    comparing before dividing raises no numpy overflow warning.
+    """
+    top = float(np.abs(w).max(initial=0.0))
+    if top > sys.float_info.max * s:
+        raise InvalidParameterError(
+            f"an eigenvalue is too large for a float: about 10^{math.log10(top) - math.log10(s):.2f}"
+        )
+    return w / s
 
 
 def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
     """All eigenvalues of a tridiagonal symmetric truncation, ascending.
 
-    Uses the dedicated symmetric tridiagonal solver; accuracy is at the
-    1e-12 * norm level required of spectral reports.
+    Uses the dedicated symmetric tridiagonal solver on the bands at
+    ``_tridiagonal``'s power of two, so it holds at every scale; accuracy is
+    at the 1e-12 * norm level required of spectral reports.
 
     Raises
     ------
     InvalidParameterError
-        If m is not tridiagonal or has an entry that is not finite.
+        If m is not tridiagonal or has an entry that is not finite, or if an
+        eigenvalue is too large for a float.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(*_tridiagonal(m), eigvals_only=True, check_finite=False)
+    diag, off, s = _tridiagonal(m)
+    return _unscaled(eigh_tridiagonal(diag, off, eigvals_only=True, check_finite=False), s)
 
 
-def _scaled(diag, off) -> tuple:
-    """(diag, off, s): the bands of a symmetric tridiagonal times s, the power
-    of two that brings its largest entry x into [2^-484, 2^255), and s.
-
-    The one scaling rule of the eigen layer, LAPACK ``?stevx``'s: that range
-    lies inside its safe range sqrt(tiny / eps) = 1.4e-146 to tiny^(-1/4) =
-    8.2e76, where the squared off-diagonal entries and the Sturm pivots do
-    not overflow, and underflow only below rounding of x.  For x in the
-    range, or x = 0, s is 1
-    and the bands are returned as given.  A power of two scales exactly, so
-    the eigenvalues scale by s and a shift t becomes t * s.  Raises
-    InvalidParameterError where max|d| + 2 max|e|, the Gershgorin reach that
-    bounds every eigenvalue, is not finite.  Precondition: finite float
-    bands, as ``_tridiagonal`` returns them.
-    """
-    d_max, e_max = float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0))
-    # Python floats overflow to inf without a numpy warning
-    if not d_max + 2.0 * e_max <= sys.float_info.max:
-        raise InvalidParameterError(
-            "need a tridiagonal whose Gershgorin reach max|diag| + 2 max|off| is finite, "
-            f"got max|diag| = {d_max:.4g} and max|off| = {e_max:.4g}"
-        )
-    e = math.frexp(max(d_max, e_max))[1]  # 2^(e-1) <= x < 2^e, and e = 0 at x = 0
-    s = 2.0 ** (min(max(e, -483), 255) - e)
-    return (diag, off, s) if s == 1.0 else (diag * s, off * s, s)
-
-
-def _stebz(diag, off, select: str, lo, hi) -> np.ndarray:
-    """Eigenvalues of the symmetric tridiagonal (diag, off), ascending: those in
-    (lo, hi] for ``select="v"`` (either end may be infinite), those of
-    0-based indices lo .. hi for ``"i"``.
+def _stebz(diag, off, s: float, select: str, lo, hi) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal (diag, off) / s, ascending:
+    those in (lo, hi] for ``select="v"`` (either end may be infinite), those
+    of 0-based indices lo .. hi for ``"i"``.
 
     LAPACK ``?stebz`` with exactly the arguments ``eigh_tridiagonal`` passes
     it (range 1 with (vl, vu), or range 2 with 1-based il and iu; tol 0.0;
-    order ``'E'``), and the same check of ``info``, so the values are the
-    same bit for bit; without scipy's argument checks, about a fifth of a
-    call at dim 200 (20 of 110 us).  The bands, and (lo, hi] with them, are
-    read through ``_scaled``, as ``?stevx`` does before it calls ``?stebz``,
-    and the values are scaled back.  Precondition: finite float64 bands of
-    lengths n >= 1 and n - 1, as ``_tridiagonal`` returns them.
+    order ``'E'``), and the same check of ``info``, so at s = 1 the values
+    are the same bit for bit; without scipy's argument checks, about a fifth
+    of a call at dim 200 (20 of 110 us).  (lo, hi] is scaled by s, as
+    ``?stevx`` does before it calls ``?stebz``, and the values are scaled
+    back by ``_unscaled``.  Precondition: (diag, off, s) as ``_tridiagonal``
+    returns it.
     """
     from scipy.linalg.lapack import dstebz
 
-    diag, off, s = _scaled(diag, off)
     if len(diag) == 1:
         off = np.zeros(1)  # the wrapper wants one entry; LAPACK reads none at n = 1
     if select == "v":
-        m, w, _, _, info = dstebz(diag, off, 1, lo * s, hi * s, 1, 1, 0.0, "E")
+        # Python floats overflow to +-inf without a numpy warning
+        m, w, _, _, info = dstebz(diag, off, 1, float(lo) * s, float(hi) * s, 1, 1, 0.0, "E")
     else:
         m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal stebz (eigh_tridiagonal)")
     if info > 0:
         raise np.linalg.LinAlgError(f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})")
-    return w[:m] / s
+    return _unscaled(w[:m], s)
 
 
-def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
-    """Number of eigenvalues of a tridiagonal matrix below each shift.
-
-    Sylvester's law of inertia: the count below t is the number of negative
-    pivots d_i of the LDL^T factorization of m - t*I, with
-    d_0 = m_00 - t and d_i = (m_ii - t) - m_{i-1,i}^2 / d_{i-1}
-    (Barth, Martin and Wilkinson 1967; the count LAPACK's bisection uses).
-    A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
-    an eigenvalue within rounding (about 1e-15 times the largest entry) of
-    t may count on either side.  The matrix and the shifts are first scaled
-    by ``_scaled``'s power of two, so the counts hold at every scale, from
-    subnormal entries to the largest float.  A shift of -inf counts 0 and
-    +inf counts dim.
-
-    Complexity: O(dim) time per shift and O(dim) memory.
-
-    Returns
-    -------
-    numpy.ndarray
-        Integer counts, one per shift, in the order given.
-
-    Raises
-    ------
-    InvalidParameterError
-        If m is not tridiagonal or has an entry that is not finite (a nan
-        diagonal counted 0 below zero, an inf one 1); if a shift is nan;
-        or if max|d| + 2 max|e|, the Gershgorin reach that bounds every
-        eigenvalue, is not finite.
-    """
-    diag, off = _tridiagonal(m)
+def _sturm_counts(diag, off, s: float, shifts) -> np.ndarray:
+    """``eigenvalue_counts`` on (diag, off, s) as ``_tridiagonal`` returns it."""
     shifts = np.asarray(shifts, dtype=float).ravel()
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
-    diag, off, s = _scaled(diag, off)
     off2 = off**2
     pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
     # a zero in front of the squared off-diagonal makes the first step d_0
     steps = list(zip(diag.tolist(), [0.0, *off2.tolist()]))
     counts = []
-    for t in (shifts * s).tolist():
+    # Python floats overflow to +-inf without a numpy warning, and a shift
+    # beyond the float range at scale s counts 0 or dim as +-inf does
+    for t in (t * s for t in shifts.tolist()):
         count, d = 0, 1.0
         for a_ii, b2 in steps:
             d = (a_ii - t) - b2 / d
@@ -615,17 +592,49 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     return np.array(counts, dtype=int)
 
 
+def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
+    """Number of eigenvalues of a tridiagonal matrix below each shift.
+
+    Sylvester's law of inertia: the count below t is the number of negative
+    pivots d_i of the LDL^T factorization of m - t*I, with
+    d_0 = m_00 - t and d_i = (m_ii - t) - m_{i-1,i}^2 / d_{i-1}
+    (Barth, Martin and Wilkinson 1967; the count LAPACK's bisection uses).
+    A pivot with |d_i| < pivmin is replaced by -pivmin, as LAPACK does, so
+    an eigenvalue within rounding (about 1e-15 times the largest entry) of
+    t may count on either side.  The matrix and the shifts are first scaled
+    by ``_tridiagonal``'s power of two, so the counts hold at every scale,
+    from subnormal entries to the largest float.  A shift of -inf counts 0
+    and +inf counts dim.
+
+    Complexity: O(dim) time per shift and O(dim) memory.
+
+    Returns
+    -------
+    numpy.ndarray
+        Integer counts, one per shift, in the order given.
+
+    Raises
+    ------
+    InvalidParameterError
+        If m is not tridiagonal or has an entry that is not finite (a nan
+        diagonal counted 0 below zero, an inf one 1), or if a shift is nan.
+        A count needs no eigenvalue, so none is refused for its size.
+    """
+    return _sturm_counts(*_tridiagonal(m), shifts)
+
+
 def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     """Eigenvalues of a tridiagonal matrix outside the inflated bands, and near zero.
 
     The real line outside the bands, each widened by ``inflate`` on both
     sides, splits into windows: below the first band, between consecutive
     bands and above the last one, the outer two ending at -inf and inf.  One
-    ``eigenvalue_counts`` call counts the eigenvalues below every window
-    edge between those two and at -inflate and inflate; below -inf lie 0
-    and below inf dim, so no count is made there.  ``_stebz`` (LAPACK
-    bisection) then locates the eigenvalues of the windows that hold any.
-    Both read the matrix at ``_scaled``'s power of two, so the census holds
+    Sturm count call, as ``eigenvalue_counts`` makes it, counts the
+    eigenvalues below every window edge between those two and at -inflate
+    and inflate; below -inf lie 0 and below inf dim, so no count is made
+    there.  ``_stebz`` (LAPACK bisection) then locates the eigenvalues of
+    the windows that hold any.  Both read the bands that one
+    ``_tridiagonal`` call returns, at its power of two, so the census holds
     at every scale; an eigenvalue within rounding (about 1e-15 times the
     largest entry) of a window edge may count on either side.
 
@@ -635,8 +644,9 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     Parameters
     ----------
     m : BandedSymmetricMatrix
-        A tridiagonal matrix with finite entries whose Gershgorin reach
-        max|d| + 2 max|e| is finite (InvalidParameterError otherwise).
+        A tridiagonal matrix with finite entries (InvalidParameterError
+        otherwise), read once through ``_tridiagonal``; InvalidParameterError
+        too where an eigenvalue outside the bands is too large for a float.
     bands : sequence of (lo, hi)
         The predicted bands, finite, ascending and not overlapping
         (InvalidParameterError otherwise).
@@ -650,7 +660,7 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
         The number of eigenvalues outside the inflated bands, their values
         (ascending within each window), and the number in (-inflate, inflate).
     """
-    diag, off = _tridiagonal(m)
+    diag, off, s = _tridiagonal(m)
     if not inflate >= 0:
         # a negative width would count a window "around zero" as -1 eigenvalues
         raise InvalidParameterError(f"need inflate >= 0, got {inflate}")
@@ -663,11 +673,11 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     # overflowed), so the edges run from -inf to inf
     windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi or lo == -math.inf or hi == math.inf]
     edges = [t for w in windows for t in w]
-    *inner, below_minus, below_plus = eigenvalue_counts(m, [*edges[1:-1], -inflate, inflate]).tolist()
+    *inner, below_minus, below_plus = _sturm_counts(diag, off, s, [*edges[1:-1], -inflate, inflate]).tolist()
     below = [0, *inner, len(diag)]
     n_outside, outside = 0, []
     for (lo, hi), below_lo, below_hi in zip(windows, below[0::2], below[1::2]):
         if below_hi > below_lo:
             n_outside += below_hi - below_lo
-            outside += _stebz(diag, off, "v", lo, hi).tolist()
+            outside += _stebz(diag, off, s, "v", lo, hi).tolist()
     return n_outside, outside, below_plus - below_minus

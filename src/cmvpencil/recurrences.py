@@ -79,8 +79,9 @@ def _require_lam(lam) -> None:
 
 
 # the largest float whose square is finite, 1.3407807929942596e154: the edge
-# of the pencil's lam and (over 4) of the identity residuals' lam; Sturm
-# counts need no such edge, as they scale the matrix (cmv._scaled)
+# of the pencil's lam and (over 4) of the identity residuals' lam; the
+# eigen layer needs no such edge, as its one gate scales the matrix
+# (cmv._tridiagonal)
 _SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 

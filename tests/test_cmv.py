@@ -901,14 +901,16 @@ def test_stebz_equals_eigh_tridiagonal_bit_for_bit(name):
     make, dim, lams = STEBZ_CASES[name]
     a, trunc = make(), TruncationSpec.from_dim(dim)
     for lam in lams:
-        diag, off = build_K(a, lam, trunc).bands
+        K = build_K(a, lam, trunc)
+        diag, off = K.bands
+        gate = cmv._tridiagonal(K)  # the bands as given, at s = 1
         for k in (0, dim - 1):
             want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))
-            assert hexes(cmv._stebz(diag, off, "i", k, k)) == hexes(want), (lam, k)
+            assert hexes(cmv._stebz(*gate, "i", k, k)) == hexes(want), (lam, k)
         windows = census_windows(lam)
         for lo, hi in [*windows, (-0.05, 0.05)]:
             want = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, hi))
-            assert hexes(cmv._stebz(diag, off, "v", lo, hi)) == hexes(want), (lam, lo, hi)
+            assert hexes(cmv._stebz(*gate, "v", lo, hi)) == hexes(want), (lam, lo, hi)
 
 
 @pytest.mark.parametrize("diag, off", [([0.3], []), ([0.3, -0.2], [0.5])])
@@ -916,12 +918,13 @@ def test_stebz_at_one_and_two_rows(diag, off):
     # at n = 1 eigh_tridiagonal answers without LAPACK, and the wrapper
     # refuses an empty off-diagonal
     diag, off = np.array(diag), np.array(off)
+    gate = cmv._tridiagonal(BandedSymmetricMatrix((diag, off)))
     for lo, hi in ((0.0, 1.0), (0.3, 1.0), (-1.0, 0.3), (-1.0, -0.5)):
         want = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(lo, hi))
-        assert hexes(cmv._stebz(diag, off, "v", lo, hi)) == hexes(want)
+        assert hexes(cmv._stebz(*gate, "v", lo, hi)) == hexes(want)
     for k in range(len(diag)):
         want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k))
-        assert hexes(cmv._stebz(diag, off, "i", k, k)) == hexes(want)
+        assert hexes(cmv._stebz(*gate, "i", k, k)) == hexes(want)
 
 
 def test_band_census_does_not_call_eigh_tridiagonal(monkeypatch):
@@ -933,6 +936,21 @@ def test_band_census_does_not_call_eigh_tridiagonal(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
     K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec.from_dim(200))
     assert band_census(K, essential_spectrum_periodic(2.0), 0.05)[0] == 1
+
+
+def test_each_public_eigen_call_passes_the_gate_once(monkeypatch):
+    # the census checked its matrix twice, once more through the counts
+    gate, calls = cmv._tridiagonal, []
+    monkeypatch.setattr(cmv, "_tridiagonal", lambda m: calls.append(m) or gate(m))
+    K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec.from_dim(200))
+    for call in (
+        lambda: tridiagonal_eigenvalues(K),
+        lambda: eigenvalue_counts(K, [-1.0, 0.0, 1.0]),
+        lambda: band_census(K, essential_spectrum_periodic(2.0), 0.05),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1 and calls[0] is K
 
 
 def test_sturm_counts_at_infinity_are_zero_and_dim():
@@ -995,21 +1013,67 @@ def test_counts_at_an_off_diagonal_whose_square_overflows():
     [([1e308, 0.0], [1e308]), ([1.79e308, 1.0], [1e306]), ([0.0, 0.0, 0.0], [9e307, -9e307])],
     ids=["both", "diagonal", "off-diagonal"],
 )
-def test_a_gershgorin_reach_that_overflows_is_refused(diag, off):
-    # the one place a true eigenvalue can leave the float range; refused
-    # without a numpy overflow warning
+def test_a_gershgorin_reach_that_overflows_is_answered(diag, off):
+    # max|d| + 2 max|e| overflows, every eigenvalue is finite, and these were
+    # refused; each entry point now answers as eigh_tridiagonal does, without
+    # a numpy overflow warning
     diag, off = np.array(diag), np.array(off)
     m = BandedSymmetricMatrix((diag, off))
+    want = eigh_tridiagonal(diag, off, eigvals_only=True)
+    atol = 4 * np.finfo(float).eps * want.max()  # bisection's rounding at this norm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        np.testing.assert_allclose(tridiagonal_eigenvalues(m), want, rtol=0, atol=atol)
+        np.testing.assert_allclose(cmv._stebz(*cmv._tridiagonal(m), "v", -math.inf, math.inf), want, rtol=0, atol=atol)
+        for k in range(len(diag)):
+            np.testing.assert_allclose(cmv._stebz(*cmv._tridiagonal(m), "i", k, k), want[k:k + 1], rtol=0, atol=atol)
+        # one shift between each pair of eigenvalues, each far from both
+        shifts = [-math.inf, *((want[:-1] + want[1:]) / 2), math.inf]
+        assert eigenvalue_counts(m, shifts).tolist() == list(range(len(diag) + 1))
+        n_outside, values, _ = band_census(m, [(-1.0, 1.0)], 0.0)
+        assert n_outside == len(diag)
+        np.testing.assert_allclose(values, want, rtol=0, atol=atol)
+    if diag.tolist() == [1e308, 0.0]:
+        # the true answers: eigenvalues (1 -+ sqrt(5)) / 2 * 1e308
+        assert eigenvalue_counts(m, [-math.inf, 0.0, math.inf]).tolist() == [0, 1, 2]
+        assert band_census(m, [(-1.0, 1.0)], 0.0) == (2, [-6.180339887498949e307, 1.6180339887498947e308], 0)
+
+
+def test_only_an_eigenvalue_beyond_the_float_range_is_refused():
+    # the eigenvalues are 0 and 3.4e308; eigh_tridiagonal returns [0, inf].
+    # Each entry point raises exactly where it would return 3.4e308, and
+    # counts, which return no eigenvalue, answer; no numpy warning is raised
+    diag, off = np.array([1.7e308, 1.7e308]), np.array([1.7e308])
+    m = BandedSymmetricMatrix((diag, off))
+    gate = cmv._tridiagonal(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalue_counts(m, [-math.inf, -1e300, 1e300, math.inf]).tolist() == [0, 0, 1, 2]
+        # an infinite widening leaves no eigenvalue to locate
+        assert band_census(m, [(-1.0, 1.0)], math.inf) == (0, [], 2)
+        assert abs(cmv._stebz(*gate, "i", 0, 0)[0]) < 1e300
+        assert len(cmv._stebz(*gate, "v", -math.inf, 1e300)) == 1
         for call in (
-            lambda: eigenvalue_counts(m, [0.0]),
-            lambda: band_census(m, [(-1.0, 1.0)], 0.05),
-            lambda: cmv._stebz(diag, off, "v", -math.inf, math.inf),
-            lambda: cmv._stebz(diag, off, "i", 0, 0),
+            lambda: tridiagonal_eigenvalues(m),
+            lambda: band_census(m, [(-1.0, 1.0)], 0.0),
+            lambda: cmv._stebz(*gate, "v", 1e300, math.inf),
+            lambda: cmv._stebz(*gate, "i", 1, 1),
         ):
-            with pytest.raises(InvalidParameterError, match="Gershgorin reach"):
+            with pytest.raises(InvalidParameterError, match="eigenvalue is too large for a float"):
                 call()
+
+
+def test_shifts_and_window_edges_that_overflow_at_the_scale_raise_no_warning():
+    # at 1e-170 the bands are scaled up by 2^81, so a shift or window
+    # edge of 1e300 overflowed there with a numpy warning; it counts as +-inf
+    m = BandedSymmetricMatrix((np.zeros(2), np.array([1e-170])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalue_counts(m, [-1e300, 1e300]).tolist() == [0, 2]
+        bands = [(np.float64(-1e300), np.float64(-1e299)), (np.float64(1e299), np.float64(1e300))]
+        n_outside, values, n_near_zero = band_census(m, bands, 0.0)
+    assert (n_outside, n_near_zero) == (2, 0)
+    np.testing.assert_allclose(values, [-1e-170, 1e-170], rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_census_at_a_scale_whose_squares_underflow():

@@ -3,10 +3,12 @@
 import importlib.util
 import math
 import os
+import re
+import warnings
 
 import pytest
 
-from cmvpencil import measures
+from cmvpencil import cli, measures
 from cmvpencil.recurrences import MonicThreeTerm, jacobi_opuc_reflections
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -43,17 +45,18 @@ def test_weight_tables_defaults(capsys):
         ("spectrum_sweep", ["--dim", "201"]),
         ("spectrum_sweep", ["--dim", "2"]),
         ("spectrum_sweep", ["--lams", "1", "nan"]),
-        ("spectrum_sweep", ["--inflate", "inf"]),
+        ("spectrum_sweep", ["--lams", "-0.0"]),
         ("weight_tables", ["--n", "40"]),
         ("weight_tables", ["--n", "-3"]),
         ("spectrum_sweep", ["--lams", "0"]),
         ("spectrum_sweep", ["--lams", "1", "-1"]),
         ("weight_tables", ["--n", "30"]),
-        ("spectrum_sweep", ["--inflate", "-1"]),
+        ("spectrum_sweep", ["--lams", "inf"]),
         ("spectrum_sweep", ["--lams", "1", "-inf"]),
-        ("spectrum_sweep", ["--inflate", "-NaN"]),
+        ("spectrum_sweep", ["--dim", "8", "--lams", "1.7976931348623157e308"]),
         ("spectrum_sweep", ["--eta", "0.5", "--lams", "2"]),
-        ("spectrum_sweep", ["--lams", "1", "1e308"]),  # the pencil's Gershgorin reach overflows
+        # the pencil's largest eigenvalue is beyond the float range
+        ("spectrum_sweep", ["--lams", "1", "1.7976931348623157e308"]),
     ],
 )
 def test_bad_input_exits_2(capsys, name, argv):
@@ -76,6 +79,25 @@ def test_spectrum_sweep_at_a_lam_whose_square_overflows(capsys):
     eig_min, eig_max, near_zero = float(rows[1][3]), float(rows[1][4]), int(rows[1][6])
     assert math.isclose(eig_min, -1e160, rel_tol=1e-12) and math.isclose(eig_max, 1e160, rel_tol=1e-12)
     assert near_zero == 1  # the one outlier of lam > 1
+
+
+@pytest.mark.parametrize("lam", ["5e-324", "1e-300", "1e-10", "1", "1e154", "1e160", "1e300", "1e308", "1.7976931348623157e308"])
+@pytest.mark.parametrize("program", ["spectrum", "spectrum_sweep"])
+def test_an_edge_lam_prints_finite_numbers_or_exits_2(capsys, program, lam):
+    # at 1e308 and the largest float, spectrum's gap matrix overflowed with a
+    # numpy warning; without the warning, at the largest float it printed four
+    # inf eigenvalues and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if program == "spectrum":
+            code = cli.main(["spectrum", "--dim", "8", "--lambda", lam])
+        else:
+            code = load("spectrum_sweep").main(["--dim", "8", "--lams", lam])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert not re.search(r"\b(inf|infinity|nan)\b", out, re.IGNORECASE), out
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: "), (code, err)
 
 
 @pytest.mark.parametrize(
