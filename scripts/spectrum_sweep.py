@@ -6,15 +6,20 @@ against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  The leading 2x2 block of build_K,
 checked against the quadratic formula on the convention's entries
 a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  The
-bands are widened by INFLATE, the spectrum suite's 0.05.  The census and
-eig_min/eig_max read each pencil through the library's one eigen gate, which
-scales it by a power of two where its largest entry is outside about 2e-146
-to 6e76, so a --lams value such as 1e160 or 1e308 is swept like any other.  An odd --dim, one below 4, a nan or
-infinite --lams value, one at or below 0, one whose pencil has an eigenvalue
-too large for a float (the largest float), or an option the script does not
-read (--eta without --xi) prints ``error: ...`` to stderr, and nothing to
-stdout, and exits 2; exit codes follow the CLI's one rule.  Without --eta, the
-closed-form reflections take eta = 0, and the header says so.
+bands are widened by INFLATE, the spectrum suite's 0.05.  Each pencil passes
+the library's one eigen gate once per lam, and the census and eig_min/eig_max
+read the gate's output.  The census resolves eigenvalues to about 1e-14 of
+the largest entry of K, which 1 + lam bounds, so a lam with
+INFLATE < 1e-14 * (1 + lam), from about 5e12 up, is refused: there the
+widening falls below the eigenvalues' rounding error and every eigenvalue
+could count as an outlier.  An odd --dim, one below 4, a nan or infinite
+--lams value, one at or below 0, one beyond that resolution, or an option the
+script does not read (--eta without --xi) prints ``error: ...`` to stderr,
+and nothing to stdout, and exits 2; exit codes follow the CLI's one rule.
+Every lam is checked before any output.  --output writes the table through
+the CLI's one file writer, which makes the parent directory and honours
+CMVPENCIL_OUTDIR.  Without --eta, the closed-form reflections take eta = 0,
+and the header says so.
 
 Examples
 --------
@@ -28,8 +33,8 @@ import sys
 
 import numpy as np
 
-from cmvpencil.cmv import TruncationSpec, _stebz, _tridiagonal, band_census, build_K
-from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
+from cmvpencil.cmv import TruncationSpec, _census, _stebz, _tridiagonal, build_K
+from cmvpencil.cli import ArgumentParser, _csv_text, _write_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, _table, jacobi_opuc_reflections
@@ -58,10 +63,9 @@ def sweep(a, lams, dim):
     table = _table(a, dim)  # the coefficients are read once for every lam
     rows = []
     for lam in lams:
-        K = build_K(table, lam, trunc)
         bands = essential_spectrum_periodic(lam)
-        outliers, _, near_zero = band_census(K, bands, INFLATE)
-        tri = _tridiagonal(K)
+        tri = _tridiagonal(build_K(table, lam, trunc))  # one gate for the census and both ends
+        outliers, _, near_zero = _census(*tri, bands, INFLATE)
         eig_min, eig_max = (float(_stebz(*tri, "i", k, k)[0]) for k in (0, dim - 1))
         rows.append((lam, *bands[1], eig_min, eig_max, outliers, near_zero))
     return rows
@@ -92,6 +96,10 @@ def run(args):
         raise InvalidParameterError(f"--lams must be finite, got {args.lams}")
     for lam in args.lams:
         essential_spectrum_periodic(lam)  # raises for lam <= 0
+        # 1 + lam bounds the entries of K, and the census resolves about
+        # 1e-14 of the largest; a narrower widening cannot tell an outlier
+        if INFLATE < 1e-14 * (1 + lam):
+            raise InvalidParameterError(f"--lams {lam:g} is beyond the census's resolution: {INFLATE} < 1e-14 * (1 + lam)")
     if args.xi is None:
         a = ReflectionSequence.constant(0.0)
         label = "free (a = 0)"
@@ -107,8 +115,7 @@ def run(args):
     print(f"# reflections: {label}, dim = {args.dim}")
     print(text, end="")
     if args.output:
-        with open(args.output, "w", newline="\n") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
         print(f"# wrote {args.output}")
     return 0
 

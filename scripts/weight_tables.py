@@ -12,7 +12,9 @@ parameters (an --n outside 0..29, the recovery's degree cap less one, an
 option the family does not read, say) print ``error: ...`` to
 stderr and exit 2; a recovery that does not converge (--family periodic with
 --lam within about 2e-4 of 1, where the bands almost touch) exits 3, as the
-CLI does.  A nan deviation is printed as nan.
+CLI does.  A nan deviation is printed as nan.  --output writes the table
+through the CLI's one file writer, which makes the parent directory and
+honours CMVPENCIL_OUTDIR.
 
 Examples
 --------
@@ -27,7 +29,7 @@ import sys
 import numpy as np
 
 from cmvpencil import measures
-from cmvpencil.cli import ArgumentParser, _csv_text, exit_code
+from cmvpencil.cli import ArgumentParser, _csv_text, _write_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.maps import big_m1_parameters
 from cmvpencil.measures import (
@@ -123,8 +125,7 @@ def run(args):
         print(f"# alternative closed-form display deviates by {np.max(deviations):.3e} on the band")
 
     if args.output:
-        with open(args.output, "w", newline="\n") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
         print(f"# wrote {args.output}")
     return 0
 

@@ -17,6 +17,7 @@ Output is deterministic: fixed float formatting, no timestamps, sorted JSON
 keys, and LF newlines, so repeated ``--reproducible`` runs are byte-identical.
 If ``--output`` is a relative path and ``CMVPENCIL_OUTDIR`` is set, the file
 goes under that directory; without ``--output`` the table goes to stdout.
+``_write_text`` is the one file writer, for the CLI and both scripts.
 The output options (``--format``, ``--output``, ``--reproducible``) are read
 from the parsed arguments; argparse's ``choices`` is the one check of
 ``--format``.
@@ -96,15 +97,21 @@ def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        path = args.output
-        outdir = os.environ.get("CMVPENCIL_OUTDIR")
-        if outdir and not os.path.isabs(path):
-            path = os.path.join(outdir, path)
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to path with LF newlines, under ``CMVPENCIL_OUTDIR`` if the
+    path is relative and that is set, making the parent directory first.
+    The one file writer of the CLI and both scripts."""
+    outdir = os.environ.get("CMVPENCIL_OUTDIR")
+    if outdir and not os.path.isabs(path):
+        path = os.path.join(outdir, path)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", newline="\n") as handle:
+        handle.write(text)
 
 
 def cmd_recurrence(args) -> int:

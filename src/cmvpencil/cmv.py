@@ -24,12 +24,13 @@ band (A B)_-k is the upper band (B A)_k and none is formed.  H = L M + M L
 is formed one band at a time, (LM)_k + (ML)_k, so ``build_H`` peaks at
 about three times the bands it returns; the squares L^2, M^2, J^2 and K^2
 take bands 0..2 only.  The band formulas and the residual max act on the
-last axis, so the identity residuals stack L, M and J of every sequence,
-and K of every sequence and lam, into (sequence, lam, row) arrays and form
-H, the squares and the six residuals once for all sequences and lams (the
-matrix-identities suite makes one such call).  ``verify_identities`` is its
-one-sequence, one-lam case, with the same bits; a stack of one matrix is a
-view of its bands, so that call copies no band.
+last axis, so one bands-level routine, ``_identity_residuals``, forms H,
+the squares and the six residuals for bands of any leading shape.
+``verify_identities`` feeds it one matrix each, with lam as a number; the
+matrix-identities suite's one call, ``_identity_residual_batch``, stacks L,
+M and J of every sequence, and K of every sequence and lam, into
+(sequence, lam, row) arrays, with lam along the lam axis.  The same
+elementwise operations give the same bits.
 
 ``_tridiagonal`` is the one gate of the eigen layer, and each of
 ``tridiagonal_eigenvalues``, ``eigenvalue_counts`` and ``band_census`` reads
@@ -332,11 +333,6 @@ def _product_band(A: tuple, B: tuple, k: int) -> np.ndarray:
     return band
 
 
-def _tri_product(A: tuple, B: tuple) -> tuple:
-    """Upper offsets 0..2 of A B for symmetric tridiagonals A and B given as (diag, off)."""
-    return tuple(_product_band(A, B, k) for k in range(3))
-
-
 def _anticommutator(L: tuple, M: tuple) -> tuple:
     """Bands 0..2 of L M + M L, (LM)_k + (ML)_k, for L and M given as (diag, off).
 
@@ -375,68 +371,66 @@ def _residual(lhs, rhs, n: int):
 _IDENTITY_LAM_MAX = _SQUARE_MAX / 4
 
 
-def _identity_residual_batch(sequences, lams, trunc: TruncationSpec) -> list:
-    """``verify_identities`` for each of a list of sequences at every lam, one
-    list of per-lam dicts per sequence.
+def _require_identity_lam(lam) -> None:
+    """InvalidParameterError unless lam is finite with |lam| <= ``_IDENTITY_LAM_MAX``."""
+    # compared exactly, so a huge int or Fraction fails here and not in float()
+    if not abs(lam) <= _IDENTITY_LAM_MAX:
+        raise InvalidParameterError(
+            f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
+            f"so that lam^2 and K^2 stay finite, got {lam}"
+        )
+
+
+def _identity_residuals(L, M, J, K, scale, shift, n: int) -> dict:
+    """Identity name -> max abs residual over rows 0 .. n-1, for L, M, J and K
+    given as (diag, off), scale = float(lam) and shift = 1 + lam^2.  A
+    truncation owns its last two rows, so its callers pass n = dim - 2.
+
+    The bands may carry leading axes, and scale and shift broadcast against
+    them; rows run along the last axis, which each residual reduces.  H and
+    the squares take their bands from ``_anticommutator`` and
+    ``_product_band``, so every residual equals that of ``banded_product``
+    and ``add`` bit for bit.  The keys come in the order the
+    matrix-identities suite reads them.
+    """
+    H = _anticommutator(L, M)
+    L2, M2, J2, K2 = ([_product_band(X, X, k) for k in range(3)] for X in (L, M, J, K))
+    eye = [1.0, 0.0, 0.0]
+    return {
+        "L_squared_is_identity": _residual(L2, eye, n),
+        "M_squared_is_identity": _residual(M2, eye, n),
+        "J_equals_L_plus_M": _residual(J, [L[0] + M[0], L[1] + M[1]], n),
+        "K_equals_L_plus_lam_M": _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n),
+        "H_equals_J_squared_minus_2": _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n),
+        "K_squared_identity": _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n),
+    }
+
+
+def _identity_residual_batch(sequences, lams, trunc: TruncationSpec) -> dict:
+    """``verify_identities`` for each of a list of sequences at every lam:
+    identity name -> (sequence, lam) array of residuals, whose lam axis has
+    length 1 for the four identities without lam.
 
     Every lam is checked before any arithmetic.  Each sequence makes one
     coefficient table for all its builders; L, M and J are built once per
     sequence and K once per (sequence, lam).  Their bands are stacked into
-    (sequence, lam, row) arrays, L, M and J with a lam axis of length 1, so
-    H, every square and the six residuals are each formed once for all of
-    them, with the same elementwise operations as for one sequence and one
-    lam, and so the same bits.
+    (sequence, lam, row) arrays, L, M and J with a lam axis of length 1, and
+    ``_identity_residuals`` forms H, every square and the six residuals once
+    for all of them, with the same elementwise operations as for one
+    sequence and one lam, and so the same bits.
     """
     for lam in lams:
-        # compared exactly, so a huge int or Fraction fails here and not in float()
-        if not abs(lam) <= _IDENTITY_LAM_MAX:
-            raise InvalidParameterError(
-                f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
-                f"so that lam^2 and K^2 stay finite, got {lam}"
-            )
+        _require_identity_lam(lam)
     dim = trunc.dim
     tables = [_table(a, dim) for a in sequences]
-    L, M, J = (_stacked([build(t, trunc).bands for t in tables], 1) for build in (build_L, build_M, build_J))
-    K = _stacked([build_K(t, lam, trunc).bands for t in tables for lam in lams], len(lams))
-    H = _anticommutator(L, M)
-    L2, M2, J2, K2 = (_tri_product(X, X) for X in (L, M, J, K))
-    n, eye = dim - 2, [1.0, 0.0, 0.0]  # the truncation owns the last two rows
+    built = [[build(t, trunc) for t in tables] for build in (build_L, build_M, build_J)]
+    built.append([build_K(t, lam, trunc) for t in tables for lam in lams])
+    # one concatenate and a reshape per band; np.stack is slower here
+    L, M, J, K = (tuple(np.concatenate([X.bands[k] for X in Xs]).reshape(len(tables), -1, dim - k) for k in (0, 1)) for Xs in built)
     # lam * array takes float(lam); 1 + lam^2 squares lam as given (a Fraction exactly)
-    scale, shift = [float(lam) for lam in lams], [1.0 + lam * lam for lam in lams]
-    # one lam scales as a number, as cheap as the unbatched call; more
-    # broadcast along the lam axis
-    scale, shift = (scale[0], shift[0]) if len(lams) == 1 else (np.array(scale)[:, None], np.array(shift)[:, None])
-    L_squared = _residual(L2, eye, n).tolist()
-    M_squared = _residual(M2, eye, n).tolist()
-    J_sum = _residual(J, [L[0] + M[0], L[1] + M[1]], n).tolist()
-    H_from_J = _residual(H, [J2[0] - 2.0, J2[1], J2[2]], n).tolist()
-    K_sum = _residual(K, [L[0] + scale * M[0], L[1] + scale * M[1]], n).tolist()
-    K_squared = _residual(K2, [shift + scale * H[0], *(scale * h for h in H[1:])], n).tolist()
-    return [
-        [
-            {
-                "L_squared_is_identity": L_squared[s][0],
-                "M_squared_is_identity": M_squared[s][0],
-                "J_equals_L_plus_M": J_sum[s][0],
-                "K_equals_L_plus_lam_M": K_sum[s][j],
-                "H_equals_J_squared_minus_2": H_from_J[s][0],
-                "K_squared_identity": K_squared[s][j],
-            }
-            for j in range(len(lams))
-        ]
-        for s in range(len(tables))
-    ]
-
-
-def _stacked(bands: list, per_sequence: int) -> tuple:
-    """(diag, off) of tridiagonals listed sequence by sequence, ``per_sequence``
-    each, stacked into arrays of shape (sequences, per_sequence, rows).  A
-    single matrix is not copied: its bands are viewed with two leading axes
-    of length 1."""
-    if len(bands) == 1:
-        diag, off = bands[0]
-        return diag[None, None], off[None, None]
-    return tuple(np.concatenate([X[k] for X in bands]).reshape(-1, per_sequence, len(bands[0][k])) for k in (0, 1))
+    scale = np.array([float(lam) for lam in lams])[:, None]
+    shift = np.array([1.0 + lam * lam for lam in lams])[:, None]
+    return _identity_residuals(L, M, J, K, scale, shift, dim - 2)
 
 
 def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> dict:
@@ -448,9 +442,9 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
 
     Complexity: O(dim) time and memory; nothing dense is formed.  The
     residuals equal those of ``banded_product`` and ``add`` bit for bit (a
-    dense J @ J may round differently, by a few 1e-16).  This is the
-    one-sequence, one-lam case of the routine the matrix-identities suite
-    calls once for all its sequences and lams.
+    dense J @ J may round differently, by a few 1e-16), and those the
+    matrix-identities suite finds for the same sequence and lam: both feed
+    the same bands-level routine, this call with one matrix each.
     A lam that is not finite, or with |lam| above about 3.35e153 (where
     lam^2 or K^2 would overflow), raises InvalidParameterError.
 
@@ -459,7 +453,12 @@ def verify_identities(a: ReflectionSequence, lam: float, trunc: TruncationSpec) 
     dict
         Identity name -> max abs residual.
     """
-    return _identity_residual_batch((a,), (lam,), trunc)[0][0]
+    _require_identity_lam(lam)
+    table = _table(a, trunc.dim)  # one coefficient table for all four builders
+    L, M, J = (build(table, trunc).bands for build in (build_L, build_M, build_J))
+    K = build_K(table, lam, trunc).bands
+    residuals = _identity_residuals(L, M, J, K, float(lam), 1.0 + lam * lam, trunc.dim - 2)
+    return {key: float(value) for key, value in residuals.items()}
 
 
 def _finite_bands(bands) -> list:
@@ -636,7 +635,11 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     the windows that hold any.  Both read the bands that one
     ``_tridiagonal`` call returns, at its power of two, so the census holds
     at every scale; an eigenvalue within rounding (about 1e-15 times the
-    largest entry) of a window edge may count on either side.
+    largest entry) of a window edge may count on either side.  This call is
+    that gate plus ``_census``, which takes the gate's output, so a caller
+    that needs more of a matrix than its census gates it once.  Band edges
+    and ``inflate`` are widened as Python floats, so an edge that leaves the
+    float range becomes +-inf, numpy scalars included, without a warning.
 
     Complexity: O(dim) per window edge, plus O(dim) per eigenvalue found
     outside the bands.  No full eigensolve and no O(dim^2) object.
@@ -660,15 +663,21 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
         The number of eigenvalues outside the inflated bands, their values
         (ascending within each window), and the number in (-inflate, inflate).
     """
-    diag, off, s = _tridiagonal(m)
+    return _census(*_tridiagonal(m), bands, inflate)
+
+
+def _census(diag, off, s: float, bands, inflate: float) -> tuple:
+    """``band_census`` on (diag, off, s) as ``_tridiagonal`` returns it."""
     if not inflate >= 0:
         # a negative width would count a window "around zero" as -1 eigenvalues
         raise InvalidParameterError(f"need inflate >= 0, got {inflate}")
     edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
     if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
         raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {bands!r}")
-    starts = [-math.inf, *(q + inflate for _, q in bands)]
-    ends = [*(p - inflate for p, _ in bands), math.inf]
+    # widened as Python floats, which overflow to +-inf without a numpy warning
+    inflate = float(inflate)
+    starts = [-math.inf, *(float(q) + inflate for _, q in bands)]
+    ends = [*(float(p) - inflate for p, _ in bands), math.inf]
     # the two outer windows stay even when empty (a widened edge that
     # overflowed), so the edges run from -inf to inf
     windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi or lo == -math.inf or hi == math.inf]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -104,14 +103,19 @@ def suite_matrix_identities(dim: int = 64) -> list:
         sequences.append((f"random[{k}]", ReflectionSequence.from_list(list(values))))
     lams = (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)
     results = []
-    batch = _identity_residual_batch([a for _, a in sequences], lams, trunc)
-    for (name, _), per_lam in zip(sequences, batch):
+    # identity name -> residuals indexed [sequence][lam], each array read
+    # once; an identity without lam holds one per sequence, read at every lam
+    batch = {
+        key: [row * (len(lams) // len(row)) for row in value.tolist()]
+        for key, value in _identity_residual_batch([a for _, a in sequences], lams, trunc).items()
+    }
+    for s, (name, _) in enumerate(sequences):
         worst = 0.0
         worst_case = ""
-        for lam, residuals in zip(lams, per_lam):
-            for key, res in residuals.items():
-                if _worst(worst, res) is not worst:  # res is larger, or the first nan
-                    worst, worst_case = res, f"{key} at lam={lam}"
+        for j, lam in enumerate(lams):
+            for key, residuals in batch.items():
+                if _worst(worst, residuals[s][j]) is not worst:  # larger, or the first nan
+                    worst, worst_case = residuals[s][j], f"{key} at lam={lam}"
         results.append(
             _within(f"matrix identities, {name}, dim={dim}", worst, 1e-13, worst_case=worst_case)
         )
@@ -513,7 +517,8 @@ def run_suite(name: str, **kwargs) -> list:
     """Run one named suite; returns its CheckResult list.
 
     Raises InvalidParameterError for an unknown suite or a keyword the suite
-    does not take.
+    does not take.  A warning raised inside a suite reaches the caller, under
+    the caller's warning filters.
     """
     if name not in SUITES:
         raise InvalidParameterError(
@@ -525,9 +530,7 @@ def run_suite(name: str, **kwargs) -> list:
             raise InvalidParameterError(
                 f"suite {name!r} takes no keyword {key!r}; it takes: {', '.join(takes) or 'none'}"
             )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SUITES[name](**kwargs)
+    return SUITES[name](**kwargs)
 
 
 def run_all() -> dict:

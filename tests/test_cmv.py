@@ -337,13 +337,27 @@ def test_residuals_bit_identical_to_general_route(dim):
             assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in general.items()}, (name, lam)
 
 
+def square_bands(X):
+    """Upper offsets 0..2 of X X for a symmetric tridiagonal X given as (diag, off)."""
+    return [cmv._product_band(X, X, k) for k in range(3)]
+
+
+def batch_dicts(sequences, lams, trunc):
+    """The batch's (sequence, lam) arrays as one dict of residuals per
+    sequence and lam, the keys in the batch's order."""
+    batch = cmv._identity_residual_batch(sequences, lams, trunc)
+    assert all(value.shape in ((len(sequences), 1), (len(sequences), len(lams))) for value in batch.values())
+    batch = {key: np.broadcast_to(value, (len(sequences), len(lams))).tolist() for key, value in batch.items()}
+    return [[{key: value[s][j] for key, value in batch.items()} for j in range(len(lams))] for s in range(len(sequences))]
+
+
 def per_lam_residuals(a, lam, trunc):
     """``verify_identities`` as it was before the lam-free work was shared:
     every builder, product and residual formed afresh for one lam."""
     K = build_K(a, lam, trunc).bands
     L, M, J = build_L(a, trunc).bands, build_M(a, trunc).bands, build_J(a, trunc).bands
     H = cmv._anticommutator(L, M)
-    L2, M2, J2, K2 = (cmv._tri_product(X, X) for X in (L, M, J, K))
+    L2, M2, J2, K2 = (square_bands(X) for X in (L, M, J, K))
     scale, shift = float(lam), 1.0 + lam * lam
     n, eye = trunc.dim - 2, [1.0, 0.0, 0.0]
     return {
@@ -360,7 +374,7 @@ def per_lam_residuals(a, lam, trunc):
 def test_shared_lam_free_work_bit_identical_to_per_lam(dim):
     trunc = TruncationSpec.from_dim(dim)
     for name, a in identity_sequences(dim).items():
-        shared = cmv._identity_residual_batch((a,), IDENTITY_LAMS, trunc)[0]
+        shared = batch_dicts((a,), IDENTITY_LAMS, trunc)[0]
         assert len(shared) == len(IDENTITY_LAMS)
         for lam, residuals in zip(IDENTITY_LAMS, shared):
             reference = per_lam_residuals(a, lam, trunc)
@@ -409,10 +423,29 @@ BATCH_LAMS = (-2.0, 0.0, 1, Fraction(3, 2), 3.0)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 64, 2048])
+def test_one_call_does_not_run_the_batch(monkeypatch, dim):
+    # the one-sequence, one-lam call feeds the shared routine its own bands,
+    # and finds what the batch finds for that sequence and lam
+    trunc = TruncationSpec.from_dim(dim)
+    sequences = batch_sequences(dim)
+    want = batch_dicts(sequences, BATCH_LAMS, trunc)
+
+    def refuse(*args):
+        raise AssertionError("_identity_residual_batch was called")
+
+    monkeypatch.setattr(cmv, "_identity_residual_batch", refuse)
+    for a, per_lam in zip(sequences, want):
+        for lam, residuals in zip(BATCH_LAMS, per_lam):
+            alone = verify_identities(a, lam, trunc)
+            assert list(alone) == list(residuals)
+            assert {k: v.hex() for k, v in alone.items()} == {k: v.hex() for k, v in residuals.items()}, lam
+
+
+@pytest.mark.parametrize("dim", [4, 8, 64, 2048])
 def test_batch_bit_identical_to_one_sequence_calls(dim):
     trunc = TruncationSpec.from_dim(dim)
     sequences = batch_sequences(dim)
-    batch = cmv._identity_residual_batch(sequences, BATCH_LAMS, trunc)
+    batch = batch_dicts(sequences, BATCH_LAMS, trunc)
     assert len(batch) == len(sequences)
     for a, per_lam in zip(sequences, batch):
         assert len(per_lam) == len(BATCH_LAMS)
@@ -442,7 +475,7 @@ def test_a_nan_reaches_only_its_own_sequence_and_lam(monkeypatch):
     # build_J is build_K at lam = 1: count the K's only outside build_J
     monkeypatch.setattr(cmv, "build_K", planted("build_K", build_K, 3 * len(BATCH_LAMS) + 2))
     monkeypatch.setattr(cmv, "build_J", planted("build_J", lambda *args: build_K(args[0], 1, args[1]), 2))
-    batch = cmv._identity_residual_batch(batch_sequences(8), BATCH_LAMS, TRUNC8)
+    batch = batch_dicts(batch_sequences(8), BATCH_LAMS, TRUNC8)
     nan_at = {
         (s, j, key) for s, per_lam in enumerate(batch) for j, residuals in enumerate(per_lam)
         for key, value in residuals.items() if math.isnan(value)
@@ -552,7 +585,7 @@ def test_square_bands_bit_identical_to_five_offset_formulas(dim):
         for X in pencils:
             whole = five_offset_product(X, X)
             # raw bytes tell -0.0 from 0.0, as float.hex does
-            assert [band.tobytes() for band in cmv._tri_product(X, X)] == [whole[k].tobytes() for k in range(3)]
+            assert [band.tobytes() for band in square_bands(X)] == [whole[k].tobytes() for k in range(3)]
 
 
 def test_build_H_peaks_at_three_times_its_bands():
@@ -844,7 +877,7 @@ def test_a_bad_coefficient_raises_at_its_index(first_bad):
         "build_J": lambda a: build_J(a, TRUNC8),
         "build_K": lambda a: build_K(a, 0.5, TRUNC8),
         "build_H": lambda a: build_H(a, TRUNC8),
-        "identity residuals": lambda a: cmv._identity_residual_batch((a,), (0.5, 2.0), TRUNC8)[0],
+        "identity residuals": lambda a: cmv._identity_residual_batch((a,), (0.5, 2.0), TRUNC8),
         "szego_eval": lambda a: szego_eval(a, 8, 0.5),
         "table": lambda a: _table(a, 8),
     }
@@ -1121,3 +1154,18 @@ def test_band_census_keeps_the_outer_windows_when_a_widened_edge_overflows():
     # an infinite width leaves nothing outside and everything near zero
     assert band_census(m, bands, math.inf) == (0, [], 3)
     assert band_census(m, [], math.inf) == (3, [-0.7 * big, 0.0, 0.7 * big], 3)
+
+
+def test_band_census_widens_numpy_band_edges_without_a_warning():
+    # numpy scalars overflowed in q + inflate with a RuntimeWarning, an error
+    # here; Python floats overflow quietly to +-inf and give the census
+    m = BandedSymmetricMatrix((np.array([0.0, 1.0, 2.0]), np.zeros(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bands, inflate in (
+            ([(-1.5e308, 1.5e308)], 1e308),
+            (np.array([(-1.5e308, 1.5e308)]), 1e308),
+            (np.array([(-1.5e308, 1.5e308)]), np.float64(1e308)),
+            ([(-1.5e308, 1.5e308)], np.float64(1e308)),
+        ):
+            assert band_census(m, bands, inflate) == (0, [], 3)

@@ -8,8 +8,8 @@ import warnings
 
 import pytest
 
-from cmvpencil import cli, measures
-from cmvpencil.recurrences import MonicThreeTerm, jacobi_opuc_reflections
+from cmvpencil import cli, cmv, measures
+from cmvpencil.recurrences import MonicThreeTerm, ReflectionSequence, jacobi_opuc_reflections
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -70,15 +70,53 @@ def test_bad_input_exits_2(capsys, name, argv):
 
 
 def test_spectrum_sweep_at_a_lam_whose_square_overflows(capsys):
-    # exited 2 while Sturm counts refused off-diagonal entries above
-    # sqrt(max float) = 1.34e154; the counts and eig_min/eig_max scale the
-    # pencil by a power of two, and its eigenvalues are -+(lam + 1) to float
-    assert load("spectrum_sweep").main(["--lams", "1", "1e160"]) == 0
-    rows = [line.split(",") for line in csv_lines(capsys.readouterr().out)[1:]]
-    assert [float(row[0]) for row in rows] == [1.0, 1e160]
-    eig_min, eig_max, near_zero = float(rows[1][3]), float(rows[1][4]), int(rows[1][6])
-    assert math.isclose(eig_min, -1e160, rel_tol=1e-12) and math.isclose(eig_max, 1e160, rel_tol=1e-12)
-    assert near_zero == 1  # the one outlier of lam > 1
+    # 1e160 was swept, and printed 200 outliers of 200: the widening 0.05 is
+    # far below the eigenvalues' rounding error there.  Every lam with
+    # 0.05 < 1e-14 * (1 + lam) is refused before any output; 1e12 is swept
+    module = load("spectrum_sweep")
+    assert module.main(["--lams", "1e12"]) == 0
+    assert csv_lines(capsys.readouterr().out)[1] == (
+        "1000000000000,999999999999,1000000000001,-1000000000000.9995,1000000000000.9998,1,1"
+    )
+    for lams in (["1e15"], ["1e160"], ["1", "1e160"], ["5e12"]):
+        assert module.main(["--lams", *lams]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --lams") and "resolution" in err, lams
+    # the closed-form pencil counted 12 outliers at 1e15, against 1 at 1e14
+    assert module.main(["--xi", "0.3", "--eta", "0.7", "--lams", "1e12"]) == 0
+    assert csv_lines(capsys.readouterr().out)[1].endswith(",1,0")
+    assert module.main(["--xi", "0.3", "--eta", "0.7", "--lams", "1e15"]) == 2
+
+
+def test_spectrum_sweep_gates_each_pencil_once(monkeypatch):
+    # the census gated each pencil, and the sweep gated it again for eig_min/eig_max
+    module = load("spectrum_sweep")
+    calls = []
+    gate = cmv._tridiagonal
+    for owner in (cmv, module):
+        monkeypatch.setattr(owner, "_tridiagonal", lambda m: calls.append(m) or gate(m))
+    lams = [0.5, 1.0, 2.0, 3.0]
+    rows = module.sweep(ReflectionSequence.constant(0.0), lams, 20)
+    assert [row[0] for row in rows] == lams
+    assert len(calls) == len(lams)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("spectrum_sweep", ["--dim", "20", "--lams", "0.5", "2"]), ("weight_tables", ["--n", "3"])],
+)
+def test_script_output_goes_through_the_cli_writer(capsys, monkeypatch, tmp_path, name, argv):
+    # the scripts opened --output as given: a missing directory raised
+    # FileNotFoundError after the table was printed, and CMVPENCIL_OUTDIR was ignored
+    monkeypatch.setenv("CMVPENCIL_OUTDIR", str(tmp_path / "out"))
+    assert load(name).main([*argv, "--output", os.path.join("missing", "table.csv")]) == 0
+    out = capsys.readouterr().out
+    written = (tmp_path / "out" / "missing" / "table.csv").read_text()
+    assert written.splitlines() == csv_lines(out)
+    assert out.endswith(f"# wrote {os.path.join('missing', 'table.csv')}\n")
+    absolute = tmp_path / "absent" / "dir" / "x.csv"
+    assert load(name).main([*argv, "--output", str(absolute)]) == 0
+    assert absolute.read_text() == written
 
 
 @pytest.mark.parametrize("lam", ["5e-324", "1e-300", "1e-10", "1", "1e154", "1e160", "1e300", "1e308", "1.7976931348623157e308"])

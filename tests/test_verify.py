@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def test_run_all_covers_every_suite():
     outcome = run_all()
     assert set(outcome) == set(SUITES)
     assert all(r.passed for results in outcome.values() for r in results)
+
+
+def test_a_warning_inside_a_suite_reaches_the_caller(monkeypatch):
+    # run_suite ignored every warning its suites raised
+    census = verify.band_census
+
+    def warned(*args):
+        warnings.warn("planted in the census", RuntimeWarning)
+        return census(*args)
+
+    monkeypatch.setattr(verify, "band_census", warned)
+    with pytest.warns(RuntimeWarning, match="planted in the census"):
+        results = run_suite("spectrum")
+    assert len(results) == 3 and all(r.passed for r in results)
 
 
 @pytest.mark.parametrize("suite", ["matrix-identities", "spectrum"])
