@@ -18,8 +18,10 @@ script does not read (--eta without --xi) prints ``error: ...`` to stderr,
 and nothing to stdout, and exits 2; exit codes follow the CLI's one rule.
 Every lam is checked before any output.  --output writes the table through
 the CLI's one file writer, which makes the parent directory and honours
-CMVPENCIL_OUTDIR.  Without --eta, the closed-form reflections take eta = 0,
-and the header says so.
+CMVPENCIL_OUTDIR, before anything is printed: a path that cannot be
+written prints ``error: ...`` naming it, nothing to stdout, and exits 2.
+Without --eta, the closed-form reflections take eta = 0, and the header
+says so.
 
 Examples
 --------
@@ -108,14 +110,16 @@ def run(args):
         a = jacobi_opuc_reflections(args.xi, eta)
         label = f"closed-form reflections (xi={args.xi}, eta={eta})"
 
-    # the table is made before any output, so an error in it prints nothing
+    # the table is made and written before any output, so an error in
+    # either prints nothing
     check = two_by_two_check(a, 2.0)
     text = _csv_text(HEADER, sweep(a, args.lams, args.dim))
+    if args.output:
+        _write_text(args.output, text)
     print(f"# 2x2 truncation vs quadratic formula: max deviation {check:.2e}")
     print(f"# reflections: {label}, dim = {args.dim}")
     print(text, end="")
     if args.output:
-        _write_text(args.output, text)
         print(f"# wrote {args.output}")
     return 0
 

@@ -14,7 +14,8 @@ stderr and exit 2; a recovery that does not converge (--family periodic with
 --lam within about 2e-4 of 1, where the bands almost touch) exits 3, as the
 CLI does.  A nan deviation is printed as nan.  --output writes the table
 through the CLI's one file writer, which makes the parent directory and
-honours CMVPENCIL_OUTDIR.
+honours CMVPENCIL_OUTDIR, before anything is printed: a path that cannot be
+written prints ``error: ...`` naming it, nothing to stdout, and exits 2.
 
 Examples
 --------
@@ -105,10 +106,8 @@ def run(args):
         deviations += (abs(bw - bc), abs(uw - uc))
         rows.append((n, bw, bc, uw, uc))
     text = _csv_text(HEADER, rows)
-    print(f"# family {args.family}: recurrence recovered from the weight vs closed form")
-    print(text, end="")
     # np.max keeps a nan, where max would drop it
-    print(f"# worst coefficient deviation: {np.max(deviations):.3e}")
+    notes = [f"# worst coefficient deviation: {np.max(deviations):.3e}"]
 
     if args.family == "periodic" and args.lam != 1.0:
         # report the alternative display's failure on a band grid
@@ -122,11 +121,15 @@ def run(args):
                 deviations.append(np.inf)
                 break
             deviations.append(abs(alt - stieltjes_perron_density(args.lam, float(t))))
-        print(f"# alternative closed-form display deviates by {np.max(deviations):.3e} on the band")
+        notes.append(f"# alternative closed-form display deviates by {np.max(deviations):.3e} on the band")
 
+    # written before anything is printed, so a failed write prints nothing
     if args.output:
         _write_text(args.output, text)
-        print(f"# wrote {args.output}")
+        notes.append(f"# wrote {args.output}")
+    print(f"# family {args.family}: recurrence recovered from the weight vs closed form")
+    print(text, end="")
+    print("\n".join(notes))
     return 0
 
 

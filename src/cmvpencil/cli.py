@@ -8,8 +8,9 @@ Three subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure or any
 other library error, 2 bad usage or parameters (a non-finite numeric option,
-a ``spectrum --lambda`` at or below 0, or a ``verify`` option the chosen
-suite does not read, included), 3 quadrature or iteration non-convergence.
+a ``spectrum --lambda`` at or below 0, a ``verify`` option the chosen
+suite does not read, or an ``--output`` path that cannot be written,
+included), 3 quadrature or iteration non-convergence.
 ``exit_code`` is the one rule that maps a library error to its code, for
 the CLI and both scripts.
 
@@ -103,15 +104,19 @@ def _emit(args, command: str, params: dict, columns, rows, extra=None) -> None:
 def _write_text(path: str, text: str) -> None:
     """Write text to path with LF newlines, under ``CMVPENCIL_OUTDIR`` if the
     path is relative and that is set, making the parent directory first.
-    The one file writer of the CLI and both scripts."""
+    The one file writer of the CLI and both scripts; a path that cannot be
+    written (a directory, say) raises InvalidParameterError naming it."""
     outdir = os.environ.get("CMVPENCIL_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_recurrence(args) -> int:

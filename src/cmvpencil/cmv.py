@@ -47,11 +47,11 @@ subnormal to the largest float.  The one refusal beyond bad input is
 float; counts return no eigenvalue and refuse none.
 
 ``eigenvalue_counts`` answers "how many eigenvalues lie below t" by Sturm
-(LDL^T inertia) counts, and ``band_census`` uses one such count to count (and
-bisection to locate) the eigenvalues outside predicted bands.  The census
-closes its outer windows at -inf and inf, below which 0 and dim eigenvalues
-lie, so it counts only the finite edges between them.  Bisection is
-``_stebz``, LAPACK ``?stebz`` called with exactly the arguments
+(LDL^T inertia) counts in a Python loop.  ``band_census`` counts and locates
+the eigenvalues outside predicted bands with LAPACK ``?stebz`` alone: one
+``_stebz`` call per window, whose count is the number of values it returns,
+and one count-only call, ``_stebz_count``, on the window around zero.
+``_stebz`` is ``?stebz`` called with exactly the arguments
 ``eigh_tridiagonal`` passes, bit for bit the same and without scipy's
 argument checks.  Only ``tridiagonal_eigenvalues`` (all eigenvalues, about
 O(dim^2) in LAPACK) and the ``to_dense`` test oracles cost more.
@@ -535,34 +535,64 @@ def tridiagonal_eigenvalues(m: BandedSymmetricMatrix) -> np.ndarray:
     return _unscaled(eigh_tridiagonal(diag, off, eigvals_only=True, check_finite=False), s)
 
 
-def _stebz(diag, off, s: float, select: str, lo, hi) -> np.ndarray:
-    """Eigenvalues of the symmetric tridiagonal (diag, off) / s, ascending:
-    those in (lo, hi] for ``select="v"`` (either end may be infinite), those
-    of 0-based indices lo .. hi for ``"i"``.
+def _dstebz(diag, off, s: float, select: str, lo, hi, tol: float) -> tuple:
+    """(m, w): LAPACK ``?stebz`` on the symmetric tridiagonal (diag, off),
+    for the window (lo, hi] scaled by s (``select="v"``) or the 0-based
+    indices lo .. hi (``"i"``), at absolute tolerance tol; w[:m] are the
+    eigenvalues found, at scale s, ascending.
 
-    LAPACK ``?stebz`` with exactly the arguments ``eigh_tridiagonal`` passes
-    it (range 1 with (vl, vu), or range 2 with 1-based il and iu; tol 0.0;
-    order ``'E'``), and the same check of ``info``, so at s = 1 the values
-    are the same bit for bit; without scipy's argument checks, about a fifth
-    of a call at dim 200 (20 of 110 us).  (lo, hi] is scaled by s, as
-    ``?stevx`` does before it calls ``?stebz``, and the values are scaled
-    back by ``_unscaled``.  Precondition: (diag, off, s) as ``_tridiagonal``
-    returns it.
+    The arguments are those ``eigh_tridiagonal`` passes (range 1 with
+    (vl, vu), or range 2 with 1-based il and iu; order ``'E'``), with the
+    same check of ``info``, and without scipy's argument checks.  A window
+    with vl >= vu at scale s (both ends overflowed to the same +-inf, say)
+    is empty and makes no call, as ?stebz refuses it.  Precondition:
+    (diag, off, s) as ``_tridiagonal`` returns it.
     """
     from scipy.linalg.lapack import dstebz
 
-    if len(diag) == 1:
-        off = np.zeros(1)  # the wrapper wants one entry; LAPACK reads none at n = 1
     if select == "v":
         # Python floats overflow to +-inf without a numpy warning
-        m, w, _, _, info = dstebz(diag, off, 1, float(lo) * s, float(hi) * s, 1, 1, 0.0, "E")
+        vl, vu = float(lo) * s, float(hi) * s
+        if not vl < vu:
+            return 0, np.empty(0)
+        args = (1, vl, vu, 1, 1)
     else:
-        m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+        args = (2, 0.0, 1.0, lo + 1, hi + 1)
+    if len(diag) == 1:
+        off = np.zeros(1)  # the wrapper wants one entry; LAPACK reads none at n = 1
+    m, w, _, _, info = dstebz(diag, off, *args, tol, "E")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal stebz (eigh_tridiagonal)")
     if info > 0:
         raise np.linalg.LinAlgError(f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})")
+    return m, w
+
+
+def _stebz(diag, off, s: float, select: str, lo, hi) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal (diag, off) / s, ascending:
+    those in (lo, hi] for ``select="v"`` (either end may be infinite, and
+    the window may be empty), those of 0-based indices lo .. hi for ``"i"``.
+
+    ``_dstebz`` at tol 0.0, as ``eigh_tridiagonal`` calls ?stebz, so at
+    s = 1 the values are the same bit for bit, at about a fifth less of a
+    call at dim 200 (20 of 110 us).  (lo, hi] is scaled by s, as ``?stevx``
+    does before it calls ``?stebz``, and the values are scaled back by
+    ``_unscaled``.  Precondition: (diag, off, s) as ``_tridiagonal`` returns
+    it.
+    """
+    m, w = _dstebz(diag, off, s, select, lo, hi, 0.0)
     return _unscaled(w[:m], s)
+
+
+def _stebz_count(diag, off, s: float, lo, hi) -> int:
+    """How many eigenvalues of (diag, off) / s lie in (lo, hi]: ``_stebz``'s
+    count, without locating them.
+
+    At tol = max float every bisection interval counts as converged after
+    its first step, so the call makes a Sturm count at each end and one
+    bisection step, in Fortran; m is the difference of the two end counts.
+    """
+    return _dstebz(diag, off, s, "v", lo, hi, sys.float_info.max)[0]
 
 
 def _sturm_counts(diag, off, s: float, shifts) -> np.ndarray:
@@ -626,23 +656,24 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     """Eigenvalues of a tridiagonal matrix outside the inflated bands, and near zero.
 
     The real line outside the bands, each widened by ``inflate`` on both
-    sides, splits into windows: below the first band, between consecutive
-    bands and above the last one, the outer two ending at -inf and inf.  One
-    Sturm count call, as ``eigenvalue_counts`` makes it, counts the
-    eigenvalues below every window edge between those two and at -inflate
-    and inflate; below -inf lie 0 and below inf dim, so no count is made
-    there.  ``_stebz`` (LAPACK bisection) then locates the eigenvalues of
-    the windows that hold any.  Both read the bands that one
-    ``_tridiagonal`` call returns, at its power of two, so the census holds
-    at every scale; an eigenvalue within rounding (about 1e-15 times the
-    largest entry) of a window edge may count on either side.  This call is
-    that gate plus ``_census``, which takes the gate's output, so a caller
-    that needs more of a matrix than its census gates it once.  Band edges
-    and ``inflate`` are widened as Python floats, so an edge that leaves the
-    float range becomes +-inf, numpy scalars included, without a warning.
+    sides, splits into half-open windows (lo, hi]: below the first band,
+    between consecutive bands and above the last one, the outer two ending
+    at -inf and inf.  One ``_stebz`` call (LAPACK ``?stebz``, Kahan's
+    bisection on the Sturm count) per window counts and locates its
+    eigenvalues, so the count outside is the number of values found; a
+    window that is empty at the matrix's scale makes no call.  One
+    count-only call, ``_stebz_count``, counts the eigenvalues in
+    (-inflate, inflate].  All read the bands that one ``_tridiagonal`` call
+    returns, at its power of two, so the census holds at every scale; an
+    eigenvalue within rounding (about 1e-15 times the largest entry) of a
+    window edge may count on either side.  This call is that gate plus
+    ``_census``, which takes the gate's output, so a caller that needs more
+    of a matrix than its census gates it once.  Band edges and ``inflate``
+    are widened as Python floats, so an edge that leaves the float range
+    becomes +-inf, numpy scalars included, without a warning.
 
-    Complexity: O(dim) per window edge, plus O(dim) per eigenvalue found
-    outside the bands.  No full eigensolve and no O(dim^2) object.
+    Complexity: O(dim) per window, plus O(dim) per eigenvalue found outside
+    the bands.  No full eigensolve and no O(dim^2) object.
 
     Parameters
     ----------
@@ -655,22 +686,25 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
         (InvalidParameterError otherwise).
     inflate : float
         How far each band is widened on both sides, and the half width of
-        the window around zero; InvalidParameterError unless >= 0.
+        the window around zero; InvalidParameterError unless >= 0 and
+        within the float range (compared exactly, so an int or Fraction
+        too large for a float is refused too) or inf.
 
     Returns
     -------
     (n_outside, outside_values, n_near_zero)
         The number of eigenvalues outside the inflated bands, their values
-        (ascending within each window), and the number in (-inflate, inflate).
+        (ascending), and the number in (-inflate, inflate].
     """
     return _census(*_tridiagonal(m), bands, inflate)
 
 
 def _census(diag, off, s: float, bands, inflate: float) -> tuple:
     """``band_census`` on (diag, off, s) as ``_tridiagonal`` returns it."""
-    if not inflate >= 0:
+    # compared exactly, so a huge int or Fraction fails here and not in float()
+    if not (0 <= inflate <= sys.float_info.max or inflate == math.inf):
         # a negative width would count a window "around zero" as -1 eigenvalues
-        raise InvalidParameterError(f"need inflate >= 0, got {inflate}")
+        raise InvalidParameterError(f"need inflate >= 0, finite as a float or inf, got {inflate}")
     edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
     if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
         raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {bands!r}")
@@ -678,15 +712,7 @@ def _census(diag, off, s: float, bands, inflate: float) -> tuple:
     inflate = float(inflate)
     starts = [-math.inf, *(float(q) + inflate for _, q in bands)]
     ends = [*(float(p) - inflate for p, _ in bands), math.inf]
-    # the two outer windows stay even when empty (a widened edge that
-    # overflowed), so the edges run from -inf to inf
-    windows = [(lo, hi) for lo, hi in zip(starts, ends) if lo < hi or lo == -math.inf or hi == math.inf]
-    edges = [t for w in windows for t in w]
-    *inner, below_minus, below_plus = _sturm_counts(diag, off, s, [*edges[1:-1], -inflate, inflate]).tolist()
-    below = [0, *inner, len(diag)]
-    n_outside, outside = 0, []
-    for (lo, hi), below_lo, below_hi in zip(windows, below[0::2], below[1::2]):
-        if below_hi > below_lo:
-            n_outside += below_hi - below_lo
-            outside += _stebz(diag, off, s, "v", lo, hi).tolist()
-    return n_outside, outside, below_plus - below_minus
+    # one ?stebz call per window counts and locates what it holds; a window
+    # that is empty at scale s makes no call
+    outside = [v for lo, hi in zip(starts, ends) for v in _stebz(diag, off, s, "v", lo, hi).tolist()]
+    return len(outside), outside, _stebz_count(diag, off, s, -inflate, inflate)

@@ -256,6 +256,14 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     assert target.exists()
 
 
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # an existing directory as --output raised an untyped IsADirectoryError
+    # and exited 1 with a traceback
+    code, out, err = run(["recurrence", "--n", "1", "--output", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --output {tmp_path}: Is a directory\n"
+
+
 def test_csv_quotes_embedded_commas(capsys):
     code, out, _ = run(
         ["verify", "--suite", "dunkl", "--alpha", "1", "--beta", "1", "--c", "0.5"],

@@ -707,6 +707,49 @@ def test_band_census_matches_full_spectrum(dim):
         band_census(K, bands, -inflate)
 
 
+def test_band_census_refuses_an_inflate_beyond_the_float_range():
+    # an int or Fraction above max float raised a bare OverflowError from float(inflate)
+    m = BandedSymmetricMatrix((np.array([0.0, 1.0, 2.0]), np.zeros(2)))
+    for inflate in (10**400, Fraction(10**400), -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="need inflate >= 0"):
+            band_census(m, [(-1.0, 1.0)], inflate)
+    # compared exactly: a Fraction within the range is read as its float, and inf stays accepted
+    assert band_census(m, [(-1.0, 1.0)], Fraction(1, 20)) == band_census(m, [(-1.0, 1.0)], 0.05) == (1, [2.0], 1)
+    assert band_census(m, [(-1.0, 1.0)], math.inf) == (0, [], 3)
+
+
+def test_census_counts_equal_the_differences_of_eigenvalue_counts():
+    # two routes to each count: the census's ?stebz calls, and the Python
+    # Sturm loop of eigenvalue_counts at the same edges.  Entries from 1e-300
+    # to 1e300; every edge lies at least 1e-10 times the largest entry from
+    # each eigenvalue, so (lo, hi] and [lo, hi) hold the same eigenvalues
+    rng = np.random.default_rng(20261022)
+    checked = 0
+    for trial in range(320):
+        dim = int(rng.integers(1, 60))
+        d_scale, e_scale = 10.0 ** rng.uniform(-300, 300, size=2)
+        diag = rng.uniform(-1.0, 1.0, dim) * d_scale
+        off = rng.uniform(-1.0, 1.0, dim - 1) * e_scale
+        top = max(np.abs(diag).max(), np.abs(off).max(initial=0.0))
+        s = 2.0 ** -math.frexp(top)[1]
+        eigs = np.linalg.eigvalsh(BandedSymmetricMatrix((diag * s, off * s)).to_dense()) / s
+        # two bands and a widening, in units of the largest entry
+        p0, q0, p1, q1 = np.sort(rng.uniform(-1.5, 1.5, 4)) * top
+        bands, inflate = [(p0, q0), (p1, q1)], float(rng.uniform(0.0, 0.3)) * top
+        windows = [(lo, hi) for lo, hi in ((-math.inf, p0 - inflate), (q0 + inflate, p1 - inflate), (q1 + inflate, math.inf)) if lo < hi]
+        edges = [p0 - inflate, q0 + inflate, p1 - inflate, q1 + inflate, -inflate, inflate]
+        if np.abs(np.subtract.outer(edges, eigs)).min() < 1e-10 * top:
+            continue
+        m = BandedSymmetricMatrix((diag, off))
+        n_outside, values, n_near_zero = band_census(m, bands, inflate)
+        counts = [np.diff(eigenvalue_counts(m, window)).item() for window in windows]
+        assert [sum(lo < v <= hi for v in values) for lo, hi in windows] == counts, trial
+        assert n_outside == len(values) == sum(counts), trial
+        assert n_near_zero == np.diff(eigenvalue_counts(m, [-inflate, inflate])).item(), trial
+        checked += 1
+    assert checked >= 300, checked
+
+
 @pytest.mark.parametrize(
     "bands",
     [

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from cmvpencil import cli, cmv, measures
+from cmvpencil import cli, cmv, measures, verify
 from cmvpencil.recurrences import MonicThreeTerm, ReflectionSequence, jacobi_opuc_reflections
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -117,6 +117,38 @@ def test_script_output_goes_through_the_cli_writer(capsys, monkeypatch, tmp_path
     absolute = tmp_path / "absent" / "dir" / "x.csv"
     assert load(name).main([*argv, "--output", str(absolute)]) == 0
     assert absolute.read_text() == written
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("spectrum_sweep", ["--dim", "20", "--lams", "0.5", "2"]), ("weight_tables", ["--n", "2"])],
+)
+def test_script_output_that_cannot_be_written_prints_nothing_and_exits_2(capsys, tmp_path, name, argv):
+    # an existing directory as --output raised an untyped IsADirectoryError
+    # and exited 1, after the table had been printed
+    assert load(name).main([*argv, "--output", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write --output {tmp_path}: Is a directory\n"
+
+
+def test_the_census_and_its_callers_run_without_the_sturm_loop(monkeypatch):
+    # the census counts with LAPACK; the Python Sturm loop serves
+    # eigenvalue_counts alone
+    def refuse(*args):
+        raise AssertionError("_sturm_counts was called")
+
+    K = cmv.build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, cmv.TruncationSpec.from_dim(200))
+    sweep = load("spectrum_sweep").sweep
+    calls = (
+        lambda: cmv.band_census(K, measures.essential_spectrum_periodic(2.0), 0.05),
+        lambda: [(check.passed, check.value, check.details) for check in verify.suite_spectrum(200)],
+        lambda: sweep(ReflectionSequence.constant(0.0), [0.5, 1.0, 2.0], 200),
+    )
+    want = [call() for call in calls]
+    monkeypatch.setattr(cmv, "_sturm_counts", refuse)
+    assert [call() for call in calls] == want
+    assert want[0][0] == 1 and [row[-1] for row in want[2]] == [0, 3, 1]
 
 
 @pytest.mark.parametrize("lam", ["5e-324", "1e-300", "1e-10", "1", "1e154", "1e160", "1e300", "1e308", "1.7976931348623157e308"])
