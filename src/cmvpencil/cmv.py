@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, TruncationError
+from .errors import InvalidParameterError, TruncationError, _shown
 from .recurrences import _SQUARE_MAX, ReflectionSequence, _table
 
 __all__ = [
@@ -101,10 +101,10 @@ class TruncationSpec:
     def __post_init__(self):
         # numpy integers are Integral; bool, floats, Fractions and strings are refused
         if isinstance(self.n_blocks, bool) or not isinstance(self.n_blocks, numbers.Integral):
-            raise TruncationError(f"n_blocks must be an integer, got {self.n_blocks!r}")
+            raise TruncationError(f"n_blocks must be an integer, got {_shown(self.n_blocks)}")
         if self.n_blocks < 2:
             raise TruncationError(
-                f"need at least 2 blocks for a meaningful truncation, got {self.n_blocks}"
+                f"need at least 2 blocks for a meaningful truncation, got {_shown(self.n_blocks, format)}"
             )
 
     @property
@@ -115,7 +115,7 @@ class TruncationSpec:
     def from_dim(cls, dim: int) -> "TruncationSpec":
         """The truncation with ``dim`` rows; TruncationError unless dim is an even integer >= 4."""
         if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 4 or dim % 2:
-            raise TruncationError(f"need even dim >= 4, got {dim!r}")
+            raise TruncationError(f"need even dim >= 4, got {_shown(dim)}")
         return cls(n_blocks=dim // 2)
 
 
@@ -297,7 +297,7 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
     """
     # compared exactly, so a huge int or Fraction fails here and not in float()
     if not abs(lam) <= sys.float_info.max:
-        raise InvalidParameterError(f"need a finite lam, got {lam}")
+        raise InvalidParameterError(f"need a finite lam, got {_shown(lam, format)}")
     dim = trunc.dim
     table = _table(a, dim)
     values = table.a[:dim]
@@ -377,7 +377,7 @@ def _require_identity_lam(lam) -> None:
     if not abs(lam) <= _IDENTITY_LAM_MAX:
         raise InvalidParameterError(
             f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
-            f"so that lam^2 and K^2 stay finite, got {lam}"
+            f"so that lam^2 and K^2 stay finite, got {_shown(lam, format)}"
         )
 
 
@@ -597,7 +597,10 @@ def _stebz_count(diag, off, s: float, lo, hi) -> int:
 
 def _sturm_counts(diag, off, s: float, shifts) -> np.ndarray:
     """``eigenvalue_counts`` on (diag, off, s) as ``_tridiagonal`` returns it."""
-    shifts = np.asarray(shifts, dtype=float).ravel()
+    try:
+        shifts = np.asarray(shifts, dtype=float).ravel()
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise InvalidParameterError("eigenvalue counts need shifts that are floats or within the float range") from None
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
     off2 = off**2
@@ -646,8 +649,10 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     ------
     InvalidParameterError
         If m is not tridiagonal or has an entry that is not finite (a nan
-        diagonal counted 0 below zero, an inf one 1), or if a shift is nan.
-        A count needs no eigenvalue, so none is refused for its size.
+        diagonal counted 0 below zero, an inf one 1), or if a shift is nan
+        or an int or ``Fraction`` beyond the float range (a float shift
+        of +-inf counts as above).  A count needs no eigenvalue, so none is
+        refused for its size.
     """
     return _sturm_counts(*_tridiagonal(m), shifts)
 
@@ -704,10 +709,10 @@ def _census(diag, off, s: float, bands, inflate: float) -> tuple:
     # compared exactly, so a huge int or Fraction fails here and not in float()
     if not (0 <= inflate <= sys.float_info.max or inflate == math.inf):
         # a negative width would count a window "around zero" as -1 eigenvalues
-        raise InvalidParameterError(f"need inflate >= 0, finite as a float or inf, got {inflate}")
+        raise InvalidParameterError(f"need inflate >= 0, finite as a float or inf, got {_shown(inflate, format)}")
     edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
     if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
-        raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {bands!r}")
+        raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {_shown(bands)}")
     # widened as Python floats, which overflow to +-inf without a numpy warning
     inflate = float(inflate)
     starts = [-math.inf, *(float(q) + inflate for _, q in bands)]

@@ -53,8 +53,6 @@ __all__ = [
     "apply_dunkl",
     "dunkl_eigenvalue",
     "verify_eigenfunction",
-    "third_kind_coeffs",
-    "fourth_kind_coeffs",
     "third_kind_identity_residual",
     "fourth_kind_identity_residual",
 ]
@@ -213,29 +211,11 @@ class PolynomialCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = x * 0
-        for ck in reversed(self.coeffs):
-            acc = acc * x + ck
-        return acc
-
     def max_abs(self) -> float:
         return max(abs(float(ck)) for ck in self.coeffs)
 
     def is_zero(self) -> bool:
         return all(ck == 0 for ck in self.coeffs)
-
-    @staticmethod
-    def from_three_term(rec: MonicThreeTerm, n: int) -> "PolynomialCoeffs":
-        """Monic degree-n polynomial of a recurrence, as exact coefficients."""
-        _require_count("degree", n, 0)
-        return PolynomialCoeffs(_values(*_MonicLadder(rec)[n]))
 
 
 def apply_dunkl(alpha, beta, c, p: PolynomialCoeffs) -> PolynomialCoeffs:
@@ -287,10 +267,6 @@ class DunklReport:
     max_abs_residual: float
     exact: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.residual.is_zero()
-
 
 def verify_eigenfunction(alpha, beta, c, n: int) -> DunklReport:
     """Coefficientwise residual of L P_n - eigenvalue * P_n.
@@ -322,19 +298,6 @@ def verify_eigenfunction(alpha, beta, c, n: int) -> DunklReport:
         max_abs_residual=0.0 if residual.is_zero() else residual.max_abs(),
         exact=True,
     )
-
-
-def third_kind_coeffs(n: int) -> PolynomialCoeffs:
-    """Third-kind Chebyshev polynomial on [-1, 1], exact coefficients.
-
-    V_0 = 1, V_1 = 2x - 1, V_{n+1} = 2x V_n - V_{n-1}.
-    """
-    return PolynomialCoeffs(_values(_chebyshev_nums(n, -1), 1))
-
-
-def fourth_kind_coeffs(n: int) -> PolynomialCoeffs:
-    """Fourth-kind Chebyshev polynomial on [-1, 1]: W_1 = 2x + 1."""
-    return PolynomialCoeffs(_values(_chebyshev_nums(n, 1), 1))
 
 
 def _chebyshev_nums(n: int, const) -> tuple:

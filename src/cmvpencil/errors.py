@@ -4,7 +4,28 @@ Every error raised by the library derives from :class:`CmvPencilError` so
 callers can catch library failures with a single except clause.  The CLI maps
 these onto process exit codes: parameter problems exit 2, verification
 failures exit 1, numerical non-convergence exits 3.
+
+``_shown`` is the one formatter of an offending value in a message.
 """
+
+
+def _shown(value, form=repr) -> str:
+    """``form(value)`` (``repr``, ``str`` or ``format``), for the message of an
+    error about value; called only on the way to a raise.
+
+    An int or ``Fraction`` that Python refuses to write out (more digits than
+    ``sys.get_int_max_str_digits()`` allows, 4300 by default) is named by its
+    order of magnitude, read from its bit lengths without writing it out, as
+    ``<int of about -10^5000>``; a list or tuple holding one is written item
+    by item.  Every other value is exactly ``form(value)``.
+    """
+    try:
+        return form(value)
+    except ValueError:  # too many digits to write out
+        if isinstance(value, (list, tuple)):
+            return "[" + ", ".join(map(_shown, value)) + "]"
+        size = (abs(value.numerator).bit_length() - value.denominator.bit_length()) * 0.30103  # log10(2)
+        return f"<{type(value).__name__} of about {'-' * (value < 0)}10^{size:.0f}>"
 
 
 class CmvPencilError(Exception):
@@ -25,7 +46,7 @@ class ReflectionBoundError(InvalidParameterError):
         self.index = index
         self.value = value
         super().__init__(
-            f"reflection coefficient a_{index} = {value!r} violates |a_n| < 1"
+            f"reflection coefficient a_{index} = {_shown(value)} violates |a_n| < 1"
         )
 
 
@@ -43,7 +64,7 @@ class PolePointError(CmvPencilError):
         self.index = index
         self.theta = theta
         super().__init__(
-            f"A_{index} = 0: transform point theta = {theta!r} is a zero of the "
+            f"A_{index} = 0: transform point theta = {_shown(theta)} is a zero of the "
             f"degree-{index + 1} polynomial"
         )
 

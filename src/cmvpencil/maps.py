@@ -36,6 +36,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     PolePointError,
+    _shown,
 )
 from .recurrences import (
     CirclePoint,
@@ -101,10 +102,6 @@ class ChiharaSplit:
     alpha_shift: float
     A: Callable[[int], float]
     C: Callable[[int], float]
-
-    @property
-    def theta(self):
-        return self.chi * self.chi + self.alpha_shift
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,7 @@ def lambda_reduction(
     if not worst <= 1e-10:
         raise InternalConsistencyError(
             f"closed-form reduction disagrees with the generic transform by "
-            f"{worst:.3e} at lam = {lam!r}, branch {branch!r}"
+            f"{worst:.3e} at lam = {_shown(lam)}, branch {branch!r}"
         )
     return data, data.transformed
 
@@ -405,7 +402,7 @@ def big_m1_recurrence(alpha, beta, c) -> MonicThreeTerm:
     Exact for Fraction inputs, which the operator-eigenfunction checks use.
     """
     if not (-1 < c < 1):
-        raise InvalidParameterError(f"need -1 < c < 1, got {c!r}")
+        raise InvalidParameterError(f"need -1 < c < 1, got {_shown(c)}")
     # ints promote to Fraction so integer parameters stay on the exact path
     alpha = Fraction(alpha) if isinstance(alpha, int) else alpha
     beta = Fraction(beta) if isinstance(beta, int) else beta
@@ -456,7 +453,7 @@ def big_m1_parameters(xi, eta, lam) -> BigM1Parameters:
     one = lam * 0 + 1
     c = (lam - 1) / (lam + 1)
     if c == 1:
-        raise InvalidParameterError(f"c = (lam - 1)/(lam + 1) rounds to 1 at lam = {lam!r}")
+        raise InvalidParameterError(f"c = (lam - 1)/(lam + 1) rounds to 1 at lam = {_shown(lam)}")
     g = -2 / (one - c)  # equals -(lam + 1)
     alpha = 2 * xi + 1
     beta = 2 * eta + 1

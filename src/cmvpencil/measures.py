@@ -26,13 +26,15 @@ pure function of x.  A measure that cannot be hashed is served uncached.
 parameters, compared by value and by type, from a small bounded memo, so a
 repeated named weight hits the chains of its first call.
 
-Arguments are checked before any work: a tol that is nan, infinite or below
-1e-13, an n_max or n_nodes that is not an integer (bool included) or out of
-range, a lam that is not finite and positive, an int or Fraction big_m1 or
-little_m1 alpha or beta beyond the float range, and a Weyl point z that is not
-finite (an int or Fraction too large for a float included) or at which the
-quadratic's discriminant or the chosen root overflows all raise
-InvalidParameterError.
+Arguments are checked before any work: a tol that is nan, infinite (an int
+or Fraction too large for a float included) or below 1e-13, an n_max or
+n_nodes that is not an integer (bool included) or out of range, a lam that
+is not finite and positive, an int or Fraction big_m1 or little_m1 alpha or
+beta beyond the float range, and a Weyl point z that is not finite (an int
+or Fraction too large for a float included) or at which the quadratic's
+discriminant or the chosen root overflows all raise InvalidParameterError.
+Their messages name a value too long to write out by its size
+(``errors._shown``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NonConvergenceError,
+    _shown,
 )
 from .recurrences import MonicThreeTerm, _require_count, _require_lam, _worst, eval_monic
 
@@ -103,12 +106,12 @@ class Measure:
     def __post_init__(self):
         for p, q in self.support:
             if not q >= p:
-                raise InvalidParameterError(f"empty support interval ({p}, {q})")
+                raise InvalidParameterError(f"empty support interval ({_shown(p, format)}, {_shown(q, format)})")
         for s, gamma in self.endpoint_exponents:
             # compared exactly, so an int or Fraction too large for a float fails here
             if not -1 < gamma <= sys.float_info.max:
                 raise InvalidParameterError(
-                    f"declared exponent {gamma} at {s} must be > -1 (integrable) and finite"
+                    f"declared exponent {_shown(gamma, format)} at {_shown(s, format)} must be > -1 (integrable) and finite"
                 )
 
     def exponent_at(self, s: float) -> float:
@@ -162,7 +165,7 @@ def _jacobi_rule(n_nodes: int, gr: float, gl: float):
         t = w = np.array([math.nan])
     if not np.isfinite([t, w]).all():
         raise InvalidParameterError(
-            f"no finite {n_nodes}-node Gauss-Jacobi rule for (1-t)^{gr} (1+t)^{gl}"
+            f"no finite {_shown(n_nodes, format)}-node Gauss-Jacobi rule for (1-t)^{gr} (1+t)^{gl}"
         )
     t.flags.writeable = False
     w.flags.writeable = False
@@ -227,7 +230,8 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     Raises
     ------
     InvalidParameterError
-        If tol is nan, infinite or below 1e-13.
+        If tol is nan, infinite or below 1e-13; compared exactly, so an int
+        or ``Fraction`` too large for a float is refused too.
     NonConvergenceError
         If successive refinements fail to settle within the node budget, or
         if the refinements diverge (undeclared singularity heuristic).
@@ -258,7 +262,7 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
                 return total
         prev = total
     raise NonConvergenceError(
-        f"quadrature did not reach tol = {tol} within {_LEVELS[-1]} nodes per "
+        f"quadrature did not reach tol = {_shown(tol, format)} within {_LEVELS[-1]} nodes per "
         f"panel (last estimate {prev!r})"
     )
 
@@ -284,8 +288,9 @@ _STIELTJES_N_MAX = 30
 
 
 def _require_tol(tol) -> None:
-    if not 1e-13 <= tol < math.inf:
-        raise InvalidParameterError(f"tol must be finite and >= 1e-13, got {tol!r}")
+    # compared exactly, so an int or Fraction too large for a float fails here
+    if not 1e-13 <= tol <= sys.float_info.max:
+        raise InvalidParameterError(f"tol must be finite and >= 1e-13, got {_shown(tol)}")
 
 
 class _StieltjesChain:
@@ -375,7 +380,8 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     ------
     InvalidParameterError
         If n_max is not an integer in 0..30 (bool is refused), or tol is
-        nan, infinite or below 1e-13.
+        nan, infinite (an int or ``Fraction`` too large for a float
+        included) or below 1e-13.
     InstabilityError
         If a squared norm h_n loses positivity (naming the failing n).
     NonConvergenceError
@@ -384,7 +390,7 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     _require_count("n_max", n_max, 0)
     if n_max > _STIELTJES_N_MAX:
         raise InvalidParameterError(
-            f"n_max = {n_max} exceeds the fixed degree cap {_STIELTJES_N_MAX}"
+            f"n_max = {_shown(n_max, format)} exceeds the fixed degree cap {_STIELTJES_N_MAX}"
         )
     _require_tol(tol)
 
@@ -402,7 +408,7 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
                 return MonicThreeTerm.from_arrays(list(b_arr), list(u_arr))
         prev = (b_arr, u_arr)
     raise NonConvergenceError(
-        f"coefficient table did not settle to {tol} within "
+        f"coefficient table did not settle to {_shown(tol, format)} within "
         f"{_STIELTJES_LEVELS[-1]} nodes per panel"
     )
 
@@ -427,7 +433,7 @@ def _interval_weight(family: str, *, xi, eta) -> Measure:
     """A family on [-2, 2]: (4 - x^2)^xi |x|^(2 eta + 1) times its linear
     factor, or, for dg_from_circle, the circle weight carried over."""
     if not xi > -1:  # companion declares 1 + xi at both ends, which xi in (-2, -1] passes
-        raise InvalidParameterError(f"need xi > -1, got {xi}")
+        raise InvalidParameterError(f"need xi > -1, got {_shown(xi, format)}")
     factor, shift_lo, shift_hi = _INTERVAL_SHAPES[family]
 
     def density(x):
@@ -467,13 +473,13 @@ def _pencil_weight(family: str, *, xi, eta, lam) -> Measure:
 
 def _big_m1_weight(family: str, *, alpha, beta, c) -> Measure:
     if not 0 <= c < 1:
-        raise InvalidParameterError(f"need 0 <= c < 1, got {c}")
+        raise InvalidParameterError(f"need 0 <= c < 1, got {_shown(c, format)}")
     for name, value in (("alpha", alpha), ("beta", beta)):
         # an int or Fraction beyond the float range would overflow in the
         # float arithmetic below, so it is compared exactly here; a float
         # inf or nan goes on to Measure's exponent check
         if not isinstance(value, float) and abs(value) > sys.float_info.max:
-            raise InvalidParameterError(f"need a finite {name}, got {value!r}")
+            raise InvalidParameterError(f"need a finite {name}, got {_shown(value)}")
     xi = 0.5 * (alpha - 1.0)
     eta = 0.5 * (beta - 1.0)
 
@@ -562,7 +568,7 @@ def named_weight(family: str, **params) -> Measure:
     """
     takes = _WEIGHT_PARAMETERS.get(family) if isinstance(family, str) else None
     if takes is None:
-        raise InvalidParameterError(f"unknown weight family {family!r}")
+        raise InvalidParameterError(f"unknown weight family {_shown(family)}")
     missing = [key for key in takes if key not in params]
     unexpected = sorted(key for key in params if key not in takes)
     if missing or unexpected:
@@ -645,7 +651,7 @@ def _band_edge_guard(z: complex, lam: float) -> None:
 
 def _no_finite_value(z: complex, lam: float) -> InvalidParameterError:
     return InvalidParameterError(
-        f"m_per has no finite value at z = {z!r}, lam = {lam!r}: z must be finite, "
+        f"m_per has no finite value at z = {_shown(z)}, lam = {_shown(lam)}: z must be finite, "
         "and the arithmetic overflows for |z| or lam beyond about 1e76 and next "
         "to the pole at z = 0"
     )
@@ -708,7 +714,7 @@ def m_per(z: complex, lam: float) -> complex:
         pick = r1 if want_positive else r0
         if (pick.imag > 0) != want_positive and pick.imag != 0:
             raise InternalConsistencyError(
-                f"m_per roots {roots!r} at z = {z!r}, lam = {lam!r} lie on one side of the axis"
+                f"m_per roots {roots!r} at z = {z!r}, lam = {_shown(lam)} lie on one side of the axis"
             )
     else:
         t = z.real
@@ -734,7 +740,7 @@ def m_full(z: complex, lam: float) -> complex:
     mp = m_per(z, lam)
     den = 1.0 + lam * mp
     if den == 0:
-        raise InvalidParameterError(f"pole of the composed function at z = {z!r}")
+        raise InvalidParameterError(f"pole of the composed function at z = {_shown(z)}")
     return mp / den
 
 
@@ -743,7 +749,7 @@ def _require_inside_band(lam: float, t: float) -> None:
     _require_lam(lam)
     if not abs(lam - 1.0) < abs(t) < lam + 1.0:
         raise InvalidParameterError(
-            f"t = {t!r} is not strictly inside the essential spectrum bands"
+            f"t = {_shown(t)} is not strictly inside the essential spectrum bands"
         )
 
 
@@ -777,7 +783,7 @@ def periodic_weight_verbatim(lam: float, t: float) -> float:
     den = lam * (t * t - 2.0 * lam * lam * t + lam * lam - 1.0)
     sign = -1.0 if t > 0 else 1.0
     if den == 0:
-        raise InvalidParameterError(f"verbatim denominator vanishes at t = {t!r}")
+        raise InvalidParameterError(f"verbatim denominator vanishes at t = {_shown(t)}")
     return num / (sign * den)
 
 

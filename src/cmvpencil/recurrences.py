@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, ReflectionBoundError
+from .errors import InvalidParameterError, ReflectionBoundError, _shown
 
 __all__ = [
     "ReflectionSequence",
@@ -58,8 +58,6 @@ __all__ = [
     "companion_symmetric_recurrence",
     "eval_monic",
     "szego_eval",
-    "reflections_from_u",
-    "chebyshev_closed_form",
 ]
 
 
@@ -67,7 +65,7 @@ def _require_count(name: str, value, lo: int) -> int:
     """An integer count or degree >= lo, returned as a Python int; numpy
     integers pass, bool is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
-        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value!r}")
+        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {_shown(value)}")
     return int(value)
 
 
@@ -75,7 +73,7 @@ def _require_lam(lam) -> None:
     """A pencil parameter with 0 < lam <= the largest float, compared exactly,
     so an int or Fraction too large for a float fails here and not in float()."""
     if not 0 < lam <= sys.float_info.max:
-        raise InvalidParameterError(f"need lam > 0 and finite, got {lam!r}")
+        raise InvalidParameterError(f"need lam > 0 and finite, got {_shown(lam)}")
 
 
 # the largest float whose square is finite, 1.3407807929942596e154: the edge
@@ -92,7 +90,7 @@ def _bounded_table(name: str, values) -> Callable[[int], object]:
 
     def at(n: int):
         if not 0 <= n < len(values):
-            raise InvalidParameterError(f"{name} index {n} outside 0..{len(values) - 1}")
+            raise InvalidParameterError(f"{name} index {_shown(n, format)} outside 0..{len(values) - 1}")
         return values[n]
 
     return at
@@ -185,7 +183,7 @@ class ReflectionSequence:
         if n == -1:
             return -1
         if n < -1:
-            raise InvalidParameterError(f"reflection index {n} < -1")
+            raise InvalidParameterError(f"reflection index {_shown(n, format)} < -1")
         return self._a(n)
 
     def r(self, n: int) -> float:
@@ -202,7 +200,7 @@ class ReflectionSequence:
         exact in an object array.
         """
         if n < 0:
-            raise InvalidParameterError(f"cannot take {n} reflection coefficients")
+            raise InvalidParameterError(f"cannot take {_shown(n, format)} reflection coefficients")
         arr = self.batch(n) if self.batch is not None else None
         if arr is not None and arr.size == n and np.all((arr > -1) & (arr < 1)):
             return arr
@@ -225,7 +223,7 @@ class ReflectionSequence:
         def at(n: int):
             if n >= len(vals):
                 raise InvalidParameterError(
-                    f"reflection index {n} beyond provided list of length {len(vals)}"
+                    f"reflection index {_shown(n, format)} beyond provided list of length {len(vals)}"
                 )
             return vals[n]
 
@@ -300,15 +298,6 @@ class MonicThreeTerm:
     b: Callable[[int], float]
     u: Callable[[int], float]
 
-    def require_positive(self, n_max: int) -> None:
-        """Check u_n > 0 for 1 <= n <= n_max (positive-definite validator)."""
-        for n in range(1, n_max + 1):
-            if not self.u(n) > 0:
-                raise InvalidParameterError(
-                    f"u_{n} = {self.u(n)!r} is not positive; family is not "
-                    "positive definite"
-                )
-
     @staticmethod
     def from_arrays(b_values, u_values) -> "MonicThreeTerm":
         """b_n and u_n read from two tables; u_0 = 0 whatever ``u_values[0]``
@@ -335,7 +324,7 @@ class CirclePoint:
     def __post_init__(self):
         # compared exactly, so an int or Fraction too large for a float fails here
         if not abs(self.phi) <= sys.float_info.max:
-            raise InvalidParameterError(f"circle angle must be finite, got {self.phi!r}")
+            raise InvalidParameterError(f"circle angle must be finite, got {_shown(self.phi)}")
         if not (0 <= self.phi < 2 * math.pi):
             # a tiny negative angle reduces to exactly 2*pi after rounding; the
             # largest float below 2*pi keeps it on the x = -2 side of the branch
@@ -373,7 +362,7 @@ def jacobi_opuc_reflections(xi, eta) -> ReflectionSequence:
         a_n = -(1 + xi + eta)/(n + xi + eta + 2) for odd n.
     """
     if not (xi > -1 and eta > -1):
-        raise InvalidParameterError(f"need xi > -1 and eta > -1, got ({xi}, {eta})")
+        raise InvalidParameterError(f"need xi > -1 and eta > -1, got ({_shown(xi, format)}, {_shown(eta, format)})")
 
     def a(n: int):
         if n % 2 == 0:
@@ -416,7 +405,7 @@ def pencil_recurrence(a: ReflectionSequence, lam) -> MonicThreeTerm:
         huge int or ``Fraction`` fails here too.  lam <= 0 is allowed.
     """
     if not abs(lam) <= _SQUARE_MAX:
-        raise InvalidParameterError(f"need |lam| <= {_SQUARE_MAX!r}, got {lam!r}")
+        raise InvalidParameterError(f"need |lam| <= {_SQUARE_MAX!r}, got {_shown(lam)}")
 
     def b(n: int):
         if n % 2 == 0:
@@ -498,9 +487,9 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
     try:
         zz = complex(z) if raw else z.z
     except OverflowError:  # an int or Fraction beyond the float range
-        raise InvalidParameterError(f"need a point with a float value, got {z!r}") from None
+        raise InvalidParameterError(f"need a point with a float value, got {_shown(z)}") from None
     if raw and not cmath.isfinite(zz):
-        raise InvalidParameterError(f"need a finite point, got {z!r}")
+        raise InvalidParameterError(f"need a finite point, got {_shown(z)}")
     phi = phis = 1.0 + 0.0j
     ladder = [(phi, phis)]
     # Python scalars keep every step in CPython's complex arithmetic
@@ -508,66 +497,5 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
         phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
         ladder.append((phi, phis))
     if raw and not (cmath.isfinite(phi) and cmath.isfinite(phis)):
-        raise InvalidParameterError(f"the sweep to degree {n} overflows at z = {z!r}")
+        raise InvalidParameterError(f"the sweep to degree {n} overflows at z = {_shown(z)}")
     return ladder
-
-
-def reflections_from_u(u: Callable[[int], float], signs: Callable[[int], int]) -> ReflectionSequence:
-    """Recover reflection coefficients from off-diagonal coefficients.
-
-    Parameters
-    ----------
-    u : callable
-        n -> u_n with 0 < u_{n+1} <= 1 for every queried n.
-    signs : callable
-        n -> +1 or -1, choosing the sign of each a_n.
-
-    Returns
-    -------
-    ReflectionSequence
-        a_n = signs(n) * sqrt(1 - u_{n+1}).
-    """
-
-    def a(n: int):
-        un = u(n + 1)
-        if not (0 < un <= 1):
-            raise InvalidParameterError(
-                f"u_{n + 1} = {un!r} outside (0, 1]; cannot recover a_{n}"
-            )
-        s = signs(n)
-        if s not in (1, -1):
-            raise InvalidParameterError(f"sign at index {n} must be +1 or -1, got {s!r}")
-        return s * math.sqrt(1.0 - float(un))
-
-    return ReflectionSequence(a)
-
-
-def chebyshev_closed_form(kind: str, n: int, tau: float) -> float:
-    """Trigonometric closed forms used as test oracles.
-
-    Parameters
-    ----------
-    kind : {"first", "third", "fourth"}
-        "first" is the symmetric family on [-2, 2] evaluated at x = 2*cos(tau):
-        value 2*cos(n*tau) for n >= 1 and 1 for n = 0.  "third" and "fourth"
-        are the classical families on [-1, 1] at x = cos(tau):
-        cos((n + 1/2)*tau)/cos(tau/2) and sin((n + 1/2)*tau)/sin(tau/2).
-    n : int
-        Degree.
-    tau : real
-        Angle; for third/fourth kind tau must avoid the denominator zeros.
-    """
-    _require_count("degree", n, 0)
-    if kind == "first":
-        return 1.0 if n == 0 else 2.0 * math.cos(n * tau)
-    if kind == "third":
-        den = math.cos(0.5 * tau)
-        if abs(den) < 1e-14:
-            raise InvalidParameterError(f"cos(tau/2) vanishes at tau = {tau!r}")
-        return math.cos((n + 0.5) * tau) / den
-    if kind == "fourth":
-        den = math.sin(0.5 * tau)
-        if abs(den) < 1e-14:
-            raise InvalidParameterError(f"sin(tau/2) vanishes at tau = {tau!r}")
-        return math.sin((n + 0.5) * tau) / den
-    raise InvalidParameterError(f"unknown kind {kind!r}")

@@ -64,7 +64,7 @@ from .recurrences import (
     szego_eval,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_all"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 _SEED = 20260816
 
@@ -531,8 +531,3 @@ def run_suite(name: str, **kwargs) -> list:
                 f"suite {name!r} takes no keyword {key!r}; it takes: {', '.join(takes) or 'none'}"
             )
     return SUITES[name](**kwargs)
-
-
-def run_all() -> dict:
-    """Run every suite; returns {suite name: [CheckResult, ...]}."""
-    return {name: run_suite(name) for name in SUITES}

@@ -1046,6 +1046,16 @@ def test_sturm_counts_at_infinity_are_zero_and_dim():
         assert eigenvalue_counts(m, [-math.inf, math.inf]).tolist() == [0, dim], trial
 
 
+@pytest.mark.parametrize("shift", [10**5000, -(10**400), Fraction(10**5000, 3)], ids=["int", "int-400", "Fraction"])
+def test_a_shift_beyond_the_float_range_is_refused(shift):
+    # np.asarray(shifts, dtype=float) raised a bare OverflowError; a float
+    # shift of +-inf still counts 0 or dim
+    m = BandedSymmetricMatrix((np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0])))
+    with pytest.raises(InvalidParameterError, match="shifts that are floats or within the float range"):
+        eigenvalue_counts(m, [0.5, shift])
+    assert eigenvalue_counts(m, [Fraction(1, 2), 10**300, -math.inf]).tolist() == eigenvalue_counts(m, [0.5, 1e300, -math.inf]).tolist()
+
+
 def test_census_at_the_gershgorin_radius_and_the_float_edge():
     # the diagonal at 1e20 held eigenvalues at the old finite window end,
     # which the census missed

@@ -166,7 +166,8 @@ def test_lambda_reduction_is_its_literal_closed_forms(a, lams, branch):
 def test_lambda_reduction_other_branch_positive():
     a = jacobi_opuc_reflections(0.3, 0.7)
     _, transformed = lambda_reduction(a, 2.0, "lambda+1")
-    transformed.require_positive(15)  # u is lam*(1+a_{n-1})(1-a_n) > 0
+    # u is lam*(1+a_{n-1})(1-a_n) > 0: the family is positive definite
+    assert all(transformed.u(n) > 0 for n in range(1, 16))
     for n in range(10):
         assert transformed.b(n) == pytest.approx((-1) ** n * 1.0)
 
@@ -290,7 +291,11 @@ def test_chihara_split_exact_identities():
     )
     split = chihara_split(alternating, shift)
     assert split.chi == chi
-    assert split.theta == chi * chi + shift
+    # the rank-one relations hold at theta = chi^2 + shift
+    theta = chi * chi + shift
+    for n in range(6):
+        assert split.P.b(n) == theta - split.A(n) - split.C(n)
+        assert split.P_tilde.b(n) == theta - split.A(n) - split.C(n + 1)
     for x in (Fraction(1, 2), Fraction(-3, 7)):
         y = x * x + shift
         s = eval_monic(alternating, 13, x)

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmvpencil.cmv import TruncationSpec, build_J
-from cmvpencil.dunkl import (
-    PolynomialCoeffs,
-    dunkl_eigenvalue,
-    third_kind_coeffs,
-    verify_eigenfunction,
-)
+from cmvpencil.dunkl import dunkl_eigenvalue, verify_eigenfunction
 from cmvpencil.errors import InvalidParameterError, ReflectionBoundError
 from cmvpencil.maps import big_m1_recurrence, christoffel, dg_eval_from_circle
 from cmvpencil.recurrences import (
@@ -25,16 +20,15 @@ from cmvpencil.recurrences import (
     MonicThreeTerm,
     ReflectionSequence,
     _complement,
-    chebyshev_closed_form,
     companion_symmetric_recurrence,
     dg_symmetric_recurrence,
     eval_monic,
     jacobi_opuc_reflections,
     pencil_recurrence,
-    reflections_from_u,
     sdg_recurrence,
     szego_eval,
 )
+from oracles import chebyshev_closed_form, third_kind_coeffs
 
 reflection_lists = st.lists(
     st.floats(min_value=-0.95, max_value=0.95, allow_nan=False), min_size=1, max_size=12
@@ -271,13 +265,11 @@ def test_eval_degree_validation():
 _SDG = sdg_recurrence(ReflectionSequence.constant(0.0))
 _JACOBI = jacobi_opuc_reflections(0.3, 0.7)
 # entry points of recurrences, maps and dunkl that take a degree (or a
-# largest index), each called with degree n
+# largest index), each called with degree n, and the two test oracles that
+# take one: third_kind_coeffs reads dunkl's Chebyshev builder, which checks it
 DEGREE_CALLS = {
     "dunkl_eigenvalue": lambda n: dunkl_eigenvalue(n, 1, 1),
     "verify_eigenfunction": lambda n: verify_eigenfunction(1, 1, Fraction(1, 2), n),
-    "from_three_term": lambda n: PolynomialCoeffs.from_three_term(
-        big_m1_recurrence(1, 1, Fraction(1, 2)), n
-    ),
     "third_kind_coeffs": third_kind_coeffs,
     "eval_monic": lambda n: eval_monic(_SDG, n, 0.5),
     "szego_eval": lambda n: szego_eval(_JACOBI, n, CirclePoint(1.0)),
@@ -429,24 +421,6 @@ def test_chebyshev_closed_form_pole_guard():
         chebyshev_closed_form("second", 3, 1.0)
 
 
-def test_reflections_from_u_roundtrip():
-    a = jacobi_opuc_reflections(0.3, 0.7)
-    u = sdg_recurrence(a).u  # u_{n+1} = 1 - a_n^2
-    signs = lambda n: 1 if a(n) >= 0 else -1
-    recovered = reflections_from_u(u, signs)
-    for n in range(10):
-        assert recovered(n) == pytest.approx(a(n), abs=1e-14)
-
-
-def test_reflections_from_u_rejects_bad_input():
-    bad = reflections_from_u(lambda n: 1.5, lambda n: 1)
-    with pytest.raises(InvalidParameterError):
-        bad(0)
-    bad_sign = reflections_from_u(lambda n: 0.5, lambda n: 2)
-    with pytest.raises(InvalidParameterError):
-        bad_sign(0)
-
-
 def test_from_arrays_refuses_indices_outside_its_tables():
     # a negative index used to wrap around: b(-1) returned 3
     rec = MonicThreeTerm.from_arrays([1, 2, 3], [7, 1, 2])
@@ -495,13 +469,6 @@ def test_szego_eval_refuses_a_raw_point_that_is_not_finite_or_overflows(n, z):
     # each returned ((nan+nanj), (nan+nanj)) as its last pair and raised nothing
     with pytest.raises(InvalidParameterError):
         szego_eval(jacobi_opuc_reflections(0.3, 0.7), n, z)
-
-
-def test_require_positive():
-    rec = MonicThreeTerm.from_arrays([0.0, 0.0, 0.0], [0.0, 1.0, -0.5])
-    with pytest.raises(InvalidParameterError):
-        rec.require_positive(2)
-    sdg_recurrence(jacobi_opuc_reflections(0.3, 0.7)).require_positive(20)
 
 
 def _same_bits(taken, reads):
@@ -601,7 +568,8 @@ def test_take_of_a_list_is_the_list(values):
         lambda: ReflectionSequence.constant(0.25),
         lambda: jacobi_opuc_reflections(0.3, 0.7),
         lambda: jacobi_opuc_reflections(Fraction(1, 2), Fraction(1, 3)),
-        lambda: reflections_from_u(lambda n: 0.75, lambda n: (-1) ** n),
+        # a_n = (-1)^n sqrt(1 - u_{n+1}) at u = 0.75: values alone, no array route
+        lambda: ReflectionSequence(lambda n: (-1) ** n * math.sqrt(1.0 - 0.75)),
     ],
     ids=["from_list", "constant", "jacobi", "jacobi-fraction", "from_u"],
 )

@@ -26,9 +26,13 @@ from cmvpencil.verify import (
     _coeff_mismatch,
     _gram_offdiag_worst,
     _within,
-    run_all,
     run_suite,
 )
+
+
+def run_all():
+    """Every suite at its defaults: {suite name: [CheckResult, ...]}, as ``cmvpencil verify`` runs them."""
+    return {name: run_suite(name) for name in SUITES}
 
 
 def test_unknown_suite_rejected():
@@ -277,3 +281,27 @@ def test_a_nan_route_fails_every_check_that_reads_it(monkeypatch, suite, kwargs,
 
 def test_every_suite_has_a_nan_route():
     assert {suite for suite, *_ in NAN_ROUTES} == set(SUITES)
+
+
+def _spectrum_suite_with_census(monkeypatch, n_outliers, near_zero):
+    """suite_spectrum at dim 8 with every census answering (n_outliers, [...], near_zero)."""
+    answer = (n_outliers, [5.0] * n_outliers, near_zero)
+    monkeypatch.setattr(verify, "band_census", lambda *args: answer)
+    return verify.suite_spectrum(8)
+
+
+@pytest.mark.parametrize("n_outliers, passed", [(0, True), (2, True), (3, False)])
+def test_spectrum_pass_rule_allows_two_outliers_and_no_more(monkeypatch, n_outliers, passed):
+    # the rule is n_outliers <= 2; no battery case has exactly 2
+    results = _spectrum_suite_with_census(monkeypatch, n_outliers, 1)
+    assert [r.passed for r in results] == [passed] * 3
+    assert all(r.value == float(n_outliers) and r.tol == 2.0 for r in results)
+
+
+@pytest.mark.parametrize("near_zero, passed", [(0, False), (1, True), (2, False)])
+def test_spectrum_pass_rule_wants_one_eigenvalue_near_zero_at_lam_2(monkeypatch, near_zero, passed):
+    # only the lam = 2 check reads the near-zero count
+    results = _spectrum_suite_with_census(monkeypatch, 2, near_zero)
+    assert [r.label.split(",")[1] for r in results] == [" lam=0.5", " lam=1.0", " lam=2.0"]
+    assert [r.passed for r in results] == [True, True, passed]
+    assert results[2].details["near_zero_count"] == near_zero
