@@ -8,8 +8,13 @@ is tridiagonal for every lam.  Finite truncations keep 2*n_blocks rows; the
 block chopped in half at the boundary pollutes only the last two rows, so the
 algebraic identities are verified on rows 0 .. dim-3.
 
-``TruncationSpec.from_dim`` is the one check that a requested dimension is
-even and at least 4, and ``build_J`` is ``build_K`` at the int lam = 1.  A
+Every real parameter (lam, ``inflate``, a band edge) is checked by
+``recurrences._require_real`` and every count by ``recurrences._require_count``,
+which both constructors of ``TruncationSpec`` call; ``TruncationSpec.from_dim``
+adds the one check that a requested dimension is even.  A value that is not
+a number, nan, or an int or ``Fraction`` beyond its range raises
+InvalidParameterError (TruncationError for a truncation) before any
+arithmetic.  ``build_J`` is ``build_K`` at the int lam = 1.  A
 ``BandedSymmetricMatrix`` stores only its bands; its ``dim`` and
 ``bandwidth`` are read from them.
 
@@ -72,7 +77,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, TruncationError, _shown
-from .recurrences import _SQUARE_MAX, ReflectionSequence, _table
+from .recurrences import _SQUARE_MAX, ReflectionSequence, _require_count, _require_real, _table
+
+# the most 2x2 blocks whose float64 bands numpy can size: 8 * dim bytes within np.intp
+_MAX_BLOCKS = np.iinfo(np.intp).max // 16
 
 __all__ = [
     "TruncationSpec",
@@ -93,19 +101,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Size of a finite truncation, counted in 2x2 blocks: an integer n_blocks >= 2
-    (numpy integers too); anything else raises TruncationError."""
+    """Size of a finite truncation, counted in 2x2 blocks: an integer n_blocks
+    from 2 up to the most whose float64 bands numpy can size (8 * dim bytes
+    within ``np.intp``); anything else raises TruncationError."""
 
     n_blocks: int
 
     def __post_init__(self):
-        # numpy integers are Integral; bool, floats, Fractions and strings are refused
-        if isinstance(self.n_blocks, bool) or not isinstance(self.n_blocks, numbers.Integral):
-            raise TruncationError(f"n_blocks must be an integer, got {_shown(self.n_blocks)}")
-        if self.n_blocks < 2:
-            raise TruncationError(
-                f"need at least 2 blocks for a meaningful truncation, got {_shown(self.n_blocks, format)}"
-            )
+        _require_count(self.n_blocks, "an integer n_blocks", 2, _MAX_BLOCKS, TruncationError)
 
     @property
     def dim(self) -> int:
@@ -114,9 +117,10 @@ class TruncationSpec:
     @classmethod
     def from_dim(cls, dim: int) -> "TruncationSpec":
         """The truncation with ``dim`` rows; TruncationError unless dim is an even integer >= 4."""
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 4 or dim % 2:
+        n_blocks, odd = divmod(_require_count(dim, "even dim", 4, error=TruncationError), 2)
+        if odd:
             raise TruncationError(f"need even dim >= 4, got {_shown(dim)}")
-        return cls(n_blocks=dim // 2)
+        return cls(n_blocks)
 
 
 @dataclass(frozen=True)
@@ -292,12 +296,9 @@ def build_K(a: ReflectionSequence, lam: float, trunc: TruncationSpec) -> BandedS
 
     Diagonal alternates a_n - lam*a_{n-1} (even n, with a_{-1} = -1) and
     -a_{n-1} + lam*a_n (odd n); off-diagonal alternates r_{2k} and lam*r_{2k+1}.
-    A lam that is not a finite float (nan, +-inf, or an int or Fraction too
-    large for a float) raises InvalidParameterError; lam <= 0 is allowed.
+    lam is any finite real; lam <= 0 is allowed.
     """
-    # compared exactly, so a huge int or Fraction fails here and not in float()
-    if not abs(lam) <= sys.float_info.max:
-        raise InvalidParameterError(f"need a finite lam, got {_shown(lam, format)}")
+    _require_real(lam, "a finite lam")
     dim = trunc.dim
     table = _table(a, dim)
     values = table.a[:dim]
@@ -369,16 +370,12 @@ def _residual(lhs, rhs, n: int):
 # 1 + lam^2 is formed too, so |lam| up to sqrt(max float) / 4 keeps every
 # residual finite
 _IDENTITY_LAM_MAX = _SQUARE_MAX / 4
+_IDENTITY_LAM_RULE = f"a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, so that lam^2 and K^2 stay finite"
 
 
 def _require_identity_lam(lam) -> None:
     """InvalidParameterError unless lam is finite with |lam| <= ``_IDENTITY_LAM_MAX``."""
-    # compared exactly, so a huge int or Fraction fails here and not in float()
-    if not abs(lam) <= _IDENTITY_LAM_MAX:
-        raise InvalidParameterError(
-            f"need a finite lam with |lam| <= {_IDENTITY_LAM_MAX:.3g}, "
-            f"so that lam^2 and K^2 stay finite, got {_shown(lam, format)}"
-        )
+    _require_real(lam, _IDENTITY_LAM_RULE, -_IDENTITY_LAM_MAX, _IDENTITY_LAM_MAX)
 
 
 def _identity_residuals(L, M, J, K, scale, shift, n: int) -> dict:
@@ -599,7 +596,7 @@ def _sturm_counts(diag, off, s: float, shifts) -> np.ndarray:
     """``eigenvalue_counts`` on (diag, off, s) as ``_tridiagonal`` returns it."""
     try:
         shifts = np.asarray(shifts, dtype=float).ravel()
-    except OverflowError:  # an int or Fraction beyond the float range
+    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
         raise InvalidParameterError("eigenvalue counts need shifts that are floats or within the float range") from None
     if np.isnan(shifts).any():
         raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
@@ -649,8 +646,8 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     ------
     InvalidParameterError
         If m is not tridiagonal or has an entry that is not finite (a nan
-        diagonal counted 0 below zero, an inf one 1), or if a shift is nan
-        or an int or ``Fraction`` beyond the float range (a float shift
+        diagonal counted 0 below zero, an inf one 1), or if a shift is nan,
+        not a number, or an int or ``Fraction`` beyond the float range (a float shift
         of +-inf counts as above).  A count needs no eigenvalue, so none is
         refused for its size.
     """
@@ -692,8 +689,7 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
     inflate : float
         How far each band is widened on both sides, and the half width of
         the window around zero; InvalidParameterError unless >= 0 and
-        within the float range (compared exactly, so an int or Fraction
-        too large for a float is refused too) or inf.
+        finite, or the float inf.
 
     Returns
     -------
@@ -706,17 +702,22 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
 
 def _census(diag, off, s: float, bands, inflate: float) -> tuple:
     """``band_census`` on (diag, off, s) as ``_tridiagonal`` returns it."""
-    # compared exactly, so a huge int or Fraction fails here and not in float()
-    if not (0 <= inflate <= sys.float_info.max or inflate == math.inf):
-        # a negative width would count a window "around zero" as -1 eigenvalues
-        raise InvalidParameterError(f"need inflate >= 0, finite as a float or inf, got {_shown(inflate, format)}")
-    edges = [edge for band in bands for edge in band]  # finite as floats, and sorted
-    if not all(abs(e) <= sys.float_info.max for e in edges) or edges != sorted(edges):
-        raise InvalidParameterError(f"need finite, ascending, disjoint bands, got {_shown(bands)}")
+    # a negative width would count a window "around zero" as -1 eigenvalues;
+    # a float may be inf, while an exact number beyond the float range would
+    # overflow in float()
+    hi = sys.float_info.max if isinstance(inflate, numbers.Rational) else math.inf
+    _require_real(inflate, "inflate >= 0, finite as a float or inf", 0, hi)
+    what = "finite, ascending, disjoint bands"
+    try:
+        edges = [edge for p, q in bands for edge in (p, q)]
+    except (TypeError, ValueError):  # not a sequence of (lo, hi) pairs
+        raise InvalidParameterError(f"need {what}, got {_shown(bands)}") from None
+    for lo, edge in zip([-sys.float_info.max, *edges], edges):  # each edge at least the one before
+        _require_real(edge, what, lo)
     # widened as Python floats, which overflow to +-inf without a numpy warning
     inflate = float(inflate)
-    starts = [-math.inf, *(float(q) + inflate for _, q in bands)]
-    ends = [*(float(p) - inflate for p, _ in bands), math.inf]
+    starts = [-math.inf, *(float(q) + inflate for q in edges[1::2])]
+    ends = [*(float(p) - inflate for p in edges[0::2]), math.inf]
     # one ?stebz call per window counts and locates what it holds; a window
     # that is empty at scale s makes no call
     outside = [v for lo, hi in zip(starts, ends) for v in _stebz(diag, off, s, "v", lo, hi).tolist()]

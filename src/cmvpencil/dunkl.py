@@ -243,7 +243,7 @@ def apply_dunkl(alpha, beta, c, p: PolynomialCoeffs) -> PolynomialCoeffs:
 def dunkl_eigenvalue(n: int, alpha, beta):
     """Eigenvalue on the degree-n eigenfunction: 2n for even n,
     -2*(alpha + beta + n + 1) for odd n."""
-    n = _require_count("degree", n, 0)
+    n = _require_count(n, "an integer degree", 0)
     alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
     if n % 2 == 0:
         return 2 * n
@@ -279,7 +279,7 @@ def verify_eigenfunction(alpha, beta, c, n: int) -> DunklReport:
     """
     # the inputs are checked before the cache is touched, so a rejected call
     # cannot evict a valid ladder
-    n = _require_count("degree", n, 0)
+    n = _require_count(n, "an integer degree", 0)
     alpha, beta, c = _parameters(alpha, beta, c)
     nums, den = _ladder(alpha, beta, c)[n]
     eig = dunkl_eigenvalue(n, alpha, beta)
@@ -303,7 +303,7 @@ def verify_eigenfunction(alpha, beta, c, n: int) -> DunklReport:
 def _chebyshev_nums(n: int, const) -> tuple:
     """Integer coefficients of V_n with V_0 = 1, V_1 = 2x + const and
     V_{k+1} = 2x V_k - V_{k-1}."""
-    _require_count("degree", n, 0)
+    _require_count(n, "an integer degree", 0)
     if n == 0:
         return (1,)
     prev, cur = (1,), (const, 2)

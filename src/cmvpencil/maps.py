@@ -39,12 +39,14 @@ from .errors import (
     _shown,
 )
 from .recurrences import (
+    _SQUARE_MAX,
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
     _bounded_table,
     _require_count,
     _require_lam,
+    _require_real,
     _table,
     _worst_mismatch,
     jacobi_opuc_reflections,
@@ -141,7 +143,7 @@ def christoffel(src: MonicThreeTerm, theta, n_max: int) -> ChristoffelData:
     Parameters
     ----------
     src : MonicThreeTerm
-    theta : real
+    theta : real, finite
         Shift point; must avoid the zeros of every source polynomial up to
         degree n_max + 1.
     n_max : int
@@ -164,7 +166,8 @@ def christoffel(src: MonicThreeTerm, theta, n_max: int) -> ChristoffelData:
     A(0) = theta - b_0, A(n) = theta - b_n - u_n/A(n-1), never by evaluating
     the polynomials themselves (which overflows near degree 40).
     """
-    _require_count("n_max", n_max, 0)
+    _require_real(theta, "a finite theta")
+    _require_count(n_max, "an integer n_max", 0)
     A_list = [theta - src.b(0)]
     C_list = [theta * 0]  # zero in the dtype of theta
     for n in range(1, n_max + 1):
@@ -201,13 +204,14 @@ def scale_map(src: MonicThreeTerm, g) -> MonicThreeTerm:
     Parameters
     ----------
     src : MonicThreeTerm
-    g : real, nonzero
+    g : real, nonzero, with |g| <= sqrt(largest float), so that g^2 is finite
 
     Returns
     -------
     MonicThreeTerm
         b_n -> g*b_n, u_n -> g^2*u_n; a symmetric family stays symmetric.
     """
+    _require_real(g, "a scale factor g whose square is a finite float", -_SQUARE_MAX, _SQUARE_MAX)
     if g == 0:
         raise InvalidParameterError("scale factor g must be nonzero")
     return MonicThreeTerm(b=lambda n: g * src.b(n), u=lambda n: g * g * src.u(n))
@@ -398,11 +402,13 @@ def big_m1_recurrence(alpha, beta, c) -> MonicThreeTerm:
     b_n = s * b_n(lam'), u_n = s^2 * u_n(lam').  This is the identification
     that reproduces the weight's orthogonal polynomials exactly; the direct
     g-rescaling at lam = (1 + c)/(1 - c) does not (see ``BigM1Parameters``).
+    alpha and beta must be finite and -1 < c < 1.
 
     Exact for Fraction inputs, which the operator-eigenfunction checks use.
     """
-    if not (-1 < c < 1):
-        raise InvalidParameterError(f"need -1 < c < 1, got {_shown(c)}")
+    _require_real(alpha, "a finite alpha")
+    _require_real(beta, "a finite beta")
+    _require_real(c, "-1 < c < 1", -1, 1, open_lo=True, open_hi=True)
     # ints promote to Fraction so integer parameters stay on the exact path
     alpha = Fraction(alpha) if isinstance(alpha, int) else alpha
     beta = Fraction(beta) if isinstance(beta, int) else beta
@@ -503,7 +509,7 @@ def _circle_family(family: str, table, point: CirclePoint, sweep: list, powers: 
 
 def _circle_eval(family: str, a: ReflectionSequence, n: int, point: CirclePoint) -> list:
     """``_circle_family`` of one fresh sweep: the three evaluators below."""
-    table = _table(a, _require_count("degree", n, 0))
+    table = _table(a, _require_count(n, "an integer degree", 0))
     return _circle_family(family, table, point, szego_eval(table, n, point), _half_powers(point, n))
 
 

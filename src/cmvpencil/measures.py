@@ -26,15 +26,14 @@ pure function of x.  A measure that cannot be hashed is served uncached.
 parameters, compared by value and by type, from a small bounded memo, so a
 repeated named weight hits the chains of its first call.
 
-Arguments are checked before any work: a tol that is nan, infinite (an int
-or Fraction too large for a float included) or below 1e-13, an n_max or
-n_nodes that is not an integer (bool included) or out of range, a lam that
-is not finite and positive, an int or Fraction big_m1 or little_m1 alpha or
-beta beyond the float range, and a Weyl point z that is not finite (an int
-or Fraction too large for a float included) or at which the quadratic's
-discriminant or the chosen root overflows all raise InvalidParameterError.
-Their messages name a value too long to write out by its size
-(``errors._shown``).
+Arguments are checked before any work, each real parameter (lam, xi, c,
+alpha, beta, a declared exponent, tol, a band point t) by
+``recurrences._require_real`` and each count (n_max, n_nodes) by
+``recurrences._require_count``: a value outside its range, nan, a value that
+is not a number, or an int or ``Fraction`` too large for a float raises
+InvalidParameterError.  So does a Weyl point z that is not a finite number or
+at which the quadratic's discriminant or the chosen root overflows.  Their
+messages name a value too long to write out by its size (``errors._shown``).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import cmath
 import functools
 import inspect
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -58,7 +56,7 @@ from .errors import (
     NonConvergenceError,
     _shown,
 )
-from .recurrences import MonicThreeTerm, _require_count, _require_lam, _worst, eval_monic
+from .recurrences import MonicThreeTerm, _require_count, _require_lam, _require_real, _worst, eval_monic
 
 __all__ = [
     "Measure",
@@ -105,14 +103,9 @@ class Measure:
 
     def __post_init__(self):
         for p, q in self.support:
-            if not q >= p:
-                raise InvalidParameterError(f"empty support interval ({_shown(p, format)}, {_shown(q, format)})")
-        for s, gamma in self.endpoint_exponents:
-            # compared exactly, so an int or Fraction too large for a float fails here
-            if not -1 < gamma <= sys.float_info.max:
-                raise InvalidParameterError(
-                    f"declared exponent {_shown(gamma, format)} at {_shown(s, format)} must be > -1 (integrable) and finite"
-                )
+            _require_real(q, "support intervals (p, q) with q >= p", p, math.inf)
+        for _, gamma in self.endpoint_exponents:
+            _require_real(gamma, "declared exponents > -1 (integrable) and finite", -1, open_lo=True)
 
     def exponent_at(self, s: float) -> float:
         for point, gamma in self.endpoint_exponents:
@@ -193,7 +186,7 @@ def discretize(m: Measure, n_nodes: int):
     InvalidParameterError
         If n_nodes is not an integer >= 1.
     """
-    _require_count("n_nodes", n_nodes, 1)
+    _require_count(n_nodes, "an integer n_nodes", 1)
     xs, ws = [], []
     for p, q, gl, gr in _panels(m):
         t, w = _jacobi_rule(n_nodes, gr, gl)
@@ -230,8 +223,7 @@ def integrate(m: Measure, f: Callable, tol: float) -> float:
     Raises
     ------
     InvalidParameterError
-        If tol is nan, infinite or below 1e-13; compared exactly, so an int
-        or ``Fraction`` too large for a float is refused too.
+        If tol is not finite or below 1e-13.
     NonConvergenceError
         If successive refinements fail to settle within the node budget, or
         if the refinements diverge (undeclared singularity heuristic).
@@ -288,9 +280,7 @@ _STIELTJES_N_MAX = 30
 
 
 def _require_tol(tol) -> None:
-    # compared exactly, so an int or Fraction too large for a float fails here
-    if not 1e-13 <= tol <= sys.float_info.max:
-        raise InvalidParameterError(f"tol must be finite and >= 1e-13, got {_shown(tol)}")
+    _require_real(tol, "a finite tol >= 1e-13", 1e-13)
 
 
 class _StieltjesChain:
@@ -379,19 +369,14 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     Raises
     ------
     InvalidParameterError
-        If n_max is not an integer in 0..30 (bool is refused), or tol is
-        nan, infinite (an int or ``Fraction`` too large for a float
-        included) or below 1e-13.
+        If n_max is not an integer in 0..30, or tol is not finite or below
+        1e-13.
     InstabilityError
         If a squared norm h_n loses positivity (naming the failing n).
     NonConvergenceError
         If refinements do not settle.
     """
-    _require_count("n_max", n_max, 0)
-    if n_max > _STIELTJES_N_MAX:
-        raise InvalidParameterError(
-            f"n_max = {_shown(n_max, format)} exceeds the fixed degree cap {_STIELTJES_N_MAX}"
-        )
+    _require_count(n_max, "an integer n_max within the fixed degree cap", 0, _STIELTJES_N_MAX)
     _require_tol(tol)
 
     prev = None
@@ -432,8 +417,8 @@ _INTERVAL_SHAPES = {
 def _interval_weight(family: str, *, xi, eta) -> Measure:
     """A family on [-2, 2]: (4 - x^2)^xi |x|^(2 eta + 1) times its linear
     factor, or, for dg_from_circle, the circle weight carried over."""
-    if not xi > -1:  # companion declares 1 + xi at both ends, which xi in (-2, -1] passes
-        raise InvalidParameterError(f"need xi > -1, got {_shown(xi, format)}")
+    # companion declares 1 + xi at both ends, which xi in (-2, -1] passes
+    _require_real(xi, "xi > -1", -1, open_lo=True)
     factor, shift_lo, shift_hi = _INTERVAL_SHAPES[family]
 
     def density(x):
@@ -472,14 +457,9 @@ def _pencil_weight(family: str, *, xi, eta, lam) -> Measure:
 
 
 def _big_m1_weight(family: str, *, alpha, beta, c) -> Measure:
-    if not 0 <= c < 1:
-        raise InvalidParameterError(f"need 0 <= c < 1, got {_shown(c, format)}")
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        # an int or Fraction beyond the float range would overflow in the
-        # float arithmetic below, so it is compared exactly here; a float
-        # inf or nan goes on to Measure's exponent check
-        if not isinstance(value, float) and abs(value) > sys.float_info.max:
-            raise InvalidParameterError(f"need a finite {name}, got {_shown(value)}")
+    _require_real(c, "0 <= c < 1", 0, 1, open_hi=True)
+    _require_real(alpha, "a finite alpha")
+    _require_real(beta, "a finite beta")
     xi = 0.5 * (alpha - 1.0)
     eta = 0.5 * (beta - 1.0)
 
@@ -640,15 +620,6 @@ def _stable_quadratic(A: complex, B: complex, C: complex):
 _EDGE_GUARD = 1e-12
 
 
-def _band_edge_guard(z: complex, lam: float) -> None:
-    for edge in (lam + 1.0, abs(lam - 1.0)):
-        if abs(abs(z) - edge) < _EDGE_GUARD:
-            raise BandEdgeError(
-                f"|z| = {abs(z)!r} is within 1e-12 of the band edge {edge!r}; "
-                "refusing to choose a branch"
-            )
-
-
 def _no_finite_value(z: complex, lam: float) -> InvalidParameterError:
     return InvalidParameterError(
         f"m_per has no finite value at z = {_shown(z)}, lam = {_shown(lam)}: z must be finite, "
@@ -673,11 +644,11 @@ def m_per(z: complex, lam: float) -> complex:
     BandEdgeError
         If |z| is within 1e-12 of a band edge.
     InvalidParameterError
-        If lam is not finite and positive; if z is nan or infinite, or an
-        int or Fraction too large for a float; if the quadratic's
-        discriminant or the chosen root overflows (|z| or lam beyond about
-        1e76, or z within about 1e-308 of the pole at 0); if real z lies
-        inside the essential spectrum or, for lam > 1, is the pole z = 0.
+        If lam is not finite and positive; if z is not a finite number; if
+        the quadratic's discriminant or the chosen root overflows (|z| or
+        lam beyond about 1e76, or z within about 1e-308 of the pole at 0);
+        if real z lies inside the essential spectrum or, for lam > 1, is the
+        pole z = 0.
 
     Notes
     -----
@@ -691,11 +662,12 @@ def m_per(z: complex, lam: float) -> complex:
     _require_lam(lam)
     try:
         z = complex(z)
-    except OverflowError:  # an int or Fraction beyond the float range
+    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
         raise _no_finite_value(z, lam) from None
-    az = abs(z)
-    if abs(az - (lam + 1.0)) < _EDGE_GUARD or abs(az - abs(lam - 1.0)) < _EDGE_GUARD:
-        _band_edge_guard(z, lam)
+    az, hi = abs(z), lam + 1.0
+    edge = hi if abs(az - hi) < _EDGE_GUARD else abs(lam - 1.0)
+    if abs(az - edge) < _EDGE_GUARD:
+        raise BandEdgeError(f"|z| = {az!r} is within 1e-12 of the band edge {edge!r}; refusing to choose a branch")
     real = z.imag == 0.0
     if real:
         z = complex(z.real)  # drops a signed zero imaginary part
@@ -747,10 +719,11 @@ def m_full(z: complex, lam: float) -> complex:
 def _require_inside_band(lam: float, t: float) -> None:
     """InvalidParameterError unless lam > 0 is finite and t lies strictly inside a band."""
     _require_lam(lam)
-    if not abs(lam - 1.0) < abs(t) < lam + 1.0:
-        raise InvalidParameterError(
-            f"t = {_shown(t)} is not strictly inside the essential spectrum bands"
-        )
+    what, lo, hi = "t strictly inside an essential spectrum band", abs(lam - 1.0), lam + 1.0
+    # a t between the outer edges is a real number, whose sign picks its band
+    _require_real(t, what, -hi, hi, open_lo=True, open_hi=True)
+    band = (lo, hi) if t > 0 else (-hi, -lo)
+    _require_real(t, what, *band, open_lo=True, open_hi=True)
 
 
 def stieltjes_perron_density(lam: float, t: float) -> float:

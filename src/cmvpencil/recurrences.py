@@ -7,16 +7,13 @@ specialization, the symmetric family of the circle-to-interval map, and its
 companion.  Every family is a ``MonicThreeTerm``: a symmetric recurrence
 S_{n+1} = x S_n - v_n S_{n-1} is the monic one with b_n = 0 and u_n = v_n.
 The lambda = 1 family is the pencil family at the int 1, the symmetric family
-and its companion share one builder, and ``_require_lam`` is the one check of
-a pencil parameter (0 < lam <= the largest float) for ``maps`` and
-``measures``; ``pencil_recurrence`` itself takes any lam whose square is a
-finite float.  A recurrence read from tables (``MonicThreeTerm.from_arrays``,
-and so every recovered one, and ``maps.christoffel``'s A and C) reads them
-through one bounded accessor that refuses an index outside the table,
-negative ones included.  Evaluation helpers run the forward three-term
+and its companion share one builder; ``pencil_recurrence`` takes any lam
+whose square is a finite float.  A recurrence read from tables
+(``MonicThreeTerm.from_arrays``, and so every recovered one, and
+``maps.christoffel``'s A and C) reads them through one bounded accessor that
+refuses an index outside the table, negative ones included.  Evaluation helpers run the forward three-term
 recurrence and the joint circle recursion once each, returning every degree
-up to n; a circle angle or point too large for a float raises
-InvalidParameterError.
+up to n.
 
 Arithmetic is generic: sequences built from ``fractions.Fraction`` parameters
 stay exact through every coefficient formula and through ``eval_monic``, which
@@ -31,6 +28,19 @@ sequence.  The table holds the a column, the r column and, for scalar loops,
 the a column as Python scalars, so a sequence with ``numpy.float64``
 parameters runs the circle recursion in the same arithmetic as one with
 Python floats.
+
+Two private gates check the parameters and counts a caller hands the
+library, here and in ``cmv``, ``maps`` and ``measures`` (the exact path of
+``dunkl`` checks its parameters with its own ``_rational``).  ``_require_real`` is the one check of
+a real parameter (lam, xi, eta, c, an exponent, a tolerance, a shift point
+or band edge): it compares the value exactly against its range, by default
+the float range, so an int or ``Fraction`` too large for a float, nan, and a
+value that is not a number at all (a string, None) each raise
+InvalidParameterError before any arithmetic.  ``_require_count`` is the one
+check of a count (a degree, n_max, n_nodes, a number of blocks): an integer,
+numpy integers included and bool refused, within its bounds.  Both format
+their message only on the way to the raise, through ``errors._shown``.
+``_require_lam`` is the real gate at 0 < lam <= the largest float.
 """
 
 from __future__ import annotations
@@ -61,19 +71,44 @@ __all__ = [
 ]
 
 
-def _require_count(name: str, value, lo: int) -> int:
-    """An integer count or degree >= lo, returned as a Python int; numpy
-    integers pass, bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
-        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {_shown(value)}")
+def _require_real(value, what: str, lo=-sys.float_info.max, hi=sys.float_info.max, *, open_lo=False, open_hi=False):
+    """InvalidParameterError("need <what>, got <value>") unless lo <= value <= hi,
+    with < in place of <= at an open end.
+
+    The one check of a real parameter.  The ends default to the float range
+    and are compared exactly, so an int or ``Fraction`` too large for a float
+    fails here and not later in ``float()`` or float arithmetic.  nan fails
+    every comparison, and a value that cannot be compared (a string, None, a
+    complex number) is out of range too.  numpy scalars, bools and 0-d arrays
+    compare as their values.  The message is formatted only on the way to
+    the raise.
+    """
+    try:
+        if (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi):
+            return
+    except (TypeError, ValueError):  # no order with the ends, or no single truth value
+        pass
+    raise InvalidParameterError(f"need {what}, got {_shown(value)}")
+
+
+def _require_count(value, what: str, lo: int, hi: int | None = None, error=InvalidParameterError) -> int:
+    """value as a Python int if it is an integer from lo up (to hi, where
+    given); error("need <what> >= <lo>, got <value>") otherwise, or "in
+    <lo>..<hi>" with hi.
+
+    The one check of a count or degree: numpy integers pass, bool, floats,
+    ``Fraction`` and everything else are refused.
+    """
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"need {what} {bounds}, got {_shown(value)}")
     return int(value)
 
 
 def _require_lam(lam) -> None:
-    """A pencil parameter with 0 < lam <= the largest float, compared exactly,
-    so an int or Fraction too large for a float fails here and not in float()."""
-    if not 0 < lam <= sys.float_info.max:
-        raise InvalidParameterError(f"need lam > 0 and finite, got {_shown(lam)}")
+    """A pencil parameter with 0 < lam <= the largest float."""
+    _require_real(lam, "lam > 0 and finite", 0, open_lo=True)
 
 
 # the largest float whose square is finite, 1.3407807929942596e154: the edge
@@ -81,6 +116,7 @@ def _require_lam(lam) -> None:
 # eigen layer needs no such edge, as its one gate scales the matrix
 # (cmv._tridiagonal)
 _SQUARE_MAX = math.sqrt(sys.float_info.max)
+_SQUARE_RULE = f"|lam| <= {_SQUARE_MAX!r}"
 
 
 def _bounded_table(name: str, values) -> Callable[[int], object]:
@@ -140,7 +176,8 @@ class ReflectionSequence:
 
     The convention a_{-1} = -1 is built in: indexing at -1 is legal and
     returns -1 without consulting the underlying function.  Coefficients are
-    validated on first access; a value with |a_n| >= 1 raises
+    validated on first access; a value outside -1 < a_n < 1 (nan, or one
+    that is not a number, included) raises
     :class:`~cmvpencil.errors.ReflectionBoundError` naming the index.
 
     Each checked read is memoized.  A sequence holds no reference to
@@ -173,9 +210,12 @@ class ReflectionSequence:
 
         def checked(n: int):
             v = values(n)
-            if not (-1 < v < 1):
-                raise ReflectionBoundError(n, v)
-            return v
+            try:
+                if -1 < v < 1:
+                    return v
+            except (TypeError, ValueError):  # not a number: out of bounds too
+                pass
+            raise ReflectionBoundError(n, v)
 
         object.__setattr__(self, "_a", _memoized(checked))
 
@@ -199,8 +239,7 @@ class ReflectionSequence:
         the others read index by index, so ``Fraction`` coefficients stay
         exact in an object array.
         """
-        if n < 0:
-            raise InvalidParameterError(f"cannot take {_shown(n, format)} reflection coefficients")
+        n = _require_count(n, "an integer count of reflection coefficients", 0)
         arr = self.batch(n) if self.batch is not None else None
         if arr is not None and arr.size == n and np.all((arr > -1) & (arr < 1)):
             return arr
@@ -322,9 +361,7 @@ class CirclePoint:
     phi: float
 
     def __post_init__(self):
-        # compared exactly, so an int or Fraction too large for a float fails here
-        if not abs(self.phi) <= sys.float_info.max:
-            raise InvalidParameterError(f"circle angle must be finite, got {_shown(self.phi)}")
+        _require_real(self.phi, "a finite circle angle")
         if not (0 <= self.phi < 2 * math.pi):
             # a tiny negative angle reduces to exactly 2*pi after rounding; the
             # largest float below 2*pi keeps it on the x = -2 side of the branch
@@ -352,8 +389,8 @@ def jacobi_opuc_reflections(xi, eta) -> ReflectionSequence:
     Parameters
     ----------
     xi, eta : real
-        Exponent parameters, each > -1.  Exact-rational inputs produce exact
-        coefficients.
+        Exponent parameters, each > -1 and finite.  Exact-rational inputs
+        produce exact coefficients.
 
     Returns
     -------
@@ -361,8 +398,8 @@ def jacobi_opuc_reflections(xi, eta) -> ReflectionSequence:
         a_n = (eta - xi)/(n + xi + eta + 2) for even n,
         a_n = -(1 + xi + eta)/(n + xi + eta + 2) for odd n.
     """
-    if not (xi > -1 and eta > -1):
-        raise InvalidParameterError(f"need xi > -1 and eta > -1, got ({_shown(xi, format)}, {_shown(eta, format)})")
+    _require_real(xi, "xi > -1 and finite", -1, open_lo=True)
+    _require_real(eta, "eta > -1 and finite", -1, open_lo=True)
 
     def a(n: int):
         if n % 2 == 0:
@@ -401,11 +438,9 @@ def pencil_recurrence(a: ReflectionSequence, lam) -> MonicThreeTerm:
     ------
     InvalidParameterError
         If lam is nan or |lam| > sqrt(largest float) = 1.3407807929942596e154,
-        beyond which lam^2 and so u_n overflow to inf; compared exactly, so a
-        huge int or ``Fraction`` fails here too.  lam <= 0 is allowed.
+        beyond which lam^2 and so u_n overflow to inf.  lam <= 0 is allowed.
     """
-    if not abs(lam) <= _SQUARE_MAX:
-        raise InvalidParameterError(f"need |lam| <= {_SQUARE_MAX!r}, got {_shown(lam)}")
+    _require_real(lam, _SQUARE_RULE, -_SQUARE_MAX, _SQUARE_MAX)
 
     def b(n: int):
         if n % 2 == 0:
@@ -459,7 +494,7 @@ def eval_monic(rec: MonicThreeTerm, n: int, x) -> list:
     Works elementwise when x is a numpy array (each entry is then an array)
     and exactly when x and the coefficients are rational.
     """
-    _require_count("degree", n, 0)
+    _require_count(n, "an integer degree", 0)
     one = x * 0 + 1  # matches the dtype of x
     ladder = [one, x - rec.b(0) * one] if n > 0 else [one]
     for k in range(1, n):
@@ -481,12 +516,12 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
         [(Phi_0(z), Phi_0^*(z)), ..., (Phi_n(z), Phi_n^*(z))] from (1, 1) by one
         sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
     """
-    n = _require_count("degree", n, 0)
+    n = _require_count(n, "an integer degree", 0)
     # a CirclePoint is finite with |z| = 1; only a raw point needs the checks
     raw = not isinstance(z, CirclePoint)
     try:
         zz = complex(z) if raw else z.z
-    except OverflowError:  # an int or Fraction beyond the float range
+    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
         raise InvalidParameterError(f"need a point with a float value, got {_shown(z)}") from None
     if raw and not cmath.isfinite(zz):
         raise InvalidParameterError(f"need a finite point, got {_shown(z)}")

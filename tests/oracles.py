@@ -31,7 +31,7 @@ def chebyshev_closed_form(kind: str, n: int, tau: float) -> float:
     tau : real
         Angle; for third/fourth kind tau must avoid the denominator zeros.
     """
-    _require_count("degree", n, 0)
+    _require_count(n, "an integer degree", 0)
     if kind == "first":
         return 1.0 if n == 0 else 2.0 * math.cos(n * tau)
     if kind == "third":

@@ -159,7 +159,7 @@ def test_verify_exponent_overflow_exits_2(capsys):
     # alpha = 2 * xi + 1 overflows to inf: this printed a traceback and exited 1
     code, out, err = run(["verify", "--suite", "big-m1", "--lambda", "2", "--xi", "1e308"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: declared exponent inf")
+    assert err.startswith("error: need a finite alpha, got inf")
 
 
 @pytest.mark.parametrize(

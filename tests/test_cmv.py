@@ -76,7 +76,7 @@ def test_truncation_spec():
 # these used to fail later, with a bare numpy TypeError or ValueError
 @pytest.mark.parametrize("n_blocks", [2.5, 3.0, Fraction(3), math.nan, "3", True, None])
 def test_truncation_spec_needs_an_integer(n_blocks):
-    with pytest.raises(TruncationError, match="n_blocks must be an integer"):
+    with pytest.raises(TruncationError, match=r"need an integer n_blocks in 2\.\."):
         TruncationSpec(n_blocks=n_blocks)
 
 
@@ -84,6 +84,18 @@ def test_truncation_spec_needs_an_integer(n_blocks):
 def test_from_dim_needs_an_integer(dim):
     with pytest.raises(TruncationError, match="need even dim >= 4"):
         TruncationSpec.from_dim(dim)
+
+
+@pytest.mark.parametrize("n_blocks", [10**400, 2**62], ids=["10**400", "2**62"])
+def test_truncation_spec_refuses_bands_numpy_cannot_size(n_blocks):
+    # build_K(a, 1.0, TruncationSpec(10**400)) raised numpy's bare ValueError;
+    # only the constructors run here, nothing is allocated
+    for make in (lambda: TruncationSpec(n_blocks), lambda: TruncationSpec.from_dim(2 * n_blocks)):
+        with pytest.raises(TruncationError, match=r"need an integer n_blocks in 2\.\."):
+            make()
+    assert TruncationSpec(cmv._MAX_BLOCKS).dim * 8 <= np.iinfo(np.intp).max
+    with pytest.raises(ValueError, match="too big"):  # numpy refuses before it allocates
+        np.empty(TruncationSpec(cmv._MAX_BLOCKS).dim + 2)
 
 
 def test_block_structure_free_case():
@@ -758,8 +770,13 @@ def test_census_counts_equal_the_differences_of_eigenvalue_counts():
         [(-3.0, 1.0), (0.0, 3.0)],  # counted 0
         [(-3.0, -1.0), (1.0, math.inf)],
         [(1.0, 10**400)],
+        # the four below raised a bare TypeError or ValueError
+        [(-1.0, "x")],
+        [1.0],
+        None,
+        [(-1.0, 0.0, 1.0)],
     ],
-    ids=["nan", "reversed", "overlapping", "infinite", "huge-int"],
+    ids=["nan", "reversed", "overlapping", "infinite", "huge-int", "string", "not-pairs", "None", "triple"],
 )
 def test_band_census_rejects_bad_bands(bands):
     K = build_K(jacobi_opuc_reflections(0.3, 0.7), 2.0, TruncationSpec(50))

@@ -5,6 +5,8 @@ Python refuses to write out an int with more digits than
 one.  A message that formatted such a value with ``{value}`` raised a bare
 ``ValueError`` in place of its typed error; ``_shown`` names its size instead,
 and leaves every other value as ``repr``, ``str`` or ``format`` writes it.
+The same entry points refuse a value that is not a number with a typed error
+too, through the gates of ``recurrences``.
 """
 
 import math
@@ -23,17 +25,18 @@ WEIGHT = measures.named_weight("sdg", xi=0.0, eta=0.0)
 TRUNC = cmv.TruncationSpec(2)
 
 # entry point -> a call that puts the huge positive value h where it is refused;
-# a count or degree takes -h, as a huge positive one is valid
+# a count, index or degree (the names in COUNTS) takes -h, as a huge positive
+# one is valid
 CALLS = {
     "band_census inflate": lambda h: cmv.band_census(MATRIX, [(-1.0, 1.0)], h),
-    "band_census band edge": lambda h: cmv.band_census(MATRIX, [(-h, 1.0)], 0.05),
+    "band_census band edge": lambda h: cmv.band_census(MATRIX, [(-1.0, h)], 0.05),
     "build_K lam": lambda h: cmv.build_K(JACOBI, h, TRUNC),
     "verify_identities lam": lambda h: cmv.verify_identities(JACOBI, h, TRUNC),
     "eigenvalue_counts shift": lambda h: cmv.eigenvalue_counts(MATRIX, [h]),
     "TruncationSpec": lambda h: cmv.TruncationSpec(-h),
     "TruncationSpec.from_dim": lambda h: cmv.TruncationSpec.from_dim(-h),
     "pencil_recurrence lam": lambda h: recurrences.pencil_recurrence(JACOBI, h),
-    "jacobi_opuc_reflections": lambda h: recurrences.jacobi_opuc_reflections(-h, 0.5),
+    "jacobi_opuc_reflections": lambda h: recurrences.jacobi_opuc_reflections(h, 0.5),
     "CirclePoint": lambda h: recurrences.CirclePoint(h),
     "szego_eval raw point": lambda h: recurrences.szego_eval(JACOBI, 3, h),
     "eval_monic degree": lambda h: recurrences.eval_monic(FREE, -h, 0.5),
@@ -46,6 +49,8 @@ CALLS = {
     "big_m1_parameters lam": lambda h: maps.big_m1_parameters(0.0, 0.0, h),
     "big_m1_recurrence c": lambda h: maps.big_m1_recurrence(1, 1, h),
     "christoffel n_max": lambda h: maps.christoffel(FREE, 3.0, -h),
+    "christoffel theta": lambda h: maps.christoffel(FREE, h, 3),
+    "scale_map g": lambda h: maps.scale_map(FREE, h),
     "essential_spectrum_periodic": lambda h: measures.essential_spectrum_periodic(h),
     "named_weight periodic lam": lambda h: measures.named_weight("periodic", lam=h),
     "named_weight big_m1 alpha": lambda h: measures.named_weight("big_m1", alpha=h, beta=1.0, c=0.5),
@@ -62,6 +67,18 @@ CALLS = {
     "verify_eigenfunction degree": lambda h: dunkl.verify_eigenfunction(1, 1, Fraction(1, 2), -h),
     "dunkl_eigenvalue degree": lambda h: dunkl.dunkl_eigenvalue(-h, 1, 1),
 }
+COUNTS = {
+    "TruncationSpec",
+    "TruncationSpec.from_dim",
+    "eval_monic degree",
+    "ReflectionSequence.take count",
+    "ReflectionSequence index",
+    "christoffel n_max",
+    "stieltjes_recurrence n_max",
+    "discretize n_nodes",
+    "verify_eigenfunction degree",
+    "dunkl_eigenvalue degree",
+}
 
 
 @pytest.mark.parametrize("huge", [10**5000, Fraction(10**5000, 3)], ids=["int", "Fraction"])
@@ -70,6 +87,24 @@ def test_a_value_too_long_to_print_raises_the_typed_error(name, huge):
     with pytest.raises(CmvPencilError) as info:
         CALLS[name](huge)
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("value", ["x", None], ids=repr)
+@pytest.mark.parametrize("name", [name for name in CALLS if name not in COUNTS])
+def test_a_value_that_is_not_a_number_raises_the_typed_error(name, value):
+    # most raised a bare TypeError or ValueError from a comparison or a conversion
+    with pytest.raises(CmvPencilError):
+        CALLS[name](value)
+
+
+@pytest.mark.parametrize("lam", [np.float64(2.0), np.int64(2), np.array(2.0), True], ids=repr)
+def test_numbers_that_compare_pass_the_gates(lam):
+    # numpy scalars, 0-d arrays and bools compare as their values
+    measures.m_per(0.5 + 1j, lam)
+    cmv.build_K(JACOBI, lam, TRUNC)
+    cmv.verify_identities(JACOBI, lam, TRUNC)
+    measures.named_weight("periodic", lam=lam)
+    maps.big_m1_parameters(0.5, 1.0, lam)
 
 
 def test_shown_names_the_size_of_a_value_too_long_to_print():

@@ -389,13 +389,15 @@ def test_periodic_weight_recovers_free_recurrence():
 def _m_per_reference(z, lam):
     """m_per as it stood before its scalar fast path, kept as an oracle.
 
-    Reads the root solver and the edge guard from the module at call time, so
-    a test that patches ``measures._stable_quadratic`` drives both versions.
+    Reads the root solver from the module at call time, so a test that
+    patches ``measures._stable_quadratic`` drives both versions.
     """
     if not lam > 0:
         raise InvalidParameterError(f"need lam > 0, got {lam}")
     z = complex(z)
-    measures._band_edge_guard(z, lam)
+    for edge in (lam + 1.0, abs(lam - 1.0)):
+        if abs(abs(z) - edge) < 1e-12:
+            raise BandEdgeError(f"|z| = {abs(z)!r} is within 1e-12 of the band edge {edge!r}; refusing to choose a branch")
 
     def roots_at(zz):
         return measures._stable_quadratic(lam * lam * zz, zz * zz - 1.0 + lam * lam, zz)

@@ -13,13 +13,16 @@ from hypothesis import given, strategies as st
 
 from cmvpencil.cmv import TruncationSpec, build_J
 from cmvpencil.dunkl import dunkl_eigenvalue, verify_eigenfunction
-from cmvpencil.errors import InvalidParameterError, ReflectionBoundError
+from cmvpencil import recurrences
+from cmvpencil.errors import InvalidParameterError, ReflectionBoundError, TruncationError
 from cmvpencil.maps import big_m1_recurrence, christoffel, dg_eval_from_circle
 from cmvpencil.recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
     _complement,
+    _require_count,
+    _require_real,
     companion_symmetric_recurrence,
     dg_symmetric_recurrence,
     eval_monic,
@@ -282,7 +285,7 @@ DEGREE_CALLS = {
 @pytest.mark.parametrize("n", [2.0, 2.5, -1, True, "2", None], ids=repr)
 @pytest.mark.parametrize("name", list(DEGREE_CALLS))
 def test_degrees_must_be_nonnegative_integers(name, n):
-    with pytest.raises(InvalidParameterError, match="must be an integer >= 0"):
+    with pytest.raises(InvalidParameterError, match=r"need an integer (degree|n_max) >= 0, got "):
         DEGREE_CALLS[name](n)
 
 
@@ -611,3 +614,123 @@ def test_complement_squares_are_the_per_element_float_power():
     # the route is the float power, not x * x: these draws round differently
     values = samples[0]
     assert np.any((values * values).view(np.int64) != _pow_squares(values).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The two gates of a caller's number: _require_real and _require_count
+# ---------------------------------------------------------------------------
+
+BIG = sys.float_info.max
+
+
+def _passes(value, *args, **ends) -> bool:
+    try:
+        _require_real(value, "a value in range", *args, **ends)
+    except InvalidParameterError as exc:
+        assert str(exc).startswith("need a value in range, got ")
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "value, passes",
+    [
+        (BIG, True),
+        (-BIG, True),
+        (int(BIG), True),
+        (int(BIG) + 1, False),  # compared exactly: float() would round it to BIG
+        (math.inf, False),
+        (-math.inf, False),
+        (math.nan, False),
+        (10**400, False),
+        (-(10**400), False),
+        (Fraction(10**400), False),
+        (Fraction(-(10**400), 3), False),
+        (Fraction(1, 10**400), True),
+        (-0.0, True),
+        (np.float64(0.5), True),
+        (np.float64(math.nan), False),
+        (np.int64(-5), True),
+        (np.array(0.5), True),
+        (np.array([0.5, 0.5]), False),  # no single truth value
+        (True, True),
+        ("x", False),
+        (None, False),
+        (1j, False),
+        ([0.5], False),
+    ],
+    ids=repr,
+)
+def test_real_gate_defaults_to_the_float_range(value, passes):
+    assert _passes(value) is passes
+
+
+@pytest.mark.parametrize(
+    "value, ends, passes",
+    [
+        (0.0, "[]", True),
+        (1.0, "[]", True),
+        (-0.0, "[]", True),
+        (math.nextafter(0.0, -1.0), "[]", False),
+        (math.nextafter(1.0, 2.0), "[]", False),
+        (0.0, "(]", False),
+        (-0.0, "(]", False),
+        (1.0, "(]", True),
+        (1.0, "[)", False),
+        (0.0, "[)", True),
+        (math.nextafter(0.0, 1.0), "()", True),
+        (math.nextafter(1.0, 0.0), "()", True),
+        (False, "[]", True),
+        (True, "[]", True),
+        (True, "[)", False),
+        (np.float64(1.0), "[)", False),
+        (Fraction(1, 2), "()", True),
+        (math.nan, "()", False),
+        (math.inf, "[]", False),
+    ],
+    ids=repr,
+)
+def test_real_gate_ends_open_and_closed(value, ends, passes):
+    assert _passes(value, 0, 1, open_lo=ends[0] == "(", open_hi=ends[1] == ")") is passes
+
+
+def test_real_gate_formats_a_message_only_to_raise(monkeypatch):
+    def refuse(value, form=repr):
+        raise AssertionError("a valid call formatted a message")
+
+    monkeypatch.setattr(recurrences, "_shown", refuse)
+    _require_real(0.5, "a value in range")
+    _require_count(3, "an integer n", 0)
+    recurrences._require_lam(2.0)
+    pencil_recurrence(jacobi_opuc_reflections(0.3, 0.7), 2.0)
+
+
+def test_real_gate_names_the_value_too_long_to_print():
+    with pytest.raises(InvalidParameterError, match=r"^need a finite g, got <int of about 10\^5000>$"):
+        _require_real(10**5000, "a finite g")
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, passes",
+    [
+        (2, 2, None, True),
+        (10**400, 0, None, True),
+        (np.int64(7), 2, 7, True),
+        (8, 2, 7, False),
+        (1, 2, None, False),
+        (True, 0, None, False),
+        (2.0, 0, None, False),
+        (Fraction(2), 0, None, False),
+        ("2", 0, None, False),
+        (None, 0, None, False),
+    ],
+    ids=repr,
+)
+def test_count_gate(value, lo, hi, passes):
+    if passes:
+        got = _require_count(value, "an integer n", lo, hi)
+        assert got == value and type(got) is int
+        return
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    with pytest.raises(TruncationError, match=f"^need an integer n {bounds}, got "):
+        _require_count(value, "an integer n", lo, hi, TruncationError)

@@ -78,7 +78,6 @@ NEVER_ENTERED = {
     "errors.ReflectionBoundError.__init__": ERROR,
     "errors._shown": ERROR + " (it formats the offending value of a message)",
     "maps.chihara_split.<locals>._advise": ERROR + " (a warning for a nonpositive split coefficient)",
-    "measures._band_edge_guard": ERROR,
     "measures._no_finite_value": ERROR,
     "recurrences.ReflectionSequence.from_list.<locals>.at": ERROR + "; shipped paths read lists through take",
 }
