@@ -6,13 +6,13 @@ against the inflated bands, and the number of eigenvalues near zero (where
 a single outlier appears once lam > 1).  The leading 2x2 block of build_K,
 checked against the quadratic formula on the convention's entries
 a_0 + lam, lam*a_1 - a_0 and r_0, guards the matrix conventions.  The
-bands are widened by INFLATE, the spectrum suite's 0.05.  Each pencil passes
-the library's one eigen gate once per lam, and the census and eig_min/eig_max
-read the gate's output.  The census resolves eigenvalues to about 1e-14 of
-the largest entry of K, which 1 + lam bounds, so a lam with
-INFLATE < 1e-14 * (1 + lam), from about 5e12 up, is refused: there the
-widening falls below the eigenvalues' rounding error and every eigenvalue
-could count as an outlier.  An odd --dim, one below 4, a nan or infinite
+bands are widened by INFLATE, the spectrum suite's ``verify._INFLATE``
+(0.05).  Each pencil passes the library's one eigen gate once per lam, and
+the census and eig_min/eig_max read the gate's output.  The census resolves
+eigenvalues to about 1e-14 of the largest entry of K, which 1 + lam bounds,
+so a lam with INFLATE < 1e-14 * (1 + lam), from about 5e12 up, is refused:
+there the widening falls below the eigenvalues' rounding error and every
+eigenvalue could count as an outlier.  An odd --dim, one below 4, a nan or infinite
 --lams value, one at or below 0, one beyond that resolution, or an option the
 script does not read (--eta without --xi) prints ``error: ...`` to stderr,
 and nothing to stdout, and exits 2; exit codes follow the CLI's one rule.
@@ -40,9 +40,9 @@ from cmvpencil.cli import ArgumentParser, _csv_text, _write_text, exit_code
 from cmvpencil.errors import InvalidParameterError
 from cmvpencil.measures import essential_spectrum_periodic
 from cmvpencil.recurrences import ReflectionSequence, _table, jacobi_opuc_reflections
+from cmvpencil.verify import _INFLATE as INFLATE  # how far each band is widened
 
 DEFAULT_LAMS = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0]
-INFLATE = 0.05  # how far each band is widened, as in the spectrum suite
 HEADER = ("lam", "band_inner", "band_outer", "eig_min", "eig_max", "outliers", "near_zero")
 
 

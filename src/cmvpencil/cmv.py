@@ -592,14 +592,20 @@ def _stebz_count(diag, off, s: float, lo, hi) -> int:
     return _dstebz(diag, off, s, "v", lo, hi, sys.float_info.max)[0]
 
 
+def _float_hi(value) -> float:
+    """The upper end of the real gate for a value that may be a float: inf, as
+    a float may be infinite, but the largest float for an exact number (an
+    int, a ``Fraction``), which beyond it would overflow in float()."""
+    return sys.float_info.max if isinstance(value, numbers.Rational) else math.inf
+
+
 def _sturm_counts(diag, off, s: float, shifts) -> np.ndarray:
     """``eigenvalue_counts`` on (diag, off, s) as ``_tridiagonal`` returns it."""
-    try:
-        shifts = np.asarray(shifts, dtype=float).ravel()
-    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
-        raise InvalidParameterError("eigenvalue counts need shifts that are floats or within the float range") from None
-    if np.isnan(shifts).any():
-        raise InvalidParameterError("eigenvalue counts need shifts that are not nan")
+    # each shift through the real gate before float(), which parses a string
+    shifts = np.asarray(shifts, dtype=object).ravel().tolist()
+    for t in shifts:
+        hi = _float_hi(t)
+        _require_real(t, "shifts that are floats or within the float range, not nan", -hi, hi)
     off2 = off**2
     pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
     # a zero in front of the squared off-diagonal makes the first step d_0
@@ -607,7 +613,7 @@ def _sturm_counts(diag, off, s: float, shifts) -> np.ndarray:
     counts = []
     # Python floats overflow to +-inf without a numpy warning, and a shift
     # beyond the float range at scale s counts 0 or dim as +-inf does
-    for t in (t * s for t in shifts.tolist()):
+    for t in (float(t) * s for t in shifts):
         count, d = 0, 1.0
         for a_ii, b2 in steps:
             d = (a_ii - t) - b2 / d
@@ -647,8 +653,9 @@ def eigenvalue_counts(m: BandedSymmetricMatrix, shifts) -> np.ndarray:
     InvalidParameterError
         If m is not tridiagonal or has an entry that is not finite (a nan
         diagonal counted 0 below zero, an inf one 1), or if a shift is nan,
-        not a number, or an int or ``Fraction`` beyond the float range (a float shift
-        of +-inf counts as above).  A count needs no eigenvalue, so none is
+        not a number (a numeric string included), or an int or ``Fraction``
+        beyond the float range (a float shift of +-inf counts as above).  A
+        count needs no eigenvalue, so none is
         refused for its size.
     """
     return _sturm_counts(*_tridiagonal(m), shifts)
@@ -702,11 +709,8 @@ def band_census(m: BandedSymmetricMatrix, bands, inflate: float) -> tuple:
 
 def _census(diag, off, s: float, bands, inflate: float) -> tuple:
     """``band_census`` on (diag, off, s) as ``_tridiagonal`` returns it."""
-    # a negative width would count a window "around zero" as -1 eigenvalues;
-    # a float may be inf, while an exact number beyond the float range would
-    # overflow in float()
-    hi = sys.float_info.max if isinstance(inflate, numbers.Rational) else math.inf
-    _require_real(inflate, "inflate >= 0, finite as a float or inf", 0, hi)
+    # a negative width would count a window "around zero" as -1 eigenvalues
+    _require_real(inflate, "inflate >= 0, finite as a float or inf", 0, _float_hi(inflate))
     what = "finite, ascending, disjoint bands"
     try:
         edges = [edge for p, q in bands for edge in (p, q)]

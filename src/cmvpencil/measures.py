@@ -14,7 +14,10 @@ loads scipy.  On top of it sit ``integrate``, which calls its vectorized
 integrand once per quadrature level on the array of nodes, a
 Stieltjes-procedure oracle (recurrence coefficients recovered from a measure
 alone) and the closed-form Weyl functions of the constant-coefficient pencil,
-whose boundary values give the two-band spectral density.
+whose boundary values give the two-band spectral density.  One node ladder,
+``_LEVELS`` (16 to 512 nodes per panel), serves every refinement:
+``integrate`` climbs all of it, ``stieltjes_recurrence`` its tail from 64
+nodes and the verify battery's Gram check its tail from 128.
 
 ``integrate`` and ``stieltjes_recurrence`` share a second bounded cache,
 keyed by (measure, node count): each entry holds one discretization and the
@@ -31,9 +34,10 @@ alpha, beta, a declared exponent, tol, a band point t) by
 ``recurrences._require_real`` and each count (n_max, n_nodes) by
 ``recurrences._require_count``: a value outside its range, nan, a value that
 is not a number, or an int or ``Fraction`` too large for a float raises
-InvalidParameterError.  So does a Weyl point z that is not a finite number or
-at which the quadratic's discriminant or the chosen root overflows.  Their
-messages name a value too long to write out by its size (``errors._shown``).
+InvalidParameterError.  So does a Weyl point z that is not a finite number
+(a string that spells one included) or at which the quadratic's
+discriminant or the chosen root overflows.  Their messages name a value too
+long to write out by its size (``errors._shown``).
 """
 
 from __future__ import annotations
@@ -275,7 +279,6 @@ def gram(m: Measure, rec_p, rec_q, n: int, k: int) -> float:
     return cross / math.sqrt(nn * kk)
 
 
-_STIELTJES_LEVELS = (64, 128, 256, 512)
 _STIELTJES_N_MAX = 30
 
 
@@ -380,7 +383,7 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
     _require_tol(tol)
 
     prev = None
-    for n_nodes in _STIELTJES_LEVELS:
+    for n_nodes in _LEVELS[_LEVELS.index(64) :]:
         chain = _chain_of(m, n_nodes)
         chain.extend(n_max)
         b_arr = np.asarray(chain.b[: n_max + 1])
@@ -394,7 +397,7 @@ def stieltjes_recurrence(m: Measure, n_max: int, tol: float = 1e-10) -> MonicThr
         prev = (b_arr, u_arr)
     raise NonConvergenceError(
         f"coefficient table did not settle to {_shown(tol, format)} within "
-        f"{_STIELTJES_LEVELS[-1]} nodes per panel"
+        f"{_LEVELS[-1]} nodes per panel"
     )
 
 
@@ -660,10 +663,16 @@ def m_per(z: complex, lam: float) -> complex:
     around the pole at 0 (lam > 1), where the branch is the other one.
     """
     _require_lam(lam)
-    try:
-        z = complex(z)
-    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
-        raise _no_finite_value(z, lam) from None
+    if type(z) is not complex:  # a Python complex is taken as it is
+        try:
+            if isinstance(z, str):
+                raise TypeError  # no number, though complex() parses a numeric string
+            z = complex(z)
+        except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
+            raise _no_finite_value(z, lam) from None
+    # the band edges of essential_spectrum_periodic, written out: m_per runs
+    # about 12,000 times per weights-exact pass at about 1.35 us a call, and
+    # that call (0.31 us) in place of _require_lam (0.135 us) would add 2 ms
     az, hi = abs(z), lam + 1.0
     edge = hi if abs(az - hi) < _EDGE_GUARD else abs(lam - 1.0)
     if abs(az - edge) < _EDGE_GUARD:
@@ -718,12 +727,11 @@ def m_full(z: complex, lam: float) -> complex:
 
 def _require_inside_band(lam: float, t: float) -> None:
     """InvalidParameterError unless lam > 0 is finite and t lies strictly inside a band."""
-    _require_lam(lam)
-    what, lo, hi = "t strictly inside an essential spectrum band", abs(lam - 1.0), lam + 1.0
+    below, above = essential_spectrum_periodic(lam)
+    what = "t strictly inside an essential spectrum band"
     # a t between the outer edges is a real number, whose sign picks its band
-    _require_real(t, what, -hi, hi, open_lo=True, open_hi=True)
-    band = (lo, hi) if t > 0 else (-hi, -lo)
-    _require_real(t, what, *band, open_lo=True, open_hi=True)
+    _require_real(t, what, below[0], above[1], open_lo=True, open_hi=True)
+    _require_real(t, what, *(above if t > 0 else below), open_lo=True, open_hi=True)
 
 
 def stieltjes_perron_density(lam: float, t: float) -> float:
@@ -786,7 +794,7 @@ def validate_periodic_density(lam: float) -> float:
 def _band_grid(lam: float, n: int) -> list:
     """n points across each band, negative band first, as Python floats; each
     band is padded in by 5% of its width at both ends."""
-    lo, hi = abs(lam - 1.0), lam + 1.0
+    _, (lo, hi) = essential_spectrum_periodic(lam)
     pad = 0.05 * (hi - lo) if hi > lo else 0.05
     bands = ((-hi + pad, -lo - pad), (lo + pad, hi - pad))
     return [t for p, q in bands for t in np.linspace(p, q, n).tolist()]

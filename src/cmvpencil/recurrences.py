@@ -175,10 +175,12 @@ class ReflectionSequence:
     """Lazy sequence of real reflection coefficients a_n, n >= 0.
 
     The convention a_{-1} = -1 is built in: indexing at -1 is legal and
-    returns -1 without consulting the underlying function.  Coefficients are
-    validated on first access; a value outside -1 < a_n < 1 (nan, or one
-    that is not a number, included) raises
-    :class:`~cmvpencil.errors.ReflectionBoundError` naming the index.
+    returns -1 without consulting the underlying function.  An index that is
+    not an integer >= -1 (numpy integers pass; bool, a float and a string do
+    not) raises InvalidParameterError.  Coefficients are validated on first
+    access; a value outside -1 < a_n < 1 (nan, or one that is not a number,
+    included) raises :class:`~cmvpencil.errors.ReflectionBoundError` naming
+    the index.
 
     Each checked read is memoized.  A sequence holds no reference to
     itself, so its memo lives exactly as long as the sequence: both are
@@ -220,6 +222,8 @@ class ReflectionSequence:
         object.__setattr__(self, "_a", _memoized(checked))
 
     def __call__(self, n: int):
+        if type(n) is not int:  # the count gate off the hot path of int reads
+            n = _require_count(n, "a reflection index", -1)
         if n == -1:
             return -1
         if n < -1:
@@ -507,8 +511,9 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
 
     ``a`` is a ReflectionSequence (or the private coefficient table of one);
     a_0 .. a_{n-1} are read once, by ``take``.  ``z`` may also be a raw
-    number; one that is not finite, or whose sweep to degree n overflows
-    (z = 1e300, say), raises InvalidParameterError.
+    number, not a string that spells one; one that is not finite, or whose
+    sweep to degree n overflows (z = 1e300, say), raises
+    InvalidParameterError.
 
     Returns
     -------
@@ -520,6 +525,8 @@ def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
     # a CirclePoint is finite with |z| = 1; only a raw point needs the checks
     raw = not isinstance(z, CirclePoint)
     try:
+        if raw and isinstance(z, str):
+            raise TypeError  # no number, though complex() parses a numeric string
         zz = complex(z) if raw else z.z
     except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
         raise InvalidParameterError(f"need a point with a float value, got {_shown(z)}") from None

@@ -5,11 +5,14 @@ record passes.  Suites are deterministic: random inputs come from fixed-seed
 generators and quadrature schedules are fixed, so repeated runs agree bitwise.
 
 The battery is fixed: tolerances, degrees and the spectrum suite's band
-inflation are constants of each suite.  The only settable keywords are
-``dim`` (matrix-identities, spectrum) and ``cases`` (big-m1, dunkl);
-``run_suite`` rejects any other with InvalidParameterError.  A numeric check
-passes when its value is at most its tolerance; the spectrum, dunkl and
-exact-split checks state their own pass rules.
+inflation (``_INFLATE``, which ``scripts/spectrum_sweep.py`` reads too) are
+constants of each suite.  The only settable keywords are ``dim``
+(matrix-identities, spectrum) and ``cases`` (big-m1, dunkl); ``run_suite``
+rejects any other with InvalidParameterError.  Two pass rules serve every
+suite but the spectrum one, which counts outliers by its own: ``_within``
+passes a numeric check whose value is at most its tolerance, and ``_exact``
+passes an exact statement (the dunkl eigenfunctions and identities, the
+even/odd split) that holds, at tolerance 0.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .maps import (
     scale_map,
 )
 from .measures import (
+    _LEVELS,
     _band_grid,
     _chain_of,
     essential_spectrum_periodic,
@@ -67,6 +71,8 @@ from .recurrences import (
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 _SEED = 20260816
+# how far the spectrum suite widens each predicted band on both sides
+_INFLATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class CheckResult:
 def _within(label: str, value: float, tol: float, **details) -> CheckResult:
     """A check that passes when its value is at most its tolerance."""
     return CheckResult(label=label, passed=value <= tol, value=value, tol=tol, details=details)
+
+
+def _exact(label: str, holds: bool, value: float, **details) -> CheckResult:
+    """A check of an exact statement: passes when it holds, at tolerance 0."""
+    return CheckResult(label=label, passed=holds, value=value, tol=0.0, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +185,7 @@ def suite_maps() -> list:
 def _gram_offdiag_worst(measure, rec, degree: int) -> float:
     """Worst normalized off-diagonal Gram entry, fixed-rule quadrature."""
     prev = None
-    for n_nodes in (128, 256, 512):
+    for n_nodes in _LEVELS[_LEVELS.index(128) :]:
         chain = _chain_of(measure, n_nodes)  # the cached discretize(measure, n_nodes)
         x, w = chain.x, chain.w
         V = np.array(eval_monic(rec, degree, x))
@@ -249,7 +260,7 @@ def suite_big_m1(cases=None) -> list:
 
 
 def suite_spectrum(dim: int = 200) -> list:
-    """Truncated free-pencil spectra against the band prediction inflated by 0.05.
+    """Truncated free-pencil spectra against the band prediction inflated by ``_INFLATE``.
 
     Passes with at most two eigenvalues outside the inflated bands and, at
     lam = 2, exactly one near zero.  Complexity: O(dim) per lam, through
@@ -261,7 +272,7 @@ def suite_spectrum(dim: int = 200) -> list:
     results = []
     for lam in (0.5, 1.0, 2.0):
         n_outliers, outliers, near_zero = band_census(
-            build_K(a, lam, trunc), essential_spectrum_periodic(lam), 0.05
+            build_K(a, lam, trunc), essential_spectrum_periodic(lam), _INFLATE
         )
         ok = n_outliers <= max_outliers
         if lam == 2.0:
@@ -398,15 +409,8 @@ def suite_dunkl(cases=None) -> list:
             report = verify_eigenfunction(alpha, beta, c, n)
             worst = _worst(worst, report.max_abs_residual)
             all_zero = all_zero and report.residual.is_zero()
-        results.append(
-            CheckResult(
-                label=f"operator eigenfunctions exact, (alpha,beta,c)=({alpha},{beta},{c})",
-                passed=all_zero,
-                value=worst,
-                tol=0.0,
-                details={"exact_arithmetic": all_zero},
-            )
-        )
+        label = f"operator eigenfunctions exact, (alpha,beta,c)=({alpha},{beta},{c})"
+        results.append(_exact(label, all_zero, worst, exact_arithmetic=all_zero))
     worst_identity = 0.0
     identities_hold = True
     for n in range(13):
@@ -416,14 +420,7 @@ def suite_dunkl(cases=None) -> list:
         ):
             identities_hold = identities_hold and residual.is_zero()
             worst_identity = _worst(worst_identity, residual.max_abs())
-    results.append(
-        CheckResult(
-            label="third/fourth-kind eigenidentities exact for n <= 12",
-            passed=identities_hold,
-            value=worst_identity,
-            tol=0.0,
-        )
-    )
+    results.append(_exact("third/fourth-kind eigenidentities exact for n <= 12", identities_hold, worst_identity))
     return results
 
 
@@ -473,14 +470,7 @@ def suite_structural() -> list:
         exact = exact and all(
             s[2 * n] == p[n] and s[2 * n + 1] == (x - chi) * p_tilde[n] for n in range(9)
         )
-    results.append(
-        CheckResult(
-            label="even/odd split composes back exactly",
-            passed=exact,
-            value=0.0 if exact else 1.0,
-            tol=0.0,
-        )
-    )
+    results.append(_exact("even/odd split composes back exactly", exact, 0.0 if exact else 1.0))
 
     # scaling covariance of the reduced recurrence
     a = jacobi_opuc_reflections(0.3, 0.7)

@@ -5,8 +5,9 @@ Python refuses to write out an int with more digits than
 one.  A message that formatted such a value with ``{value}`` raised a bare
 ``ValueError`` in place of its typed error; ``_shown`` names its size instead,
 and leaves every other value as ``repr``, ``str`` or ``format`` writes it.
-The same entry points refuse a value that is not a number with a typed error
-too, through the gates of ``recurrences``.
+The same entry points refuse a value that is not a number, a string that
+spells one included, with a typed error too, through the gates of
+``recurrences``.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from cmvpencil import cmv, dunkl, maps, measures, recurrences
-from cmvpencil.errors import CmvPencilError, _shown
+from cmvpencil.errors import CmvPencilError, InvalidParameterError, _shown
 
 JACOBI = recurrences.jacobi_opuc_reflections(0.3, 0.7)
 FREE = recurrences.sdg_recurrence(recurrences.ReflectionSequence.constant(0.0))
@@ -89,12 +90,35 @@ def test_a_value_too_long_to_print_raises_the_typed_error(name, huge):
     assert len(str(info.value)) < 200
 
 
-@pytest.mark.parametrize("value", ["x", None], ids=repr)
+@pytest.mark.parametrize("value", ["x", None, "0.5", "1j"], ids=repr)
 @pytest.mark.parametrize("name", [name for name in CALLS if name not in COUNTS])
 def test_a_value_that_is_not_a_number_raises_the_typed_error(name, value):
-    # most raised a bare TypeError or ValueError from a comparison or a conversion
-    with pytest.raises(CmvPencilError):
+    # most raised a bare TypeError or ValueError from a comparison or a
+    # conversion; complex() and float() parse a numeric string, so m_per,
+    # szego_eval and eigenvalue_counts took "0.5" as 0.5, and m_per("1j", 2.0)
+    # met its band edge at |z| = 1
+    with pytest.raises(CmvPencilError) as info:
         CALLS[name](value)
+    with pytest.raises(CmvPencilError) as word:
+        CALLS[name]("x")
+    assert type(info.value) is type(word.value)
+
+
+@pytest.mark.parametrize("index", ["x", None, 2.5, 1j, True], ids=repr)
+def test_a_reflection_index_that_is_not_an_integer_is_refused(index):
+    # 2.5 was read as an index and True as 1; the others raised a bare TypeError
+    with pytest.raises(InvalidParameterError, match="need a reflection index >= -1, got "):
+        JACOBI(index)
+
+
+def test_integer_indices_and_numeric_points_keep_their_values():
+    assert JACOBI(np.int64(3)) == JACOBI(3) and JACOBI(np.int32(-1)) == -1
+    with pytest.raises(InvalidParameterError, match="reflection index -2 < -1"):
+        JACOBI(-2)
+    for z in (np.float64(3.5), np.complex128(3.5), 3.5 + 0j, 7 / 2, Fraction(7, 2)):
+        assert measures.m_per(z, 2.0) == measures.m_per(3.5, 2.0)
+    for z in (np.float64(0.5), Fraction(1, 2), 0.5 + 0j):
+        assert recurrences.szego_eval(JACOBI, 4, z) == recurrences.szego_eval(JACOBI, 4, 0.5)
 
 
 @pytest.mark.parametrize("lam", [np.float64(2.0), np.int64(2), np.array(2.0), True], ids=repr)
