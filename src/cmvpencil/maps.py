@@ -8,14 +8,17 @@ the even/odd split of a recurrence with alternating diagonal
 (``reflect_map``), and the parameter bookkeeping that identifies the reduced
 pencil family with a classical family on two symmetric intervals
 (``big_m1_parameters`` / ``big_m1_recurrence``).  The circle evaluators
-return every degree 0..n of an interval family from one Szego sweep per point.
+return every degree 0..n of an interval family from one Szego sweep.
 Their per-degree formulas (symmetric, shifted and companion) live in one
-helper, ``_circle_family``, which takes a sweep, the point's ladder of
-z^{-k/2} and the private coefficient table of ``recurrences`` that fed the
-sweep; the maps suite makes one table per sequence and feeds one sweep per
-(sequence, point) to both the symmetric and the shifted family through it.
-The formulas stay scalar Python because numpy's complex multiply and complex
-``abs`` round differently from CPython's on a large share of inputs.
+helper, ``_circle_family``, which takes the array form of ``szego_eval`` over
+(sequence, point) lanes, the points' ladders of z^{-k/2} and the private
+coefficient tables of ``recurrences`` that fed the sweep; the maps suite runs
+one sweep over all of its lanes and feeds it to both the symmetric and the
+shifted family, and each evaluator runs one lane.  The formulas run on
+float64 arrays through ``recurrences._c_mul`` and ``_c_div``, which replay
+CPython's complex product and quotient one operation at a time, so every
+value keeps the bits of the scalar formula written with Python complex
+numbers (numpy's own complex ``*`` and ``/`` round differently).
 
 Every transform takes and returns ``MonicThreeTerm``; symmetric families are
 the zero-diagonal case and go through the same calls.  The companion of the
@@ -32,6 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -44,6 +49,8 @@ from .recurrences import (
     MonicThreeTerm,
     ReflectionSequence,
     _bounded_table,
+    _c_div,
+    _c_mul,
     _require_count,
     _require_lam,
     _require_real,
@@ -473,44 +480,57 @@ def big_m1_parameters(xi, eta, lam) -> BigM1Parameters:
     )
 
 
-def _half_powers(point: CirclePoint, n: int) -> list:
-    """z^{-k/2} for k = 0 .. n at a circle point.
+def _half_powers(points, n: int) -> np.ndarray:
+    """z^{-k/2} for k = 0 .. n at each circle point: an (n + 1, len(points)) complex array.
 
-    Each entry is ``half ** (-k)``: a running product would round differently.
-    The ladder depends only on the point, so one serves every sequence.
+    Each entry is CPython's ``half ** (-k)``: a running product would round
+    differently.  The ladders depend only on the points, so one array serves
+    every sequence.
     """
-    half = point.half
-    return [half ** (-k) for k in range(n + 1)]
+    halves = [point.half for point in points]
+    return np.array([[half ** (-k) for half in halves] for k in range(n + 1)], dtype=complex).reshape(n + 1, len(halves))
 
 
-def _circle_family(family: str, table, point: CirclePoint, sweep: list, powers: list) -> list:
-    """Degrees 0 .. n of one interval family from a Szego sweep and its z^{-k/2}.
+def _circle_family(family: str, tables, points, sweep, powers) -> np.ndarray:
+    """Degrees 0 .. n of one interval family on every (sequence, point) lane.
 
-    ``table`` is the coefficient table (``recurrences._table(a, n)``) that fed
-    the sweep ``szego_eval(table, n, point)``, and ``powers`` is
-    ``_half_powers(point, n)``; ``family`` is "symmetric", "shifted" or
-    "companion".  One sweep can feed all three families.  The per-degree
-    formulas stay scalar Python on purpose: numpy's complex multiply and
-    complex ``abs`` round differently from CPython's on a large share of
-    inputs, so an array version would move the last bits of every value.
+    ``sweep`` is ``szego_eval(tables, n, points)``, the pair of (n + 1, S, P)
+    arrays, ``tables`` the coefficient tables (``recurrences._table(a, n)``)
+    that fed it and ``powers`` is ``_half_powers(points, n)``; ``family`` is
+    "symmetric", "shifted" or "companion", and one sweep can feed all three.
+    Returns an (n + 1, S, P) complex array.  The formulas run in float64
+    parts through ``_c_mul`` and ``_c_div``, which replay CPython's complex
+    product and quotient, so each lane keeps the bits of the formula written
+    with Python complex numbers (an int or a real factor entering as x + 0j).
     """
-    half = point.half
-    pairs = zip(powers, sweep)
+    phi, phis = sweep
+    half = np.array([point.half for point in points], dtype=complex)
+    hr, hi = half.real, half.imag
     if family == "symmetric":
-        # a_{k-1} for k = 0 .. n, with a_{-1} = -1
-        prev = [-1, *table.scalars]
-        return [p * (phi + phis) / (1 - ak) for ak, (p, (phi, phis)) in zip(prev, pairs)]
-    if family == "shifted":
-        den = 1 + half
-        return [p * (phis + half * phi) / den for p, (phi, phis) in pairs]
-    z = half * half
-    return [p * (z * phi - phis) / (z - 1) for p, (phi, phis) in pairs]
+        # 1 - a_{k-1}, with a_{-1} = -1, formed in the table's own arithmetic
+        # and then rounded: for a Fraction, 1 - float(a) can round otherwise
+        rows = [1 - np.concatenate(([-1], table.a[: len(phi) - 1])) for table in tables]
+        den_r, den_i = np.array(rows, dtype=float).reshape(len(tables), len(phi)).T[:, :, None], 0.0
+        num = phi.real + phis.real, phi.imag + phis.imag
+    elif family == "shifted":
+        hp_r, hp_i = _c_mul(hr, hi, phi.real, phi.imag)
+        num = phis.real + hp_r, phis.imag + hp_i
+        den_r, den_i = 1.0 + hr, 0.0 + hi  # 1 + z^{1/2}, the int 1 entering as 1 + 0j
+    else:
+        zr, zi = _c_mul(hr, hi, hr, hi)
+        zp_r, zp_i = _c_mul(zr, zi, phi.real, phi.imag)
+        num = zp_r - phis.real, zp_i - phis.imag
+        den_r, den_i = zr - 1.0, zi - 0.0  # z - 1, likewise
+    values = np.empty(phi.shape, dtype=complex)
+    values.real, values.imag = _c_div(*_c_mul(powers.real[:, None, :], powers.imag[:, None, :], *num), den_r, den_i)
+    return values
 
 
 def _circle_eval(family: str, a: ReflectionSequence, n: int, point: CirclePoint) -> list:
-    """``_circle_family`` of one fresh sweep: the three evaluators below."""
+    """``_circle_family`` on the one lane (a, point): the three evaluators below."""
     table = _table(a, _require_count(n, "an integer degree", 0))
-    return _circle_family(family, table, point, szego_eval(table, n, point), _half_powers(point, n))
+    sweep = szego_eval([table], n, [point])
+    return _circle_family(family, [table], [point], sweep, _half_powers([point], n))[:, 0, 0].tolist()
 
 
 def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> list:
@@ -519,8 +539,8 @@ def dg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> li
     S_k(x) = z^{-k/2} (Phi_k(z) + Phi_k^*(z)) / (1 - a_{k-1}) at
     x = 2*cos(phi/2), from one Szego sweep.  Real up to roundoff.  The
     per-degree formula is ``_circle_family``'s, shared with the shifted and
-    companion evaluators, and stays scalar Python because numpy's complex
-    arithmetic rounds differently.
+    companion evaluators, on one lane: its values have the bits of the
+    formula in CPython's complex arithmetic.
     """
     return _circle_eval("symmetric", a, n, point)
 
@@ -529,8 +549,9 @@ def sdg_eval_from_circle(a: ReflectionSequence, n: int, point: CirclePoint) -> l
     """lam = 1 pencil polynomials Q_0 .. Q_n through their circle representation.
 
     Q_k(x) = z^{-k/2} (Phi_k^*(z) + z^{1/2} Phi_k(z)) / (1 + z^{1/2}), from one
-    Szego sweep, by the scalar per-degree formula of ``_circle_family``
-    (shared with the symmetric and companion evaluators).  The x = -2 pole
+    Szego sweep, by the per-degree formula of ``_circle_family`` on one lane
+    (shared with the symmetric and companion evaluators), in CPython's
+    complex arithmetic bit for bit.  The x = -2 pole
     (phi = 2*pi) is outside the branch: for phi in [0, 2*pi) the
     floating-point z^{1/2} is never exactly -1 (at the largest phi below
     2*pi, 1 + z^{1/2} is 5.7e-16j).  Near it the division by 1 + z^{1/2}
@@ -546,9 +567,10 @@ def companion_eval_from_circle(
     """Companion interval polynomials T_0 .. T_n through their circle representation.
 
     T_k(x) = z^{-k/2} (z*Phi_k(z) - Phi_k^*(z)) / (z - 1), from one Szego
-    sweep, by the scalar per-degree formula of ``_circle_family`` (shared
-    with the symmetric and shifted evaluators).  Requires phi != 0 (x = 2 is
-    a pole of the representation).
+    sweep, by the per-degree formula of ``_circle_family`` on one lane
+    (shared with the symmetric and shifted evaluators), in CPython's complex
+    arithmetic bit for bit.  Requires phi != 0 (x = 2 is a pole of the
+    representation).
     """
     half = point.half
     if half * half == 1:

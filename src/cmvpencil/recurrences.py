@@ -24,10 +24,17 @@ index by index.  The banded matrix builders, ``szego_eval`` and the circle
 evaluators read their coefficients from a private table made from one
 ``take``: a caller that reuses one prefix (the identity residuals, the maps
 suite) makes the table once and hands it to each of them in place of the
-sequence.  The table holds the a column, the r column and, for scalar loops,
-the a column as Python scalars, so a sequence with ``numpy.float64``
-parameters runs the circle recursion in the same arithmetic as one with
-Python floats.
+sequence.  The table holds the a column and the r column.
+
+``szego_eval`` runs its sweep on float64 arrays over every (sequence, point)
+lane at once, and ``maps`` evaluates its circle formulas on those lanes.  Two
+private helpers, ``_c_mul`` and ``_c_div``, replay CPython's complex product
+and quotient one float operation at a time, so each lane keeps the bits of
+the same recursion written with Python complex numbers; numpy's own complex
+``*`` and ``/`` round differently on a share of inputs.  A real factor (a
+float, an int, a ``Fraction``) enters as complex(float(x), 0.0), as CPython
+3.11 promotes it, so a sequence with ``numpy.float64`` or ``Fraction``
+parameters gets the bits of Python complex arithmetic too.
 
 Two private gates check the parameters and counts a caller hands the
 library, here and in ``cmv``, ``maps`` and ``measures`` (the exact path of
@@ -298,11 +305,10 @@ def _complement(values) -> np.ndarray:
 class _CoefficientTable:
     """a_0 .. a_{n-1} of one sequence, read once by ``take`` and then shared.
 
-    ``a`` is the take (float64, or object for ``Fraction`` coefficients),
-    ``r`` its r_n from ``_complement`` and ``scalars`` its entries as Python
-    scalars; the last two are made on first use.  The table is read-only and
-    refers to neither the sequence nor itself, so it is freed as soon as the
-    call that made it returns.
+    ``a`` is the take (float64, or object for ``Fraction`` coefficients) and
+    ``r`` its r_n from ``_complement``, made on first use.  The table is
+    read-only and refers to neither the sequence nor itself, so it is freed
+    as soon as the call that made it returns.
     """
 
     def __init__(self, a: ReflectionSequence, n: int):
@@ -314,10 +320,6 @@ class _CoefficientTable:
         r = _complement(self.a)
         r.flags.writeable = False
         return r
-
-    @functools.cached_property
-    def scalars(self) -> list:
-        return self.a.tolist()
 
 
 def _table(a, n: int) -> _CoefficientTable:
@@ -506,38 +508,97 @@ def eval_monic(rec: MonicThreeTerm, n: int, x) -> list:
     return ladder
 
 
-def szego_eval(a: ReflectionSequence, n: int, z: CirclePoint) -> list:
-    """Joint evaluation of the circle polynomial pairs at a circle point.
+def _c_mul(ar, ai, br, bi):
+    """(ar + ai*j) * (br + bi*j) as CPython's ``_Py_c_prod`` forms it, on
+    float64 arrays or floats: the pair (real part, imaginary part)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_div(ar, ai, br, bi):
+    """(ar + ai*j) / (br + bi*j) as CPython 3.11's ``_Py_c_quot`` forms it, on
+    float64 arrays or floats: the pair (real part, imaginary part).
+
+    Smith's rule divides through by the larger part of the divisor.  Both
+    branches are computed and ``np.where`` keeps the one CPython takes on
+    |br| >= |bi|; where a part of the divisor is nan neither test holds in C,
+    and both branches give nan here.  A zero divisor in any lane raises
+    ZeroDivisionError, as complex division does.
+    """
+    if np.any((br == 0) & (bi == 0)):
+        raise ZeroDivisionError("complex division by zero")
+    real_first = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):  # the branch not taken may divide by zero or overflow
+        by_real, by_imag = bi / br, br / bi
+        den_real, den_imag = br + bi * by_real, br * by_imag + bi
+        real = np.where(real_first, (ar + ai * by_real) / den_real, (ar * by_imag + ai) / den_imag)
+        return real, np.where(real_first, (ai - ar * by_real) / den_real, (ai * by_imag - ar) / den_imag)
+
+
+def _point(z) -> complex:
+    """The value of a circle point; a raw point is checked first."""
+    if isinstance(z, CirclePoint):
+        return z.z  # finite with |z| = 1
+    try:
+        if isinstance(z, str):
+            raise TypeError  # no number, though complex() parses a numeric string
+        zz = complex(z)
+    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
+        raise InvalidParameterError(f"need a point with a float value, got {_shown(z)}") from None
+    if not cmath.isfinite(zz):
+        raise InvalidParameterError(f"need a finite point, got {_shown(z)}")
+    return zz
+
+
+def szego_eval(a, n: int, z):
+    """Joint evaluation of the circle polynomial pairs at circle points.
 
     ``a`` is a ReflectionSequence (or the private coefficient table of one);
-    a_0 .. a_{n-1} are read once, by ``take``.  ``z`` may also be a raw
-    number, not a string that spells one; one that is not finite, or whose
-    sweep to degree n overflows (z = 1e300, say), raises
+    a_0 .. a_{n-1} are read once, by ``take``.  ``z`` is a CirclePoint or a
+    raw number, not a string that spells one; one that is not finite, or
+    whose sweep to degree n overflows (z = 1e300, say), raises
     InvalidParameterError.
+
+    Array form: with a list or tuple of sequences (or tables) as ``a``, and
+    a list, tuple or 1-d array of points (or one point) as ``z``, one sweep
+    runs every (sequence, point) lane at once.
 
     Returns
     -------
     list of (complex, complex)
         [(Phi_0(z), Phi_0^*(z)), ..., (Phi_n(z), Phi_n^*(z))] from (1, 1) by one
         sweep of Phi_{k+1} = z*Phi_k - a_k*Phi_k^*, Phi_{k+1}^* = Phi_k^* - a_k*z*Phi_k.
+    (Phi, Phi_star) in the array form
+        Two complex arrays indexed (degree, sequence, point), of shape
+        (n + 1, len(a), number of points).  Each lane holds the bits of the scalar form
+        at its sequence and point: the sweep runs in float64 parts through
+        ``_c_mul``, which replays CPython's complex product.
     """
     n = _require_count(n, "an integer degree", 0)
-    # a CirclePoint is finite with |z| = 1; only a raw point needs the checks
-    raw = not isinstance(z, CirclePoint)
-    try:
-        if raw and isinstance(z, str):
-            raise TypeError  # no number, though complex() parses a numeric string
-        zz = complex(z) if raw else z.z
-    except (OverflowError, TypeError, ValueError):  # beyond the float range, or not a number
-        raise InvalidParameterError(f"need a point with a float value, got {_shown(z)}") from None
-    if raw and not cmath.isfinite(zz):
-        raise InvalidParameterError(f"need a finite point, got {_shown(z)}")
-    phi = phis = 1.0 + 0.0j
-    ladder = [(phi, phis)]
-    # Python scalars keep every step in CPython's complex arithmetic
-    for ak in _table(a, n).scalars[:n]:
-        phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
-        ladder.append((phi, phis))
-    if raw and not (cmath.isfinite(phi) and cmath.isfinite(phis)):
-        raise InvalidParameterError(f"the sweep to degree {n} overflows at z = {_shown(z)}")
-    return ladder
+    lanes = isinstance(a, (list, tuple))
+    points = z if lanes and isinstance(z, (list, tuple, np.ndarray)) else [z]
+    zz = np.array([_point(p) for p in points], dtype=complex)
+    tables = [_table(s, n) for s in (a if lanes else [a])]
+    # a_k on axis 0, each rounded to a float as complex() rounds a real factor
+    ak = np.array([table.a[:n] for table in tables], dtype=float).reshape(len(tables), n).T[:, :, None]
+    # the real and imaginary parts of Phi_k and Phi_k^*, in contiguous rows
+    parts = np.empty((4, n + 1, len(tables), len(zz)))
+    pr, pi, qr, qi = parts
+    pr[0], pi[0], qr[0], qi[0] = 1.0, 0.0, 1.0, 0.0
+    zr, zi = zz.real, zz.imag
+    with np.errstate(over="ignore", invalid="ignore"):  # a raw point may overflow; checked below
+        azr, azi = _c_mul(ak, 0.0, zr, zi)  # the factor a_k*z of every step
+        for k in range(n):
+            tr, ti = _c_mul(zr, zi, pr[k], pi[k])
+            ur, ui = _c_mul(ak[k], 0.0, qr[k], qi[k])
+            vr, vi = _c_mul(azr[k], azi[k], pr[k], pi[k])
+            pr[k + 1], pi[k + 1] = tr - ur, ti - ui
+            qr[k + 1], qi[k + 1] = qr[k] - vr, qi[k] - vi
+    for j, p in enumerate(points):
+        # a CirclePoint keeps |Phi_k| <= 2^k; only a raw point can overflow
+        if not isinstance(p, CirclePoint) and not np.isfinite(parts[:, n, :, j]).all():
+            raise InvalidParameterError(f"the sweep to degree {n} overflows at z = {_shown(p)}")
+    phi, phis = parts[0].astype(complex), parts[2].astype(complex)
+    phi.imag, phis.imag = parts[1], parts[3]
+    if lanes:
+        return phi, phis
+    return list(zip(phi[:, 0, 0].tolist(), phis[:, 0, 0].tolist()))

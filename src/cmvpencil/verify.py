@@ -17,6 +17,7 @@ even/odd split) that holds, at tolerance 0.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import asdict, dataclass, field
@@ -148,30 +149,46 @@ def _worst_relative(via: np.ndarray, direct: np.ndarray) -> float:
     return float(np.max(np.hypot(diff.real, diff.imag) / np.maximum(1.0, np.abs(direct))))
 
 
+@functools.cache
+def _maps_lanes(degree: int) -> tuple:
+    """The maps suite's 25 circle points, their x and their z^{-k/2} ladders,
+    made once per process on first use; the arrays are read-only."""
+    points = tuple(CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25))
+    xs = np.array([point.x for point in points])
+    powers = _half_powers(points, degree)
+    xs.flags.writeable = powers.flags.writeable = False
+    return points, xs, powers
+
+
+def _columns(recs: list) -> MonicThreeTerm:
+    """The recurrences' b(k) and u(k) as (len(recs), 1) columns, so that one
+    ``eval_monic`` on an x of shape (len(recs), P) runs each on its row."""
+    return MonicThreeTerm(
+        b=lambda k: np.array([[rec.b(k)] for rec in recs]),
+        u=lambda k: np.array([[rec.u(k)] for rec in recs]),
+    )
+
+
 def suite_maps() -> list:
     degree, tol = 20, 1e-10
     pairs = [(0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)]
-    points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
-    xs = np.array([point.x for point in points])
-    # z^{-k/2} depends only on the point: one ladder per point serves every sequence
-    powers = [_half_powers(point, degree) for point in points]
+    points, xs, powers = _maps_lanes(degree)
+    sequences = [jacobi_opuc_reflections(xi, eta) for xi, eta in pairs]
+    tables = [_table(a, degree) for a in sequences]  # a_0 .. a_{degree-1}, read once each
+    # the circle route: one Szego sweep over every (sequence, point) lane feeds both families
+    sweep = szego_eval(tables, degree, points)
+    via_sym = _circle_family("symmetric", tables, points, sweep, powers)
+    via_mono = _circle_family("shifted", tables, points, sweep, powers)
+    # the direct route: one ladder per family on every lane; elementwise
+    # float64 arithmetic gives each lane's values bit for bit
+    x = np.broadcast_to(xs, (len(sequences), len(xs)))
+    direct_sym = np.array(eval_monic(_columns([dg_symmetric_recurrence(a) for a in sequences]), degree, x))
+    direct_mono = np.array(eval_monic(_columns([sdg_recurrence(a) for a in sequences]), degree, x))
     results = []
-    for xi, eta in pairs:
-        a = jacobi_opuc_reflections(xi, eta)
-        table = _table(a, degree)  # a_0 .. a_{degree-1}, read once for every point
-        # the direct route: one ladder per family on all points; elementwise
-        # float64 arithmetic gives the per-point values bit for bit
-        direct_sym = np.array(eval_monic(dg_symmetric_recurrence(a), degree, xs)).T
-        direct_mono = np.array(eval_monic(sdg_recurrence(a), degree, xs)).T
-        via_sym, via_mono = [], []
-        for point, ladder in zip(points, powers):
-            # one Szego sweep per (sequence, point) feeds both families
-            sweep = szego_eval(table, degree, point)
-            via_sym.append(_circle_family("symmetric", table, point, sweep, ladder))
-            via_mono.append(_circle_family("shifted", table, point, sweep, ladder))
-        worst_sym = _worst_relative(np.array(via_sym), direct_sym)
-        worst_mono = _worst_relative(np.array(via_mono), direct_mono)
+    for s, (xi, eta) in enumerate(pairs):
         pair = f"(xi,eta)=({xi},{eta})"
+        worst_sym = _worst_relative(via_sym[:, s], direct_sym[:, s])
+        worst_mono = _worst_relative(via_mono[:, s], direct_mono[:, s])
         results.append(_within(f"symmetric family via circle pair, {pair}", worst_sym, tol))
         results.append(_within(f"shifted family via circle pair, {pair}", worst_mono, tol))
     return results

@@ -1,7 +1,11 @@
-"""Closed forms that the tests compare library routes against.
+"""Closed forms and scalar loops that the tests compare library routes against.
 
 Not collected by pytest (no ``test_`` prefix); the test modules import it.
 ``chebyshev_closed_form`` is trigonometric and independent of the library.
+``szego_sweep`` and ``circle_family_values`` are the circle recursion and
+the per-degree circle formulas written with Python complex numbers, one
+coefficient read per index: the arithmetic that ``recurrences.szego_eval``
+and ``maps._circle_family`` replay on float64 lanes, bit for bit.
 ``third_kind_coeffs`` and ``fourth_kind_coeffs`` read their integer
 coefficients from ``dunkl._chebyshev_nums``, the builder behind the library's
 third- and fourth-kind identity residuals, so the checks made through them
@@ -58,3 +62,29 @@ def third_kind_coeffs(n: int) -> PolynomialCoeffs:
 def fourth_kind_coeffs(n: int) -> PolynomialCoeffs:
     """Fourth-kind Chebyshev polynomial on [-1, 1]: W_1 = 2x + 1."""
     return PolynomialCoeffs(tuple(Fraction(x) for x in _chebyshev_nums(n, 1)))
+
+
+def szego_sweep(a, n: int, z: complex) -> list:
+    """[(Phi_0(z), Phi_0^*(z)), ..., (Phi_n(z), Phi_n^*(z))] by the scalar sweep
+    in CPython's complex arithmetic, reading a(k) index by index."""
+    ladder = [(1.0 + 0.0j, 1.0 + 0.0j)]
+    for k in range(n):
+        phi, phis = ladder[-1]
+        ak = a(k)
+        ladder.append((z * phi - ak * phis, phis - ak * z * phi))
+    return ladder
+
+
+def circle_family_values(a, n: int, point) -> tuple:
+    """The symmetric, shifted and companion values at degree n and a circle
+    point, by the single-degree formulas in CPython's complex arithmetic;
+    1 - a_{n-1} is formed in the coefficient's own arithmetic."""
+    phi, phis = szego_sweep(a, n, point.z)[n]
+    half = point.half
+    zmh = half ** (-n)
+    z = half * half
+    return (
+        zmh * (phi + phis) / (1 - a(n - 1)),
+        zmh * (phis + half * phi) / (1 + half),
+        zmh * (z * phi - phis) / (z - 1),
+    )

@@ -47,8 +47,9 @@ def command(*argv):
         command("--help"),
         command("recurrence"),
         command("verify", "--suite", "dunkl"),
+        command("verify", "--suite", "maps"),
     ],
-    ids=["import", "help", "recurrence", "verify-dunkl"],
+    ids=["import", "help", "recurrence", "verify-dunkl", "verify-maps"],
 )
 def test_no_scipy_where_nothing_solves_or_integrates(code):
     assert loaded_after(code) == []

@@ -37,7 +37,9 @@ from cmvpencil.recurrences import (
     jacobi_opuc_reflections,
     pencil_recurrence,
     sdg_recurrence,
+    szego_eval,
 )
+from oracles import circle_family_values, szego_sweep
 
 
 def test_christoffel_ratios_are_polynomial_ratios():
@@ -378,29 +380,27 @@ def test_circle_evaluators_match_recurrences():
             )
 
 
-def _old_circle_values(a, n, point):
-    # the single-degree circle recursion and the per-degree formulas of
-    # dg_eval_from_circle, sdg_eval_from_circle and companion_eval_from_circle
-    zz = point.z
-    phi, phis = 1.0 + 0.0j, 1.0 + 0.0j
-    for k in range(n):
-        ak = a(k)
-        phi, phis = zz * phi - ak * phis, phis - ak * zz * phi
-    half = point.half
-    zmh = half ** (-n)
-    z = half * half
-    return (
-        zmh * (phi + phis) / (1 - a(n - 1)),
-        zmh * (phis + half * phi) / (1 + half),
-        zmh * (z * phi - phis) / (z - 1),
-    )
+# exact coefficients whose 1 - a rounds otherwise than 1 - float(a) at
+# several indices: the symmetric formula must form 1 - a_{k-1} exactly
+FRACTION_LIST = [Fraction(7, 9), Fraction(-5, 7), Fraction(1, 3), Fraction(-2, 3)] + [
+    Fraction((-1) ** k * (10**k + 7), 10 ** (k + 1) + 3) for k in range(16)
+]
+
+
+def _hexed(pairs):
+    return [(p.real.hex(), p.imag.hex(), ps.real.hex(), ps.imag.hex()) for p, ps in pairs]
 
 
 def test_circle_evaluator_ladders_are_the_per_degree_formulas():
-    # the 25 points and five (xi, eta) pairs of the shipped maps suite
+    # the 25 points and five (xi, eta) pairs of the shipped maps suite, plus an
+    # exact Jacobi family and a list of Fractions
     points = [CirclePoint(float(phi)) for phi in np.linspace(0.2, 2 * math.pi - 0.2, 25)]
-    for xi, eta in ((0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5)):
-        a = jacobi_opuc_reflections(xi, eta)
+    pairs = ((0.0, 0.0), (0.3, 0.7), (1.0, 0.5), (-0.25, 0.75), (-0.5, -0.5))
+    sequences = [jacobi_opuc_reflections(xi, eta) for xi, eta in pairs] + [
+        jacobi_opuc_reflections(Fraction(1, 3), Fraction(1, 2)),
+        ReflectionSequence.from_list(FRACTION_LIST),
+    ]
+    for a in sequences:
         for point in points:
             ladders = [
                 dg_eval_from_circle(a, 20, point),
@@ -408,9 +408,16 @@ def test_circle_evaluator_ladders_are_the_per_degree_formulas():
                 companion_eval_from_circle(a, 20, point),
             ]
             for n, values in enumerate(zip(*ladders)):
-                expected = _old_circle_values(a, n, point)
+                expected = circle_family_values(a, n, point)
                 assert [repr(v) for v in values] == [repr(v) for v in expected]
             assert len(ladders[0]) == 21
+    # the array form of the sweep, lane by lane, against the scalar sweep
+    phi, phis = szego_eval(sequences, 20, points)
+    assert phi.shape == phis.shape == (21, len(sequences), len(points))
+    for s, a in enumerate(sequences):
+        for j, point in enumerate(points):
+            lane = zip(phi[:, s, j].tolist(), phis[:, s, j].tolist())
+            assert _hexed(lane) == _hexed(szego_sweep(a, 20, point.z))
 
 
 class _GaussianRational:

@@ -38,9 +38,11 @@ def test_tracer_installs_and_removes_its_wrappers():
 
 
 def test_traced_maps_suite_runs_one_szego_sweep_per_point():
-    # 5 (xi, eta) pairs x 25 points x 20 steps: one sweep feeds both families.
-    # The sweeps and the symmetric formula read a coefficient table made once
-    # per sequence; the reads left are the direct route's 97 per sequence.
+    # one szego_eval call sweeps all 5 (xi, eta) pairs x 25 points in 20
+    # steps, and the tracer adds the degree once per call: 20.  The sweep
+    # feeds both families.  The sweep and the symmetric formula read a
+    # coefficient table made once per sequence; the reads left are the direct
+    # route's 97 per sequence.
     code = (
         "import contextlib, io, sys\n"
         f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'perfbench')!r}]\n"
@@ -57,7 +59,7 @@ def test_traced_maps_suite_runs_one_szego_sweep_per_point():
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     code, steps, reads = proc.stdout.split()
-    assert (code, steps) == ("0", "2500")
+    assert (code, steps) == ("0", "20")
     assert int(reads) <= 485
 
 

@@ -20,6 +20,8 @@ from cmvpencil.recurrences import (
     CirclePoint,
     MonicThreeTerm,
     ReflectionSequence,
+    _c_div,
+    _c_mul,
     _complement,
     _require_count,
     _require_real,
@@ -472,6 +474,63 @@ def test_szego_eval_refuses_a_raw_point_that_is_not_finite_or_overflows(n, z):
     # each returned ((nan+nanj), (nan+nanj)) as its last pair and raised nothing
     with pytest.raises(InvalidParameterError):
         szego_eval(jacobi_opuc_reflections(0.3, 0.7), n, z)
+
+
+def _parts(rng, size):
+    """Seeded float parts from 1e-150 to 1e150 in size, either sign, one in
+    ten a signed zero."""
+    parts = rng.uniform(-1, 1, size) * 10.0 ** rng.uniform(-150, 150, size)
+    kind = rng.integers(0, 20, size)
+    parts[kind == 0] = 0.0
+    parts[kind == 1] = -0.0
+    return parts
+
+
+def test_lane_arithmetic_is_cpython_complex_arithmetic_bit_for_bit():
+    # numpy's complex product and quotient differ from CPython's in the last
+    # bit on a share of these draws, so either in place of a helper fails here
+    rng = np.random.default_rng(20261022)
+    size = 100_000
+    ar, ai, br, bi = (_parts(rng, size) for _ in range(4))
+    kind = rng.integers(0, 10, size)
+    bi[kind == 0] = br[kind == 0]  # ties |br| = |bi|, either sign
+    bi[kind == 1] = -br[kind == 1]
+    bi[kind == 2] = 0.0  # real divisors, either zero
+    bi[kind == 3] = -0.0
+    zero = (br == 0) & (bi == 0)
+    br[zero] = rng.choice([1.0, -1e-150, 1e150], zero.sum())  # zero divisors are tested below
+    lhs = [complex(x, y) for x, y in zip(ar.tolist(), ai.tolist())]
+    rhs = [complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+    for helper, op in ((_c_mul, lambda x, y: x * y), (_c_div, lambda x, y: x / y)):
+        real, imag = helper(ar, ai, br, bi)
+        got = [(x.hex(), y.hex()) for x, y in zip(real.tolist(), imag.tolist())]
+        assert got == [(w.real.hex(), w.imag.hex()) for w in map(op, lhs, rhs)], helper.__name__
+
+
+@pytest.mark.parametrize("br, bi", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_a_lane_quotient_by_zero_raises_as_complex_division_does(br, bi):
+    with pytest.raises(ZeroDivisionError):
+        complex(1.0, 2.0) / complex(br, bi)
+    with pytest.raises(ZeroDivisionError):
+        _c_div(np.array([1.0, 3.0]), np.array([2.0, 4.0]), np.array([1.0, br]), np.array([1.0, bi]))
+
+
+def test_szego_eval_array_form_is_the_scalar_form_on_each_lane():
+    sequences = [jacobi_opuc_reflections(0.3, 0.7), ReflectionSequence.constant(-0.0), ReflectionSequence.constant(0)]
+    points = [CirclePoint(2.0), 0.0, -0.0, 0.5 - 1j, Fraction(1, 3)]
+    phi, phis = szego_eval(sequences, 9, points)
+    assert phi.shape == phis.shape == (10, 3, 5)
+    for s, a in enumerate(sequences):
+        for j, z in enumerate(points):
+            lane = list(zip(phi[:, s, j].tolist(), phis[:, s, j].tolist()))
+            assert all(_same(x, y) for x, y in zip(lane, szego_eval(a, 9, z)))
+    # one point is a lane of its own; no sequence or point gives an empty axis
+    assert szego_eval(sequences, 9, CirclePoint(2.0))[0].shape == (10, 3, 1)
+    assert szego_eval((), 9, points)[0].shape == (10, 0, 5)
+    with pytest.raises(InvalidParameterError, match=r"overflows at z = 1e\+300"):
+        szego_eval(sequences, 3, [CirclePoint(1.0), 1e300])
+    with pytest.raises(InvalidParameterError, match="float value"):
+        szego_eval(sequences, 3, [CirclePoint(1.0), "0.5"])
 
 
 def _same_bits(taken, reads):

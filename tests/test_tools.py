@@ -38,7 +38,11 @@ def test_code_lines_prints_the_tree_count():
 
 # The code lines of src/cmvpencil and scripts/ may fall below this ceiling; it
 # rises only with a reason written here, as the never-entered list below grows.
-CODE_LINE_CEILING = 2182  # one owner each for the exact pass rule, the node ladder, the band edges and the inflation
+# 2182 -> 2233: the maps suite's lane core (the CPython-exact complex product
+# and quotient, the Szego sweep and the three circle formulas on (sequence,
+# point) arrays, the suite's cached points and stacked direct route) less the
+# scalar sweep, the scalar formulas and the table's Python-scalar column
+CODE_LINE_CEILING = 2233
 
 
 def test_code_lines_stay_under_the_ceiling():

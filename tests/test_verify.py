@@ -249,7 +249,7 @@ def _nan_reduction(reduce):
 #  indices of the suite's checks that read it; every other check must pass)
 NAN_ROUTES = [
     ("matrix-identities", {"dim": 16}, cmv, "build_K", _nan_diagonal, range(6)),
-    ("maps", {}, verify, "szego_eval", lambda f: lambda a, n, z: [(complex(NAN, NAN),) * 2] * (n + 1), range(10)),
+    ("maps", {}, verify, "szego_eval", lambda f: lambda a, n, z: (np.full((n + 1, len(a), len(z)), complex(NAN, NAN)),) * 2, range(10)),
     ("little-m1", {}, verify, "eval_monic", _nan_values, range(3)),
     ("big-m1", {}, verify, "stieltjes_recurrence", lambda f: lambda *args, **kw: NAN_REC, range(4)),
     ("spectrum", {}, verify, "band_census", lambda f: lambda m, bands, inflate: (NAN, [], NAN), range(3)),
